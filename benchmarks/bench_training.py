@@ -7,8 +7,12 @@ with the default capture-and-replay engine — and compares:
 - **per-epoch step time** (the ``epoch_step_time_s`` histogram delta),
   the number the PR's >=1.5x claim is about;
 - **per-epoch eval time** (``epoch_eval_time_s``);
-- **op counts** of the captured step/eval/val graphs (``graph_step_ops``
-  etc.) — the structural fingerprint of the execution engine;
+- **op counts** of the captured programs — the structural fingerprint of
+  the execution engine.  The step's forward is split in two:
+  ``graph_eval_ops`` counts the head (logits + power), which the post-step
+  eval replays; ``graph_step_ops`` counts the tail (loss and objective
+  terms), which the next step replays before its backward.
+  ``graph_val_ops`` counts the separate validation forward;
 - **trace bit-identity**: loss / power / multiplier / validation-accuracy
   traces must be *exactly* equal between the two modes.
 

@@ -17,6 +17,14 @@ kernels:
   forward keeps fresh) and propagates along the cached topo order via the
   same accumulation routine as eager — gradients are bit-identical.
 
+:meth:`CapturedGraph.split` partitions a recorded forward into a **head**
+(every kernel some chosen outputs depend on) and a **tail** (the rest),
+sharing the captured buffers.  The trainers use it to let the post-step
+eval forward double as the next step's forward: the eval replays the head,
+the next step replays only the tail.  :meth:`CapturedGraph.stamp_leaves` /
+:meth:`CapturedGraph.leaves_unchanged` fingerprint the head's leaf values so
+a step can tell whether the head's buffers still match its leaves.
+
 Validity is guarded by a cheap structural fingerprint: a process-wide
 *graph version* (bumped by mutations that change graph **structure**, e.g.
 ``CrossbarLayer.set_masks``), the objective's epoch key (e.g. the AL warmup
@@ -105,6 +113,7 @@ class CapturedGraph:
         self.n_leaves = 0
         self.n_view_nodes = 0
         self._leaf_shapes: list[tuple[Tensor, tuple[int, ...]]] = []
+        self._stamp: bytes | None = None
         self._build()
 
     # ------------------------------------------------------------------
@@ -114,7 +123,7 @@ class CapturedGraph:
         return len(self._schedule)
 
     def _build(self) -> None:
-        order = self._forward_order()
+        order = _forward_order(self.outputs)
         for node in order:
             preds = node._parents + node._deps
             if not preds:
@@ -143,24 +152,65 @@ class CapturedGraph:
             self._schedule.append((mode, fwd, preds, node.data))
             self._kernel_names.append(kernel_name(fwd))
 
-    def _forward_order(self) -> list[Tensor]:
-        """Topo order (ancestors first) over ``_parents`` + ``_deps``."""
-        order: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(t, False) for t in self.outputs]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for pred in node._parents + node._deps:
-                if id(pred) not in visited:
-                    stack.append((pred, False))
-        return order
+    def split(self, head_outputs: Sequence[Tensor]) -> tuple["CapturedGraph", "CapturedGraph"]:
+        """Partition the forward schedule into ``(head, tail)``.
+
+        ``head`` holds, in recorded order, every kernel ``head_outputs``
+        depend on; ``tail`` holds the rest.  The parts are disjoint, cover
+        the schedule, and write into this graph's buffers, so replaying head
+        then tail equals one :meth:`replay_forward`.  Replaying the tail
+        alone is exact while the head's buffers are current — no leaf the
+        head reads changed since its last replay (see :meth:`leaves_unchanged`).
+        Both parts are forward-only; the backward stays with this graph.
+        """
+        head_nodes = _forward_order(head_outputs)
+        head_buffers = {id(node.data) for node in head_nodes}
+        head_leaves = [node for node in head_nodes if not (node._parents or node._deps)]
+        head_ids = {id(leaf) for leaf in head_leaves}
+        entries: tuple[list, list] = ([], [])
+        names: tuple[list[str], list[str]] = ([], [])
+        for entry, name in zip(self._schedule, self._kernel_names):
+            side = 0 if id(entry[3]) in head_buffers else 1
+            entries[side].append(entry)
+            names[side].append(name)
+        tail_outputs = [t for t in self.outputs if id(t.data) not in head_buffers]
+        tail_leaves = [leaf for leaf, _ in self._leaf_shapes if id(leaf) not in head_ids]
+        return (
+            self._part(head_outputs, entries[0], names[0], head_leaves),
+            self._part(tail_outputs, entries[1], names[1], tail_leaves),
+        )
+
+    def _part(self, outputs, schedule, names, leaves) -> "CapturedGraph":
+        # Built without __init__: a part is a view of this capture, not a new one.
+        part = object.__new__(CapturedGraph)
+        part.outputs = tuple(outputs)
+        part.epoch_key = self.epoch_key
+        part.version = self.version
+        part.backward_root = None
+        part.backward_order = None
+        part._schedule = schedule
+        part._kernel_names = names
+        part.n_leaves = len(leaves)
+        part.n_view_nodes = 0
+        part._leaf_shapes = [(leaf, leaf.data.shape) for leaf in leaves]
+        part._stamp = None
+        return part
+
+    def stamp_leaves(self) -> None:
+        """Record the bytes of every leaf value (read by :meth:`leaves_unchanged`)."""
+        self._stamp = self._leaf_bytes()
+
+    def leaves_unchanged(self) -> bool:
+        """Whether every leaf holds the bits it held at the last stamp.
+
+        False before the first :meth:`stamp_leaves`.  When True, the buffers
+        a replay made right before that stamp are still what a replay now
+        would compute.
+        """
+        return self._stamp is not None and self._stamp == self._leaf_bytes()
+
+    def _leaf_bytes(self) -> bytes:
+        return b"".join([leaf.data.tobytes() for leaf, _shape in self._leaf_shapes])
 
     # ------------------------------------------------------------------
     def is_valid(self, epoch_key: object = None) -> bool:
@@ -232,6 +282,26 @@ class CapturedGraph:
         if root is None or self.backward_order is None:
             raise RuntimeError("graph was captured without a backward root")
         _run_backward(root, self.backward_order, np.ones_like(root.data), timings)
+
+
+def _forward_order(outputs: Sequence[Tensor]) -> list[Tensor]:
+    """Topo order (ancestors first) over ``_parents`` + ``_deps``."""
+    order: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(t, False) for t in outputs]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for pred in node._parents + node._deps:
+            if id(pred) not in visited:
+                stack.append((pred, False))
+    return order
 
 
 def capture_forward(fn: Callable[..., "Tensor | Sequence[Tensor]"], *leaves: Tensor) -> CapturedGraph:

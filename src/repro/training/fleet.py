@@ -277,10 +277,10 @@ class FleetProgram:
 
         self._eager = not settings.capture_graph
         self._step: CapturedGraph | None = None
-        self._eval: CapturedGraph | None = None
+        self._head: CapturedGraph | None = None
+        self._tail: CapturedGraph | None = None
         self._val: CapturedGraph | None = None
-        self._step_outputs: tuple[Tensor, Tensor] | None = None
-        self._eval_outputs: tuple[Tensor, Tensor] | None = None
+        self._outputs: tuple[Tensor, Tensor, Tensor, Tensor] | None = None
         self._val_logits: Tensor | None = None
 
     # ------------------------------------------------------------------
@@ -523,7 +523,7 @@ class FleetProgram:
             return 0 if epoch < self._structure_key[1] else 1
         return 0
 
-    def _forward_step(self, epoch: int) -> tuple[Tensor, Tensor]:
+    def _forward_step(self, epoch: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         logits, crossbar_p, activation_p, negation_p, health = self._forward_power()
         task_vec = F.instance_cross_entropy(logits, self.split.y_train)
         power = (crossbar_p + activation_p) + negation_p
@@ -547,63 +547,59 @@ class FleetProgram:
             total = task_vec + power3 * self._penalty_scale_t
         if self.signal_weight > 0.0:
             total = total + health.reshape(-1, 1, 1) * self.signal_weight
-        return task_vec, total
+        return task_vec, total, logits, power
 
     def _abandon_capture(self) -> None:
         logger.debug("fleet graph capture unavailable; running eagerly", exc_info=True)
         self._eager = True
-        self._step = self._eval = self._val = None
+        self._step = self._head = self._tail = self._val = None
 
     def run_step(self, epoch: int) -> tuple[Tensor, Tensor]:
-        """One fleet epoch's forward + backward; ``(task_vec, total)``."""
+        """One fleet epoch's forward + backward; ``(task_vec, total)``.
+
+        Replays only the step's tail when the head still holds the last
+        :meth:`run_eval`'s values (see ``_GraphEngine`` in the trainer).
+        """
         self._prepare_epoch(epoch)
         if self._eager:
-            task_vec, total = self._forward_step(epoch)
+            task_vec, total, _logits, _power = self._forward_step(epoch)
             total.backward(np.ones_like(total.data))
             return task_vec, total
         key = self._epoch_key(epoch)
         if self._step is not None and self._step.is_valid(key):
-            self._step.replay_forward()
+            if not self._head.leaves_unchanged():
+                self._head.replay_forward()
+            self._tail.replay_forward()
             self._step.replay_backward()
             mark_replay_epoch()
-            return self._step_outputs
+            return self._outputs[:2]
         if self._step is not None:
             mark_recapture()
         with graph_capture():
-            task_vec, total = self._forward_step(epoch)
+            outputs = self._forward_step(epoch)
         try:
-            self._step = CapturedGraph((task_vec, total), backward_root=total, epoch_key=key)
+            self._step = CapturedGraph(outputs, backward_root=outputs[1], epoch_key=key)
+            self._head, self._tail = self._step.split(outputs[2:])
         except GraphCaptureError:
             self._abandon_capture()
-        self._step_outputs = (task_vec, total)
+        self._outputs = outputs
         if self._step is not None:
             self._step.replay_backward()
         else:
-            total.backward(np.ones_like(total.data))
-        return task_vec, total
+            outputs[1].backward(np.ones_like(outputs[1].data))
+        return outputs[:2]
 
     # ------------------------------------------------------------------
     def run_eval(self) -> tuple[Tensor, np.ndarray]:
-        """Post-step forward; ``(logits, per-instance power array)``."""
-        if not self._eager and self._eval is not None and self._eval.is_valid():
-            self._eval.replay_forward()
-            logits, power = self._eval_outputs
-            return logits, power.data.reshape(self.instances).copy()
-        if self._eager:
+        """Post-step forward (the step's head); ``(logits, per-instance power array)``."""
+        if self._head is None:
             with no_grad():
                 logits, cp, ap, np_, _health = self._forward_power()
                 power = (cp + ap) + np_
-            return logits, power.data.reshape(self.instances).copy()
-        if self._eval is not None:
-            mark_recapture()
-        with no_grad(), graph_capture():
-            logits, cp, ap, np_, _health = self._forward_power()
-            power = (cp + ap) + np_
-        try:
-            self._eval = CapturedGraph((logits, power))
-        except GraphCaptureError:
-            self._abandon_capture()
-        self._eval_outputs = (logits, power)
+        else:
+            self._head.replay_forward()
+            self._head.stamp_leaves()
+            _task_vec, _total, logits, power = self._outputs
         return logits, power.data.reshape(self.instances).copy()
 
     def _forward_signal(self, x: Tensor) -> Tensor:

@@ -66,10 +66,10 @@ _POWER_VIOLATION = get_registry().gauge(
     "power_violation", "normalized constraint violation max(0, (P - budget)/budget) of the last epoch"
 )
 _GRAPH_STEP_OPS = get_registry().gauge(
-    "graph_step_ops", "kernels per replayed training step (captured graph)"
+    "graph_step_ops", "forward kernels per replayed training step (the tail after the eval)"
 )
 _GRAPH_EVAL_OPS = get_registry().gauge(
-    "graph_eval_ops", "kernels per replayed post-step evaluation forward"
+    "graph_eval_ops", "kernels per replayed post-step evaluation forward (logits + power)"
 )
 _GRAPH_VAL_OPS = get_registry().gauge(
     "graph_val_ops", "kernels per replayed validation forward"
@@ -162,17 +162,28 @@ def _accuracy_only(net: PrintedNeuralNetwork, x: np.ndarray, y: np.ndarray) -> f
 class _GraphEngine:
     """Capture-and-replay driver for one training run.
 
-    Owns up to three captured programs: the training **step** (forward +
-    loss; its backward closures and topo order are cached alongside), the
-    post-step **eval** forward (logits + power under ``no_grad``), and the
-    **val** forward (only when the validation set is distinct from the
-    training set).  Each epoch either replays the recorded kernels into
-    their original buffers or — on the first epoch, after a structural
-    invalidation, or with capture disabled — runs the ordinary eager path.
-    Replay and eager share the same forward kernels and the same backward
-    closures/accumulation order, so every produced float is bit-identical;
-    if any recorded op lacks a forward thunk the engine permanently falls
-    back to eager for the rest of the run.
+    Owns two captured programs: the training **step** (forward with power +
+    loss; its backward closures and topo order are cached alongside) and
+    the **val** forward (only when the validation set is distinct from the
+    training set).  The step's forward is split (``CapturedGraph.split``)
+    into a **head** — every kernel the logits and power depend on — and a
+    **tail** — cross-entropy, the health term and the objective's penalty.
+    Epoch ``t``'s post-step eval replays the head at θ_{t+1}; epoch
+    ``t+1``'s step then replays only the tail before its backward, reading
+    the head's buffers, so each epoch runs the pNC forward once.  The head
+    stamps its leaf values when the eval replays it; a step that finds them
+    changed (a callback edited θ) or unstamped (the first step after a
+    capture) replays the head first.  Kernel labels: ``train.eval.forward``
+    is the head, ``train.step.forward`` the tail, ``train.step.backward``
+    the backward.
+
+    Each epoch either replays the recorded kernels into their original
+    buffers or — on the first epoch, after a structural invalidation, or
+    with capture disabled — runs the ordinary eager path.  Replay and eager
+    share the same forward kernels and the same backward closures and
+    accumulation order, so every produced float is bit-identical; if any
+    recorded op lacks a forward thunk the engine permanently falls back to
+    eager for the rest of the run.
     """
 
     def __init__(
@@ -192,53 +203,46 @@ class _GraphEngine:
         self.x_train = Tensor(split.x_train)
         self.x_val = None if split.x_val is split.x_train else Tensor(split.x_val)
         self._step: CapturedGraph | None = None
-        self._eval: CapturedGraph | None = None
+        self._head: CapturedGraph | None = None
+        self._tail: CapturedGraph | None = None
         self._val: CapturedGraph | None = None
-        self._step_outputs: tuple[Tensor, Tensor] | None = None
-        self._eval_outputs: tuple[Tensor, Tensor] | None = None
+        self._outputs: tuple[Tensor, Tensor, Tensor, Tensor] | None = None
         self._val_logits: Tensor | None = None
-        # Per-kernel attribution (repro profile --kernels): one pair of
-        # KernelRecordings per captured graph, None while tracing is off.
-        self._step_rec = None
-        self._eval_rec = None
-        self._val_rec = None
+        # Per-kernel attribution (repro profile --kernels): one recording
+        # per label, None while tracing is off.
+        self._recs: dict = {}
 
     # ------------------------------------------------------------------
-    def _forward_step(self, epoch: int) -> tuple[Tensor, Tensor]:
+    def _forward_step(self, epoch: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         logits, breakdown = self.net.forward_with_power(self.x_train)
+        # ``total`` builds a new node per access: the objective and the
+        # eval must read this one node.
+        power = breakdown.total
         task_loss = F.cross_entropy(logits, self.split.y_train)
-        total = self.objective.training_loss(task_loss, breakdown.total, epoch)
+        total = self.objective.training_loss(task_loss, power, epoch)
         if self.signal_weight > 0.0:
             total = total + self.net.signal_health * self.signal_weight
-        return task_loss, total
+        return task_loss, total, logits, power
 
     def _abandon_capture(self) -> None:
         logger.debug("graph capture unavailable; running eagerly", exc_info=True)
         self.enabled = False
-        self._step = self._eval = self._val = None
-        self._step_rec = self._eval_rec = self._val_rec = None
+        self._step = self._head = self._tail = self._val = None
+        self._recs = {}
 
-    @staticmethod
-    def _kernel_recordings(graph: CapturedGraph | None, label: str):
-        """Fresh (forward, backward) recordings, or None while tracing is off."""
+    def _record(self, label: str, names: list[str]) -> None:
+        """Start a fresh kernel recording for ``label`` while tracing is on."""
         profiler = get_kernel_profiler()
-        if graph is None or not profiler.enabled:
-            return None
-        fwd = profiler.recording(f"{label}.forward", graph.kernel_names())
-        bwd = None
-        if graph.backward_order is not None:
-            bwd = profiler.recording(f"{label}.backward", graph.backward_kernel_names())
-        return fwd, bwd
+        self._recs[label] = profiler.recording(label, names) if profiler.enabled else None
 
-    @staticmethod
-    def _replay_forward(graph: CapturedGraph, rec) -> None:
+    def _replay(self, replay, label: str) -> None:
+        rec = self._recs.get(label)
         if rec is None:
-            graph.replay_forward()
+            replay()
             return
-        fwd_rec = rec[0]
         t0 = perf_counter()
-        graph.replay_forward(fwd_rec.times)
-        fwd_rec.note_replay(perf_counter() - t0)
+        replay(rec.times)
+        rec.note_replay(perf_counter() - t0)
 
     def run_step(self, epoch: int) -> tuple[Tensor, Tensor]:
         """One epoch's forward + backward; returns ``(task_loss, total)``.
@@ -247,7 +251,7 @@ class _GraphEngine:
         ``optimizer.step()`` / ``project_()`` after.
         """
         if not self.enabled:
-            task_loss, total = self._forward_step(epoch)
+            task_loss, total, _logits, _power = self._forward_step(epoch)
             with span("trainer.backward"):
                 total.backward()
             return task_loss, total
@@ -258,64 +262,45 @@ class _GraphEngine:
         key = self.objective.graph_epoch_key(epoch)
         if self._step is not None and self._step.is_valid(key):
             with span("trainer.step.replay"):
-                rec = self._step_rec
-                if rec is None:
-                    self._step.replay_forward()
-                    self._step.replay_backward()
-                else:
-                    fwd_rec, bwd_rec = rec
-                    t0 = perf_counter()
-                    self._step.replay_forward(fwd_rec.times)
-                    t1 = perf_counter()
-                    self._step.replay_backward(bwd_rec.times)
-                    fwd_rec.note_replay(t1 - t0)
-                    bwd_rec.note_replay(perf_counter() - t1)
+                if not self._head.leaves_unchanged():
+                    self._replay(self._head.replay_forward, "train.eval.forward")
+                self._replay(self._tail.replay_forward, "train.step.forward")
+                self._replay(self._step.replay_backward, "train.step.backward")
             mark_replay_epoch()
-            return self._step_outputs
+            return self._outputs[:2]
         if self._step is not None:
             mark_recapture()
         with span("trainer.capture"):
             with graph_capture():
-                task_loss, total = self._forward_step(epoch)
+                outputs = self._forward_step(epoch)
             try:
-                self._step = CapturedGraph(
-                    (task_loss, total), backward_root=total, epoch_key=key
-                )
+                self._step = CapturedGraph(outputs, backward_root=outputs[1], epoch_key=key)
+                self._head, self._tail = self._step.split(outputs[2:])
+                _GRAPH_STEP_OPS.set(self._tail.n_ops)
+                _GRAPH_EVAL_OPS.set(self._head.n_ops)
+                self._record("train.eval.forward", self._head.kernel_names())
+                self._record("train.step.forward", self._tail.kernel_names())
+                self._record("train.step.backward", self._step.backward_kernel_names())
             except GraphCaptureError:
                 self._abandon_capture()
-        self._step_rec = self._kernel_recordings(self._step, "train.step")
-        self._step_outputs = (task_loss, total)
+        self._outputs = outputs
         with span("trainer.backward"):
             if self._step is not None:
-                _GRAPH_STEP_OPS.set(self._step.n_ops)
                 self._step.replay_backward()
             else:
-                total.backward()
-        return task_loss, total
+                outputs[1].backward()
+        return outputs[:2]
 
     # ------------------------------------------------------------------
     def run_eval(self) -> tuple[Tensor, float]:
         """Post-step training-set forward; returns ``(logits, power_W)``."""
-        if self.enabled and self._eval is not None and self._eval.is_valid():
-            self._replay_forward(self._eval, self._eval_rec)
-            logits, power = self._eval_outputs
-            return logits, float(power.data)
-        if not self.enabled:
+        if self._head is None:
             with no_grad():
                 logits, breakdown = self.net.forward_with_power(self.x_train)
             return logits, float(breakdown.total.data)
-        if self._eval is not None:
-            mark_recapture()
-        with no_grad(), graph_capture():
-            logits, breakdown = self.net.forward_with_power(self.x_train)
-            power = breakdown.total
-        try:
-            self._eval = CapturedGraph((logits, power))
-            _GRAPH_EVAL_OPS.set(self._eval.n_ops)
-        except GraphCaptureError:
-            self._abandon_capture()
-        self._eval_rec = self._kernel_recordings(self._eval, "train.eval")
-        self._eval_outputs = (logits, power)
+        self._replay(self._head.replay_forward, "train.eval.forward")
+        self._head.stamp_leaves()
+        _task_loss, _total, logits, power = self._outputs
         return logits, float(power.data)
 
     def val_accuracy(self, post_logits: Tensor) -> float:
@@ -323,7 +308,7 @@ class _GraphEngine:
         if self.x_val is None:
             return F.accuracy(post_logits, self.split.y_val)
         if self.enabled and self._val is not None and self._val.is_valid():
-            self._replay_forward(self._val, self._val_rec)
+            self._replay(self._val.replay_forward, "train.val.forward")
             return F.accuracy(self._val_logits, self.split.y_val)
         if not self.enabled:
             return _accuracy_only(self.net, self.split.x_val, self.split.y_val)
@@ -334,9 +319,9 @@ class _GraphEngine:
         try:
             self._val = CapturedGraph((logits,))
             _GRAPH_VAL_OPS.set(self._val.n_ops)
+            self._record("train.val.forward", self._val.kernel_names())
         except GraphCaptureError:
             self._abandon_capture()
-        self._val_rec = self._kernel_recordings(self._val, "train.val")
         self._val_logits = logits
         return F.accuracy(logits, self.split.y_val)
 

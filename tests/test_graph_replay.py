@@ -123,6 +123,37 @@ class _MaskFlip(TrainerCallback):
             self.net.crossbar_0.set_masks(None, None)
 
 
+class _NudgeTheta(TrainerCallback):
+    """Edit one θ entry between epochs, after the post-step eval ran."""
+
+    def __init__(self, net, every: int = 3):
+        self.net = net
+        self.every = every
+
+    def on_epoch(self, event) -> None:
+        if event.epoch % self.every == 1:
+            self.net.crossbar_0.theta.data[0, 0] += 1e-3
+
+
+class TestHeadFreshness:
+    """A step may skip the head only while the head's leaves are unchanged."""
+
+    def test_callback_edit_between_epochs_matches_eager(self, af_surrogates, neg_surrogate):
+        data_split = train_val_test_split(load_dataset("iris"), seed=0)
+
+        def run(capture: bool):
+            net = _net(af_surrogates, neg_surrogate, "iris", seed=7)
+            return train_power_constrained(
+                net, data_split, power_budget=2e-4, mu=5.0, warmup_epochs=5,
+                anneal_epochs=0, callbacks=[_NudgeTheta(net)],
+                settings=TrainerSettings(epochs=20, patience=20, capture_graph=capture),
+            )
+
+        eager, replay = run(capture=False), run(capture=True)
+        assert _traces(eager) == _traces(replay)
+        assert eager.power == replay.power
+
+
 class TestRecapture:
     def test_structural_change_forces_recapture(self, af_surrogates, neg_surrogate):
         data_split = train_val_test_split(load_dataset("iris"), seed=0)
@@ -293,6 +324,72 @@ class TestCapturedGraphUnit:
             ref.backward()
             assert float(out.data) == float(ref.data)
             np.testing.assert_array_equal(x.grad, rx.grad)
+
+
+class TestSplit:
+    """``CapturedGraph.split``: a head/tail partition of one forward schedule."""
+
+    @staticmethod
+    def _forward(w, x, lam):
+        logits = (w * x).tanh() + w.exp()
+        power = (logits * logits).sum()
+        total = logits.sigmoid().sum() + power * lam
+        return logits, power, total
+
+    def _program(self):
+        with graph_capture():
+            w = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+            x = Tensor(np.array([1.5, 0.25, -0.75]))
+            lam = Tensor(np.array(0.3))  # read by the tail only, like AL's λ
+            logits, power, total = self._forward(w, x, lam)
+        graph = CapturedGraph((total, logits, power), backward_root=total)
+        head, tail = graph.split((logits, power))
+        return w, x, lam, (logits, power, total), graph, head, tail
+
+    def test_parts_partition_the_schedule(self):
+        _w, x, lam, _outs, graph, head, tail = self._program()
+        head_ids = [id(entry) for entry in head._schedule]
+        tail_ids = [id(entry) for entry in tail._schedule]
+        assert head_ids and tail_ids
+        assert set(head_ids).isdisjoint(tail_ids)
+        assert sorted(head_ids + tail_ids) == sorted(id(e) for e in graph._schedule)
+        assert head.n_ops + tail.n_ops == graph.n_ops
+        # each part keeps the recorded order and its kernel names
+        order = {id(entry): i for i, entry in enumerate(graph._schedule)}
+        for part in (head, tail):
+            positions = [order[id(entry)] for entry in part._schedule]
+            assert positions == sorted(positions)
+            assert part.kernel_names() == [graph.kernel_names()[i] for i in positions]
+        head_leaves = {id(leaf) for leaf, _shape in head._leaf_shapes}
+        assert id(x) in head_leaves and id(lam) not in head_leaves
+
+    def test_head_then_tail_equals_full_replay(self):
+        w, _x, _lam, _outs, graph, head, tail = self._program()
+        np.copyto(w.data, [0.1, 0.7, -0.3])
+        graph.replay_forward()
+        expected = [out.copy() for _mode, _fwd, _srcs, out in graph._schedule]
+        np.copyto(w.data, [-2.0, 0.4, 1.1])
+        graph.replay_forward()  # every buffer now holds other values
+        np.copyto(w.data, [0.1, 0.7, -0.3])
+        head.replay_forward()
+        tail.replay_forward()
+        for want, (_mode, _fwd, _srcs, out) in zip(expected, graph._schedule):
+            assert want.tobytes() == out.tobytes()
+
+    def test_tail_alone_after_tail_leaf_change_matches_eager(self):
+        w, x, lam, (logits, power, total), _graph, head, tail = self._program()
+        assert not head.leaves_unchanged()  # never stamped
+        np.copyto(w.data, [0.9, -0.2, 0.6])
+        head.replay_forward()
+        head.stamp_leaves()
+        np.copyto(lam.data, 1.7)
+        assert head.leaves_unchanged()
+        tail.replay_forward()
+        ref = self._forward(Tensor(w.data.copy()), Tensor(x.data.copy()), Tensor(lam.data.copy()))
+        for got, want in zip((logits, power, total), ref):
+            assert got.data.tobytes() == want.data.tobytes()
+        w.data[0] += 1e-9
+        assert not head.leaves_unchanged()
 
 
 class TestFusedAdamParity:
