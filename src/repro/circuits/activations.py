@@ -63,6 +63,16 @@ def q_tensor_from_u(space, i: int, u: Tensor) -> Tensor:
     return unit * (high - low) + low
 
 
+def subsample_rows(v: Tensor, limit: int) -> Tensor:
+    """Deterministic stride subsample of the batch axis (``-2``) to ``limit`` rows."""
+    batch = v.shape[-2]
+    if batch <= limit:
+        return v
+    stride = batch // limit
+    index = np.arange(0, batch, stride)[:limit]
+    return v[(Ellipsis, index, slice(None))]
+
+
 class PrintedActivation(Module):
     """Layer of N identical learnable printed activation circuits.
 
@@ -177,13 +187,20 @@ class PrintedActivation(Module):
             np.copyto(getattr(self, f"u_{i}").data, u0[i])
 
     # ------------------------------------------------------------------
-    def _q_tensor(self, i: int) -> Tensor:
-        return q_tensor_from_u(self.space, i, getattr(self, f"u_{i}"))
+    def q_from(self, units: list[Tensor] | None = None) -> list[Tensor]:
+        """q mapped from ``units`` — this layer's own u parameters by default.
+
+        Supplied units may be ``(instances, 1, 1)`` stacks (one design per
+        instance); every call materializes fresh q tensors.
+        """
+        if units is None:
+            units = [getattr(self, f"u_{i}") for i in range(self._dim)]
+        return [q_tensor_from_u(self.space, i, u) for i, u in enumerate(units)]
 
     @property
     def q_tensors(self) -> list[Tensor]:
         """The physical parameters as differentiable tensors (mapped from u)."""
-        return [self._q_tensor(i) for i in range(self._dim)]
+        return self.q_from()
 
     def q_values(self) -> np.ndarray:
         """Current physical parameter vector (numpy copy)."""
@@ -204,34 +221,51 @@ class PrintedActivation(Module):
     #: gradient without changing any reported voltage or power.
     GRADIENT_LEAK = 0.05
 
-    def forward(self, v_in: Tensor) -> Tensor:
-        """Activation output voltages, same shape as ``v_in``."""
-        v_out, _ = self.transfer.output_and_power(v_in, self.q_tensors)
+    def forward(
+        self,
+        v_in: Tensor,
+        units: list[Tensor] | None = None,
+        transfer: TransferModel | None = None,
+    ) -> Tensor:
+        """Activation output voltages, same shape as ``v_in``.
+
+        ``units`` and ``transfer`` replace the layer's own u parameters and
+        transfer model (e.g. instance stacks of both — see
+        :meth:`repro.circuits.pnc.PrintedNeuralNetwork.forward_with_power`).
+        """
+        transfer = self.transfer if transfer is None else transfer
+        v_out, _ = transfer.output_and_power(v_in, self.q_from(units))
         if self.training and self.GRADIENT_LEAK > 0.0:
             v_out = v_out + (v_in - v_in.detach()) * self.GRADIENT_LEAK
         return v_out
 
     # ------------------------------------------------------------------
-    def power_inputs(self, v_in: Tensor, batch_limit: int = 256) -> tuple[list[Tensor], Tensor, int, int]:
+    def power_inputs(
+        self, v_in: Tensor, batch_limit: int = 256, units: list[Tensor] | None = None
+    ) -> tuple[list[Tensor], Tensor, int, int]:
         """Surrogate-ready inputs ``(q_columns, flat_v, batch, n)`` for a layer.
 
         Applies the deterministic stride subsample down to ``batch_limit``
-        rows and flattens to the ``(batch·n, 1)`` voltage column the P^AF
-        surrogate expects.  Exposed so the network can stack several layers'
-        groups into one :meth:`SurrogatePowerModel.predict_tensor_batched`
-        call; the mean over ``reshape(batch, n)`` of the output reproduces
+        rows and flattens to the ``(..., batch·n, 1)`` voltage column the
+        P^AF surrogate expects.  Exposed so the network can stack several
+        layers' groups into one
+        :meth:`SurrogatePowerModel.predict_tensor_batched` call; the mean
+        over ``reshape(..., batch, n)`` of the output reproduces
         :meth:`power_per_circuit`.
         """
-        batch, n = v_in.shape
-        if batch > batch_limit:
-            stride = batch // batch_limit
-            index = np.arange(0, batch, stride)[:batch_limit]
-            v_in = v_in[(index, slice(None))]
-            batch = len(index)
-        return self.q_tensors, v_in.reshape(batch * n, 1), batch, n
+        v_in = subsample_rows(v_in, batch_limit)
+        batch, n = v_in.shape[-2:]
+        flat = v_in.reshape(*v_in.shape[:-2], batch * n, 1)
+        return self.q_from(units), flat, batch, n
 
-    def power_per_circuit(self, v_in: Tensor, batch_limit: int = 256) -> Tensor:
-        """``(N,)`` batch-averaged power of each circuit in the layer (W).
+    def power_per_circuit(
+        self,
+        v_in: Tensor,
+        batch_limit: int = 256,
+        units: list[Tensor] | None = None,
+        transfer: TransferModel | None = None,
+    ) -> Tensor:
+        """``(..., N)`` batch-averaged power of each circuit in the layer (W).
 
         In surrogate mode the MLP is evaluated on at most ``batch_limit``
         batch rows (deterministic stride subsample) — the estimate is a batch
@@ -239,12 +273,13 @@ class PrintedActivation(Module):
         datasets (e.g. pendigits) tractable.
         """
         if self.power_mode == "analytic":
-            _, power = self.transfer.output_and_power(v_in, self.q_tensors)
-            return power.mean(axis=0)
+            transfer = self.transfer if transfer is None else transfer
+            _, power = transfer.output_and_power(v_in, self.q_from(units))
+            return power.mean(axis=-2)
 
-        q_columns, flat, batch, n = self.power_inputs(v_in, batch_limit)
+        q_columns, flat, batch, n = self.power_inputs(v_in, batch_limit, units)
         powers = self.surrogate.predict_tensor(q_columns, flat)
-        return powers.reshape(batch, n).mean(axis=0)
+        return powers.reshape(*flat.shape[:-2], batch, n).mean(axis=-2)
 
     # ------------------------------------------------------------------
     def project_(self) -> None:

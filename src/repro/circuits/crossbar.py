@@ -116,16 +116,21 @@ class CrossbarLayer(Module):
 
     # ------------------------------------------------------------------
     def extend_inputs(self, x: Tensor) -> Tensor:
-        """Append the bias rail and ground rows: (B, M) → (B, M+2)."""
-        batch = x.shape[0]
-        bias = Tensor(np.full((batch, 1), self.bias_voltage))
-        ground = Tensor(np.zeros((batch, 1)))
+        """Append the bias rail and ground rows: (..., B, M) → (..., B, M+2).
+
+        Leading axes (an instance stack) get rails of their own; the rails
+        hold the same values in every slice, so each slice equals the 2-D
+        extension bit for bit.
+        """
         from repro.autograd.tensor import concatenate
 
-        return concatenate([x, bias, ground], axis=1)
+        rail = (*x.shape[:-1], 1)
+        bias = Tensor(np.full(rail, self.bias_voltage))
+        ground = Tensor(np.zeros(rail))
+        return concatenate([x, bias, ground], axis=-1)
 
     def forward(self, x: Tensor, theta: Tensor | None = None) -> Tensor:
-        """Crossbar output voltages ``(B, N)`` for inputs ``(B, M)``.
+        """Crossbar output voltages ``(..., B, N)`` for inputs ``(..., B, M)``.
 
         With the ideal negation ``neg(V) = -V`` the numerator collapses to
         ``V_ext @ θ`` (|θ|·(−V) = θ·V for θ < 0), so the forward pass is a
@@ -133,25 +138,30 @@ class CrossbarLayer(Module):
 
         ``theta`` accepts a precomputed :meth:`effective_theta` so one
         materialization can serve forward, power and count terms of the
-        same step.
+        same step.  It may be an ``(instances, M+2, N)`` stack: a 2-D input
+        is then shared by every instance, and each instance slice of the
+        output equals the 2-D call with that slice's θ bit for bit.
         """
-        if x.shape[1] != self.in_features:
-            raise ValueError(f"expected {self.in_features} inputs, got {x.shape[1]}")
+        if x.shape[-1] != self.in_features:
+            raise ValueError(f"expected {self.in_features} inputs, got {x.shape[-1]}")
         if theta is None:
             theta = self.effective_theta()
         v_ext = self.extend_inputs(x)
         numerator = v_ext @ theta
-        denominator = theta.abs().sum(axis=0) + _EPS_G
+        denominator = theta.abs().sum(axis=-2, keepdims=True) + _EPS_G
         return numerator / denominator
 
     # ------------------------------------------------------------------
     def power(self, x: Tensor, v_out: Tensor, theta: Tensor | None = None) -> Tensor:
-        """Batch-averaged crossbar dissipation P^C in watts (differentiable)."""
+        """Batch-averaged crossbar dissipation P^C in watts (differentiable).
+
+        One value per instance for an instance-stacked θ (a scalar for 2-D).
+        """
         if theta is None:
             theta = self.effective_theta()
         v_ext = self.extend_inputs(x)
         matrix = crossbar_power_matrix_signed(theta, v_ext, -v_ext, v_out)
-        return matrix.sum()
+        return matrix.sum(axis=(-2, -1))
 
     # ------------------------------------------------------------------
     def project_(self) -> None:

@@ -3,16 +3,18 @@
 Monte-Carlo yield analysis evaluates N *printed instances* of one trained
 network — same topology, different variation draws.  The serial loop in
 :mod:`repro.evaluation.montecarlo` pays N full eager forwards for that.
-This module evaluates a whole chunk of instances as **one** tensor program
-with a leading instance axis:
+:class:`EnsembleProgram` evaluates a whole chunk of instances as **one**
+captured call of the network's own
+:meth:`~repro.circuits.pnc.PrintedNeuralNetwork.forward_with_power` over
+stacked leaves:
 
 - every crossbar's effective θ becomes an ``(instances, M+2, N)`` stack,
 - every activation's unconstrained design parameters ``u_i`` become
-  ``(instances, 1, 1)`` stacks (mapped to q by the same sigmoid box map),
+  ``(instances, 1, 1)`` stacks,
 - the perturbed EGT model card becomes an ``(instances, 1, 1)`` V_th/K pair
   shared between a numpy card (read by the Newton closures at call time)
-  and a :class:`Tensor` card (recorded into the graph expressions),
-- activations/voltages flow as ``(instances, batch, dim)`` buffers.
+  and a :class:`Tensor` card (recorded into the graph expressions), carried
+  by one transfer model per layer.
 
 The program is recorded once with :func:`repro.autograd.graph
 .capture_forward` and replayed per chunk: only the leaf stacks change.
@@ -22,8 +24,8 @@ real elements' bits cannot depend on the padding (per-element Newton
 freezing, per-slice GEMMs; see ``docs/architecture.md`` §1.2).
 
 Bit-identity contract: every per-instance accuracy/power equals the serial
-``evaluate_instances`` loop *bit for bit*.  Each stacked kernel acts
-elementwise or per-slice on the instance axis, so instance ``j``'s slice
+``evaluate_instances`` loop *bit for bit* — the network's forward acts
+elementwise or per slice on the instance axis, so instance ``j``'s slice
 sees exactly the arithmetic the serial path runs with instance ``j``'s
 values (asserted by ``tests/test_ensemble.py`` and the benchmark gate).
 """
@@ -35,30 +37,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, concatenate, no_grad
+from repro.autograd.tensor import Tensor, no_grad
 from repro.autograd.graph import (
     CapturedGraph,
     GraphCaptureError,
     capture_forward,
     mark_recapture,
 )
-from repro.circuits.activations import PrintedActivation, q_tensor_from_u, units_from_q
-from repro.circuits.crossbar import _EPS_G, CrossbarLayer
+from repro.circuits.activations import units_from_q
 from repro.circuits.pnc import PrintedNeuralNetwork
-from repro.pdk.transfer import NegationModel, TransferModel
+from repro.pdk.transfer import TransferModel
 from repro.pdk.variation import (
     VariationSpec,
     perturb_model_card,
     perturb_q,
     perturb_theta,
 )
-from repro.power.counts import (
-    soft_column_activity,
-    soft_row_negativity,
-    straight_through_column_activity,
-    straight_through_row_negativity,
-)
-from repro.power.crossbar_power import crossbar_power_matrix_signed
 from repro.spice.egt import EGTModel
 
 logger = logging.getLogger(__name__)
@@ -136,54 +130,6 @@ def sample_instance_stack(
         for activation, varied in zip(activations, varied_qs)
     ]
     return InstanceStack(thetas=thetas, units=units, vths=vths, ks=ks)
-
-
-def stacked_extend_inputs(crossbar: CrossbarLayer, signal: Tensor, instances: int) -> Tensor:
-    """Append bias/ground rails; an instance-shared 2-D input stays 2-D.
-
-    The 2-D path delegates to :meth:`CrossbarLayer.extend_inputs` so the
-    shared layer-0 extension is the exact serial node; the 3-D path builds
-    per-instance rails (values identical per slice, so concatenation is a
-    pure layout op and each slice matches the serial extension bitwise).
-    """
-    if signal.ndim == 2:
-        return crossbar.extend_inputs(signal)
-    batch = signal.shape[-2]
-    bias = Tensor(np.full((instances, batch, 1), crossbar.bias_voltage))
-    ground = Tensor(np.zeros((instances, batch, 1)))
-    return concatenate([signal, bias, ground], axis=-1)
-
-
-def stacked_subsample_rows(v_ext: Tensor, limit: int) -> Tensor:
-    """Deterministic stride subsample to the power batch limit."""
-    batch = v_ext.shape[-2]
-    if batch <= limit:
-        return v_ext
-    stride = batch // limit
-    index = np.arange(0, batch, stride)[:limit]
-    if v_ext.ndim == 2:
-        return v_ext[(index, slice(None))]
-    return v_ext[(Ellipsis, index, slice(None))]
-
-
-def stacked_broadcast(tensor: Tensor, instances: int) -> Tensor:
-    """Broadcast an instance-shared 2-D tensor onto the instance axis.
-
-    Multiplying by an all-ones ``(instances, 1, 1)`` stack is a bitwise
-    identity per element (IEEE ``x * 1.0``), so the shared layer-0
-    voltages stay exact while gaining the lead axis the batched
-    surrogate evaluation needs.
-    """
-    if tensor.ndim >= 3:
-        return tensor
-    return tensor * Tensor(np.ones((instances, 1, 1)))
-
-
-def stacked_power_inputs(v_z: Tensor, instances: int, limit: int) -> tuple[Tensor, int, int]:
-    """Stacked twin of :meth:`PrintedActivation.power_inputs`."""
-    v_z = stacked_subsample_rows(v_z, limit)
-    batch, n = v_z.shape[-2], v_z.shape[-1]
-    return v_z.reshape(instances, batch * n, 1), batch, n
 
 
 class EnsembleProgram:
@@ -274,7 +220,7 @@ class EnsembleProgram:
 
     def _capture(self) -> None:
         try:
-            self._graph = capture_forward(lambda *_: self._forward(), *self._leaves())
+            self._graph = capture_forward(lambda *_: self._evaluate(), *self._leaves())
             self._eager = False
         except GraphCaptureError:
             logger.warning(
@@ -321,8 +267,7 @@ class EnsembleProgram:
 
         ``logits`` is the ``(instances, batch, out)`` buffer of the captured
         program (valid until the next :meth:`run`); ``total_power`` is a
-        fresh ``(instances,)`` array assembled with the serial path's
-        association order ``(crossbar + activation) + negation``.
+        fresh ``(instances,)`` copy of the forward's ``PowerBreakdown.total``.
         """
         if not self._eager and (self._graph is None or not self._graph.is_valid()):
             if self._graph is not None:
@@ -330,139 +275,15 @@ class EnsembleProgram:
             self._capture()
         if self._eager:
             with no_grad():
-                outputs = self._forward()
-            logits, crossbar_p, activation_p, negation_p = (o.data for o in outputs)
+                logits, total = self._evaluate()
         else:
             self._graph.replay_forward()
-            logits, crossbar_p, activation_p, negation_p = (
-                o.data for o in self._graph.outputs
-            )
-        total = (crossbar_p + activation_p) + negation_p
-        return logits, np.asarray(total, dtype=np.float64).reshape(self.instances)
+            logits, total = self._graph.outputs
+        return logits.data, total.data.reshape(self.instances).copy()
 
-    # ------------------------------------------------------------------
-    # Stacked mirror of PrintedNeuralNetwork._forward_with_power.  Every op
-    # either is elementwise over the instance axis or reduces a trailing
-    # axis per instance, so instance slices reproduce the 2-D path's bits.
-    # Training-only terms that do not feed logits or power (signal-health
-    # penalty, soft device count) are omitted.
-    # ------------------------------------------------------------------
-    def _forward(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        net = self.net
-        config = net.config
-        threshold = config.pdk.prune_threshold_us
-        straight = config.count_mode == "straight_through"
-        crossbar_power = Tensor(0.0)
-
-        per_layer: list[tuple[Tensor, Tensor, Tensor, list[Tensor], CrossbarLayer, PrintedActivation, int]] = []
-        signal: Tensor = self._x
-        for index, (crossbar, activation) in enumerate(zip(net.crossbars(), net.activations())):
-            theta = self._theta_leaves[index]
-            v_ext = self._extend_inputs(crossbar, signal)
-            numerator = v_ext @ theta
-            denominator = theta.abs().sum(axis=-2, keepdims=True) + _EPS_G
-            v_z = numerator / denominator
-            q_cols = [
-                q_tensor_from_u(activation.space, i, u)
-                for i, u in enumerate(self._unit_leaves[index])
-            ]
-            per_layer.append((v_ext, v_z, theta, q_cols, crossbar, activation, index))
-            v_out, _ = self._transfers[index].output_and_power(v_z, q_cols)
-            if activation.training and activation.GRADIENT_LEAK > 0.0:
-                v_out = v_out + (v_z - v_z.detach()) * activation.GRADIENT_LEAK
-            signal = v_out
-
-        row_activities: list[Tensor] = []
-        col_activities: list[Tensor] = []
-        for v_ext, v_z, theta, _q_cols, _crossbar, _activation, _index in per_layer:
-            matrix = crossbar_power_matrix_signed(theta, v_ext, -v_ext, v_z)
-            crossbar_power = crossbar_power + matrix.sum(axis=(-2, -1))
-            if straight:
-                row_activities.append(straight_through_row_negativity(theta, threshold=threshold))
-                col_activities.append(straight_through_column_activity(theta, threshold=threshold))
-            else:
-                row_activities.append(soft_row_negativity(theta, threshold=threshold))
-                col_activities.append(soft_column_activity(theta, threshold=threshold))
-
-        if config.power_mode == "surrogate":
-            activation_power, negation_power = self._surrogate_powers(
-                per_layer, row_activities, col_activities
-            )
-        else:
-            activation_power = Tensor(0.0)
-            negation_power = Tensor(0.0)
-            model = NegationModel(pdk=config.pdk)
-            neg_q = [Tensor(v) for v in net.neg_q]
-            for (v_ext, v_z, _theta, q_cols, _crossbar, _activation, index), row_activity, col_activity in zip(
-                per_layer, row_activities, col_activities
-            ):
-                v_sub = self._stacked(self._subsample_rows(v_ext))
-                _, per_sample = model.output_and_power(v_sub, neg_q)
-                per_row = per_sample.mean(axis=-2)
-                negation_power = negation_power + (row_activity * per_row).sum(axis=-1)
-                _, af_power = self._transfers[index].output_and_power(v_z, q_cols)
-                per_circuit = af_power.mean(axis=-2)
-                activation_power = activation_power + (col_activity * per_circuit).sum(axis=-1)
-
-        logits = signal * net.logit_scale
-        return logits, crossbar_power, activation_power, negation_power
-
-    def _surrogate_powers(
-        self,
-        per_layer: list,
-        row_activities: list[Tensor],
-        col_activities: list[Tensor],
-    ) -> tuple[Tensor, Tensor]:
-        net = self.net
-        limit = net.config.power_batch_limit
-        neg_q = [Tensor(v) for v in net.neg_q]
-
-        neg_groups: list[tuple[list[Tensor], Tensor]] = []
-        neg_shapes: list[tuple[int, int]] = []
-        for v_ext, _v_z, _theta, _q_cols, _crossbar, _activation, _index in per_layer:
-            v_sub = self._stacked(self._subsample_rows(v_ext))
-            batch, rows = v_sub.shape[-2], v_sub.shape[-1]
-            neg_groups.append((neg_q, v_sub.reshape(self.instances, batch * rows, 1)))
-            neg_shapes.append((batch, rows))
-        neg_outputs = net.neg_surrogate.predict_tensor_batched(neg_groups)
-        negation_power = Tensor(0.0)
-        for (batch, rows), output, row_activity in zip(neg_shapes, neg_outputs, row_activities):
-            per_row = output.reshape(self.instances, batch, rows).mean(axis=-2)
-            negation_power = negation_power + (row_activity * per_row).sum(axis=-1)
-
-        activations = [entry[5] for entry in per_layer]
-        shared = activations[0].surrogate
-        activation_power = Tensor(0.0)
-        if all(activation.surrogate is shared for activation in activations):
-            af_groups: list[tuple[list[Tensor], Tensor]] = []
-            af_shapes: list[tuple[int, int]] = []
-            for _v_ext, v_z, _theta, q_cols, _crossbar, _activation, _index in per_layer:
-                flat, batch, n = self._power_inputs(v_z, limit)
-                af_groups.append((q_cols, flat))
-                af_shapes.append((batch, n))
-            af_outputs = shared.predict_tensor_batched(af_groups)
-            for (batch, n), output, col_activity in zip(af_shapes, af_outputs, col_activities):
-                per_circuit = output.reshape(self.instances, batch, n).mean(axis=-2)
-                activation_power = activation_power + (col_activity * per_circuit).sum(axis=-1)
-        else:
-            for (_v_ext, v_z, _theta, q_cols, _crossbar, activation, _index), col_activity in zip(
-                per_layer, col_activities
-            ):
-                flat, batch, n = self._power_inputs(v_z, limit)
-                powers = activation.surrogate.predict_tensor(q_cols, flat)
-                per_circuit = powers.reshape(self.instances, batch, n).mean(axis=-2)
-                activation_power = activation_power + (col_activity * per_circuit).sum(axis=-1)
-        return activation_power, negation_power
-
-    # ------------------------------------------------------------------
-    def _extend_inputs(self, crossbar: CrossbarLayer, signal: Tensor) -> Tensor:
-        return stacked_extend_inputs(crossbar, signal, self.instances)
-
-    def _subsample_rows(self, v_ext: Tensor) -> Tensor:
-        return stacked_subsample_rows(v_ext, self.net.config.power_batch_limit)
-
-    def _stacked(self, tensor: Tensor) -> Tensor:
-        return stacked_broadcast(tensor, self.instances)
-
-    def _power_inputs(self, v_z: Tensor, limit: int) -> tuple[Tensor, int, int]:
-        return stacked_power_inputs(v_z, self.instances, limit)
+    def _evaluate(self) -> tuple[Tensor, Tensor]:
+        """The net's own forward over the stacked leaves: ``(logits, total power)``."""
+        logits, breakdown = self.net.forward_with_power(
+            self._x, thetas=self._theta_leaves, units=self._unit_leaves, transfers=self._transfers
+        )
+        return logits, breakdown.total

@@ -25,11 +25,12 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor, constant_of
 from repro.autograd.nn import Module
-from repro.circuits.activations import PrintedActivation
+from repro.circuits.activations import PrintedActivation, subsample_rows
 from repro.circuits.crossbar import CrossbarLayer
 from repro.circuits.negation import NEGATION_NOMINAL_Q
 from repro.pdk.params import PDK, DEFAULT_PDK, ActivationKind
 from repro.pdk.circuits import activation_device_count, NEGATION_DEVICE_COUNT
+from repro.pdk.transfer import NegationModel, TransferModel
 from repro.power.counts import (
     straight_through_column_activity,
     straight_through_row_negativity,
@@ -60,17 +61,23 @@ LOGIT_SCALE_MIN = 2.0
 LOGIT_SCALE_MAX = 40.0
 
 
+#: One layer's forward leaves: ``(crossbar, activation, θ, units, transfer)``.
+_Leaves = tuple[CrossbarLayer, PrintedActivation, Tensor, "list[Tensor] | None", "TransferModel | None"]
+
+
 @dataclass
 class PowerBreakdown:
-    """Differentiable power components of one forward pass (all watts)."""
+    """Differentiable power components of one forward pass (all watts).
+
+    Each component is a scalar, or an ``(instances,)`` vector for an
+    instance-stacked forward.  ``total`` is assembled once by the forward
+    as ``(crossbar + activation) + negation``.
+    """
 
     crossbar: Tensor
     activation: Tensor
     negation: Tensor
-
-    @property
-    def total(self) -> Tensor:
-        return self.crossbar + self.activation + self.negation
+    total: Tensor
 
     def as_floats(self) -> dict[str, float]:
         return {
@@ -201,50 +208,115 @@ class PrintedNeuralNetwork(Module):
         return [getattr(self, f"activation_{i}") for i in range(self.n_layers)]
 
     # ------------------------------------------------------------------
-    def forward(self, x: Tensor) -> Tensor:
-        """Logits ``(B, out_features)`` — scaled output-neuron voltages."""
+    def _layer_leaves(
+        self,
+        thetas: list[Tensor] | None,
+        units: list[list[Tensor]] | None,
+        transfers: list[TransferModel] | None,
+    ) -> list[_Leaves]:
+        """Per layer ``(crossbar, activation, θ, units, transfer)``.
+
+        Missing leaves fall back to the layer's own: θ is materialized once
+        per layer with :meth:`CrossbarLayer.effective_theta`; ``None`` units
+        and transfer make the activation use its own u parameters and model.
+        """
+        for name, given in (("theta", thetas), ("units", units), ("transfer", transfers)):
+            if given is not None and len(given) != self.n_layers:
+                raise ValueError(f"expected {self.n_layers} {name} entries, got {len(given)}")
+        return [
+            (
+                crossbar,
+                activation,
+                crossbar.effective_theta() if thetas is None else thetas[index],
+                None if units is None else units[index],
+                None if transfers is None else transfers[index],
+            )
+            for index, (crossbar, activation) in enumerate(zip(self.crossbars(), self.activations()))
+        ]
+
+    def forward(
+        self,
+        x: Tensor,
+        thetas: list[Tensor] | None = None,
+        units: list[list[Tensor]] | None = None,
+        transfers: list[TransferModel] | None = None,
+        logit_scale: float | Tensor | None = None,
+    ) -> Tensor:
+        """Logits ``(..., B, out_features)`` — scaled output-neuron voltages.
+
+        Takes the same optional per-layer leaves as
+        :meth:`forward_with_power` and runs its signal path op for op.
+        """
         _FORWARD_CALLS.inc()
         with span("pnc.forward"):
             signal = x
-            for crossbar, activation in zip(self.crossbars(), self.activations()):
-                signal = activation(crossbar(signal))
-            return signal * self.logit_scale
+            for crossbar, activation, theta, unit, transfer in self._layer_leaves(
+                thetas, units, transfers
+            ):
+                v_z = crossbar.forward(signal, theta=theta)
+                signal = activation(v_z, units=unit, transfer=transfer)
+            return signal * (self.logit_scale if logit_scale is None else logit_scale)
 
     # ------------------------------------------------------------------
     def forward_with_power(
-        self, x: Tensor, thetas: list[Tensor] | None = None
+        self,
+        x: Tensor,
+        thetas: list[Tensor] | None = None,
+        units: list[list[Tensor]] | None = None,
+        transfers: list[TransferModel] | None = None,
+        logit_scale: float | Tensor | None = None,
     ) -> tuple[Tensor, PowerBreakdown]:
         """Run the signal path and assemble the differentiable power.
 
-        ``thetas`` optionally supplies one precomputed effective-θ tensor
-        per layer (e.g. a perturbed copy of a shared base materialization —
-        the Monte-Carlo loop's path), bypassing
-        :meth:`CrossbarLayer.effective_theta` entirely.
+        Every argument after ``x`` optionally replaces one of the net's own
+        per-layer leaves; omitted ones are read from the net's modules:
+
+        - ``thetas`` — one effective θ per layer, ``(M+2, N)`` or an
+          ``(instances, M+2, N)`` stack (bypasses
+          :meth:`CrossbarLayer.effective_theta`);
+        - ``units`` — per layer, the activation's unconstrained u tensors,
+          scalars or ``(instances, 1, 1)`` stacks;
+        - ``transfers`` — one transfer model per layer (e.g. carrying
+          per-instance EGT cards);
+        - ``logit_scale`` — a float or an ``(instances, 1, 1)`` tensor.
+
+        With stacked leaves every op acts elementwise or per slice on the
+        leading instance axis and reduces trailing axes only, so logits,
+        power components and :attr:`signal_health` gain that axis and
+        instance ``i``'s values equal the 2-D call with slice ``i``'s leaves
+        bit for bit.  :attr:`soft_device_count` is built for 2-D θ only.
         """
         _FORWARD_CALLS.inc()
         with span("pnc.forward_with_power"):
-            return self._forward_with_power(x, thetas=thetas)
+            return self._forward_with_power(x, thetas, units, transfers, logit_scale)
 
     def _forward_with_power(
-        self, x: Tensor, thetas: list[Tensor] | None = None
+        self,
+        x: Tensor,
+        thetas: list[Tensor] | None = None,
+        units: list[list[Tensor]] | None = None,
+        transfers: list[TransferModel] | None = None,
+        logit_scale: float | Tensor | None = None,
     ) -> tuple[Tensor, PowerBreakdown]:
-        if thetas is not None and len(thetas) != self.n_layers:
-            raise ValueError(f"expected {self.n_layers} theta tensors, got {len(thetas)}")
         threshold = self.config.pdk.prune_threshold_us
         straight = self.config.count_mode == "straight_through"
         crossbar_power = Tensor(0.0)
         health_penalty = Tensor(0.0)
         device_count = Tensor(0.0)
+        # θ is materialized once per layer and reused by every power/count
+        # term below (see effective_theta_computes).
+        layers = self._layer_leaves(thetas, units, transfers)
+        # Instance shape of a stacked forward; () for 2-D θ.
+        lead = layers[0][2].shape[:-2]
 
-        # Pass 1 — signal path.  θ is materialized once per layer and reused
-        # by every power/count term below (see effective_theta_computes).
-        per_layer: list[tuple[Tensor, Tensor, Tensor, CrossbarLayer, PrintedActivation]] = []
+        # Pass 1 — signal path.
+        per_layer: list[tuple[Tensor, Tensor, _Leaves]] = []
         signal = x
-        for index, (crossbar, activation) in enumerate(zip(self.crossbars(), self.activations())):
-            theta = crossbar.effective_theta() if thetas is None else thetas[index]
+        for leaves in layers:
+            crossbar, activation, theta, unit, transfer = leaves
             v_z = crossbar.forward(signal, theta=theta)
-            per_layer.append((signal, v_z, theta, crossbar, activation))
-            signal = activation(v_z)
+            per_layer.append((signal, v_z, leaves))
+            signal = activation(v_z, units=unit, transfer=transfer)
             health_penalty = health_penalty + self._health_term(signal)
 
         # Pass 2 — power assembly.  Crossbar power and activity coefficients
@@ -253,9 +325,10 @@ class PrintedNeuralNetwork(Module):
         # per layer — row-wise identical numbers, a fraction of the op count.
         row_activities: list[Tensor] = []
         col_activities: list[Tensor] = []
-        for layer_in, v_z, theta, crossbar, activation in per_layer:
+        for layer_in, v_z, (crossbar, activation, theta, _unit, _transfer) in per_layer:
             crossbar_power = crossbar_power + crossbar.power(layer_in, v_z, theta=theta)
-            device_count = device_count + self._soft_devices(theta, activation)
+            if not lead:
+                device_count = device_count + self._soft_devices(theta, activation)
             # Negation circuits: one per input row with active negative θ;
             # activation circuits: one per crossbar column.
             if straight:
@@ -267,32 +340,36 @@ class PrintedNeuralNetwork(Module):
 
         if self.config.power_mode == "surrogate":
             activation_power, negation_power = self._surrogate_powers(
-                per_layer, row_activities, col_activities
+                per_layer, row_activities, col_activities, lead
             )
         else:
             activation_power = Tensor(0.0)
             negation_power = Tensor(0.0)
-            for (layer_in, v_z, theta, crossbar, activation), row_activity, col_activity in zip(
+            for (layer_in, v_z, leaves), row_activity, col_activity in zip(
                 per_layer, row_activities, col_activities
             ):
+                crossbar, activation, _theta, unit, transfer = leaves
                 negation_power = negation_power + self._negation_power(
-                    layer_in, crossbar, row_activity
+                    layer_in, crossbar, row_activity, lead
                 )
                 per_circuit = activation.power_per_circuit(
-                    v_z, batch_limit=self.config.power_batch_limit
+                    v_z, batch_limit=self.config.power_batch_limit, units=unit, transfer=transfer
                 )
-                activation_power = activation_power + (col_activity * per_circuit).sum()
+                activation_power = activation_power + (col_activity * per_circuit).sum(axis=-1)
 
         self.signal_health = health_penalty
-        self.soft_device_count = device_count
-        logits = signal * self.logit_scale
-        return logits, PowerBreakdown(crossbar_power, activation_power, negation_power)
+        if not lead:
+            self.soft_device_count = device_count
+        logits = signal * (self.logit_scale if logit_scale is None else logit_scale)
+        total = (crossbar_power + activation_power) + negation_power
+        return logits, PowerBreakdown(crossbar_power, activation_power, negation_power, total)
 
     def _surrogate_powers(
         self,
-        per_layer: list[tuple[Tensor, Tensor, Tensor, CrossbarLayer, PrintedActivation]],
+        per_layer: list[tuple[Tensor, Tensor, _Leaves]],
         row_activities: list[Tensor],
         col_activities: list[Tensor],
+        lead: tuple[int, ...],
     ) -> tuple[Tensor, Tensor]:
         """Batched P^AF and P^N assembly over all layers (two MLP evals).
 
@@ -306,37 +383,38 @@ class PrintedNeuralNetwork(Module):
         # P^N — every layer shares the nominal negation design.
         neg_groups: list[tuple[list[Tensor], Tensor]] = []
         neg_shapes: list[tuple[int, int]] = []
-        for layer_in, _v_z, _theta, crossbar, _activation in per_layer:
-            q, flat, batch, rows = self._negation_inputs(layer_in, crossbar)
+        for layer_in, _v_z, (crossbar, *_rest) in per_layer:
+            q, flat, batch, rows = self._negation_inputs(layer_in, crossbar, lead)
             neg_groups.append((q, flat))
             neg_shapes.append((batch, rows))
         neg_outputs = self.neg_surrogate.predict_tensor_batched(neg_groups)
         negation_power = Tensor(0.0)
         for (batch, rows), output, row_activity in zip(neg_shapes, neg_outputs, row_activities):
-            per_row = output.reshape(batch, rows).mean(axis=0)
-            negation_power = negation_power + (row_activity * per_row).sum()
+            per_row = output.reshape(*lead, batch, rows).mean(axis=-2)
+            negation_power = negation_power + (row_activity * per_row).sum(axis=-1)
 
         # P^AF — batched when all layers share one fitted surrogate (the
         # standard construction); hand-assembled mixed-surrogate networks
         # fall back to per-layer calls.
-        activations = [activation for *_rest, activation in per_layer]
+        activations = [leaves[1] for _layer_in, _v_z, leaves in per_layer]
         shared = activations[0].surrogate
         activation_power = Tensor(0.0)
         if all(activation.surrogate is shared for activation in activations):
             af_groups: list[tuple[list[Tensor], Tensor]] = []
             af_shapes: list[tuple[int, int]] = []
-            for _layer_in, v_z, _theta, _crossbar, activation in per_layer:
-                q_columns, flat, batch, n = activation.power_inputs(v_z, batch_limit=limit)
+            for _layer_in, v_z, (_crossbar, activation, _theta, unit, _transfer) in per_layer:
+                q_columns, flat, batch, n = activation.power_inputs(v_z, batch_limit=limit, units=unit)
                 af_groups.append((q_columns, flat))
                 af_shapes.append((batch, n))
             af_outputs = shared.predict_tensor_batched(af_groups)
             for (batch, n), output, col_activity in zip(af_shapes, af_outputs, col_activities):
-                per_circuit = output.reshape(batch, n).mean(axis=0)
-                activation_power = activation_power + (col_activity * per_circuit).sum()
+                per_circuit = output.reshape(*lead, batch, n).mean(axis=-2)
+                activation_power = activation_power + (col_activity * per_circuit).sum(axis=-1)
         else:
-            for (_layer_in, v_z, *_rest, activation), col_activity in zip(per_layer, col_activities):
-                per_circuit = activation.power_per_circuit(v_z, batch_limit=limit)
-                activation_power = activation_power + (col_activity * per_circuit).sum()
+            for (_layer_in, v_z, leaves), col_activity in zip(per_layer, col_activities):
+                _crossbar, activation, _theta, unit, _transfer = leaves
+                per_circuit = activation.power_per_circuit(v_z, batch_limit=limit, units=unit)
+                activation_power = activation_power + (col_activity * per_circuit).sum(axis=-1)
         return activation_power, negation_power
 
     def _soft_devices(self, theta: Tensor, activation: PrintedActivation) -> Tensor:
@@ -346,7 +424,6 @@ class PrintedNeuralNetwork(Module):
         negation and activation circuits weighted by their component counts.
         """
         from repro.power.counts import DEFAULT_SHARPNESS
-        from repro.autograd import functional as F
 
         threshold = self.config.pdk.prune_threshold_us
         resistor_soft = ((theta.abs() - threshold) * DEFAULT_SHARPNESS).sigmoid().sum()
@@ -363,52 +440,64 @@ class PrintedNeuralNetwork(Module):
         )
 
     def _health_term(self, signal: Tensor) -> Tensor:
-        """Penalty ``mean_j relu(floor - std_batch(signal_j))²`` for one layer."""
+        """Penalty ``mean_j relu(floor - std_batch(signal_j))²`` for one layer.
+
+        Reduces the trailing ``(batch, j)`` axes only: one value per
+        instance for an instance-stacked signal.
+        """
         floor = self.config.signal_health_floor
         if self.config.signal_health_weight <= 0.0 or floor <= 0.0:
             return Tensor(0.0)
-        mean = signal.mean(axis=0, keepdims=True)
+        mean = signal.mean(axis=-2, keepdims=True)
         centered = signal - mean
-        variance = (centered * centered).mean(axis=0)
+        variance = (centered * centered).mean(axis=-2)
         std = (variance + 1e-12).sqrt()
         shortfall = (Tensor(np.full(std.shape, floor)) - std).relu()
-        return (shortfall * shortfall).mean()
+        return (shortfall * shortfall).mean(axis=-1)
 
-    def _subsampled_extended_inputs(self, signal: Tensor, crossbar: CrossbarLayer) -> Tensor:
-        """The crossbar's extended inputs, stride-subsampled to the batch limit."""
-        v_ext = crossbar.extend_inputs(signal)
-        batch = v_ext.shape[0]
-        limit = self.config.power_batch_limit
-        if batch > limit:
-            stride = batch // limit
-            index = np.arange(0, batch, stride)[:limit]
-            v_ext = v_ext[(index, slice(None))]
+    def _subsampled_extended_inputs(
+        self, signal: Tensor, crossbar: CrossbarLayer, lead: tuple[int, ...] = ()
+    ) -> Tensor:
+        """The crossbar's extended inputs, stride-subsampled to the batch limit.
+
+        ``lead`` is the instance shape of a stacked forward.  An input shared
+        by every instance (2-D under stacked θ) is broadcast onto it:
+        multiplying by an all-ones stack is a bitwise identity per element,
+        and the batched surrogate call needs every group on the same lead.
+        """
+        v_ext = subsample_rows(crossbar.extend_inputs(signal), self.config.power_batch_limit)
+        if lead and v_ext.ndim == 2:
+            v_ext = v_ext * Tensor(np.ones((*lead, 1, 1)))
         return v_ext
 
     def _negation_inputs(
-        self, signal: Tensor, crossbar: CrossbarLayer
+        self, signal: Tensor, crossbar: CrossbarLayer, lead: tuple[int, ...] = ()
     ) -> tuple[list[Tensor], Tensor, int, int]:
         """Surrogate-ready ``(q, flat_v, batch, rows)`` for one layer's P^N."""
-        v_ext = self._subsampled_extended_inputs(signal, crossbar)
-        batch, rows = v_ext.shape
+        v_ext = self._subsampled_extended_inputs(signal, crossbar, lead)
+        batch, rows = v_ext.shape[-2:]
         q = [Tensor(v) for v in self.neg_q]
-        return q, v_ext.reshape(batch * rows, 1), batch, rows
+        return q, v_ext.reshape(*lead, batch * rows, 1), batch, rows
 
-    def _negation_power(self, signal: Tensor, crossbar: CrossbarLayer, row_activity: Tensor) -> Tensor:
+    def _negation_power(
+        self,
+        signal: Tensor,
+        crossbar: CrossbarLayer,
+        row_activity: Tensor,
+        lead: tuple[int, ...] = (),
+    ) -> Tensor:
         """Σ_i a_i · P^N(neg_q, V_i) over the crossbar's extended input rows."""
         if self.config.power_mode == "analytic":
-            from repro.pdk.transfer import NegationModel
-
-            v_ext = self._subsampled_extended_inputs(signal, crossbar)
+            v_ext = self._subsampled_extended_inputs(signal, crossbar, lead)
             model = NegationModel(pdk=self.config.pdk)
             q = [Tensor(v) for v in self.neg_q]
             _, per_sample = model.output_and_power(v_ext, q)
-            per_row = per_sample.mean(axis=0)
+            per_row = per_sample.mean(axis=-2)
         else:
-            q, flat, batch, rows = self._negation_inputs(signal, crossbar)
+            q, flat, batch, rows = self._negation_inputs(signal, crossbar, lead)
             per_sample = self.neg_surrogate.predict_tensor(q, flat)
-            per_row = per_sample.reshape(batch, rows).mean(axis=0)
-        return (row_activity * per_row).sum()
+            per_row = per_sample.reshape(*lead, batch, rows).mean(axis=-2)
+        return (row_activity * per_row).sum(axis=-1)
 
     # ------------------------------------------------------------------
     def power_estimate(self, x: Tensor) -> float:

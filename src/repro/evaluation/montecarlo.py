@@ -206,9 +206,10 @@ def _cached_program(net: PrintedNeuralNetwork, x: np.ndarray, chunk: int):
 def picklable_network(net: PrintedNeuralNetwork) -> PrintedNeuralNetwork:
     """Prepare ``net`` for shipping to worker processes (in place).
 
-    After a grad-enabled forward the network caches graph tensors
-    (``signal_health``, ``soft_device_count``) whose backward closures are
-    unpicklable; reset them to leaves.  Parameters and buffers are plain
+    After a grad-enabled or captured forward (an :class:`EnsembleProgram`
+    build runs one) the network caches graph tensors (``signal_health``,
+    ``soft_device_count``) whose closures are unpicklable; reset them to
+    leaves.  Parameters and buffers are plain
     arrays and pickle fine.  Returns ``net`` for chaining.
     """
     net.signal_health = Tensor(0.0)

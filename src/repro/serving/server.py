@@ -110,58 +110,51 @@ class _Handler(JsonHandler):
         headers = {"X-Trace-Id": trace_id}
         with trace_context(trace_id):
             with trace_span("serving.request", "serving"):
-                try:
-                    length = int(self.headers.get("Content-Length", 0))
-                    if length <= 0 or length > MAX_BODY_BYTES:
-                        raise ValueError(f"invalid Content-Length {length}")
-                    payload = json.loads(self.rfile.read(length).decode("utf-8"))
-                    rows = np.asarray(payload["rows"], dtype=np.float64)
-                    if rows.ndim == 1:
-                        rows = rows.reshape(1, -1)
-                    model = self._ctx.model
-                    if rows.ndim != 2 or rows.shape[1] != model.in_features:
-                        raise ValueError(
-                            f"expected rows of {model.in_features} features, "
-                            f"got shape {tuple(rows.shape)}"
-                        )
-                    if not np.all(np.isfinite(rows)):
-                        raise ValueError("feature rows must be finite")
-                except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-                    self._respond(
-                        400, {"error": f"bad request: {exc}"}, "predict", started,
-                        headers=headers,
-                    )
-                    return
-                try:
-                    logits = self._ctx.batcher.predict(rows)
-                except Exception as exc:  # engine/batcher failure — a server error
-                    logger.exception("predict failed")
-                    self._respond(
-                        500, {"error": f"inference failed: {exc}"}, "predict", started,
-                        headers=headers,
-                    )
-                    return
-                with trace_span("serving.serialize", "serving"):
-                    labels = np.argmax(logits, axis=1)
-                    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-                    probabilities = shifted / shifted.sum(axis=1, keepdims=True)
-                    confidence = probabilities[np.arange(len(labels)), labels]
-                    self._respond(
-                        200,
-                        {
-                            "predictions": [
-                                {"label": int(label), "confidence": float(conf)}
-                                for label, conf in zip(labels, confidence)
-                            ],
-                            "logits": logits.tolist(),
-                            "rows": len(rows),
-                            "trace_id": trace_id,
-                        },
-                        "predict",
-                        started,
-                        rows=len(rows),
-                        headers=headers,
-                    )
+                status, body, rows = self._predict(trace_id)
+            # Respond only once the request span is recorded: a client that
+            # reads the tracer after its response must find the span there.
+            self._respond(status, body, "predict", started, rows=rows, headers=headers)
+
+    def _predict(self, trace_id: str) -> tuple[int, dict, int]:
+        """Parse, run and serialize one /predict request: ``(status, body, rows)``."""
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+            if length <= 0 or length > MAX_BODY_BYTES:
+                raise ValueError(f"invalid Content-Length {length}")
+            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            rows = np.asarray(payload["rows"], dtype=np.float64)
+            if rows.ndim == 1:
+                rows = rows.reshape(1, -1)
+            model = self._ctx.model
+            if rows.ndim != 2 or rows.shape[1] != model.in_features:
+                raise ValueError(
+                    f"expected rows of {model.in_features} features, "
+                    f"got shape {tuple(rows.shape)}"
+                )
+            if not np.all(np.isfinite(rows)):
+                raise ValueError("feature rows must be finite")
+        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+            return 400, {"error": f"bad request: {exc}"}, 0
+        try:
+            logits = self._ctx.batcher.predict(rows)
+        except Exception as exc:  # engine/batcher failure — a server error
+            logger.exception("predict failed")
+            return 500, {"error": f"inference failed: {exc}"}, 0
+        with trace_span("serving.serialize", "serving"):
+            labels = np.argmax(logits, axis=1)
+            shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+            probabilities = shifted / shifted.sum(axis=1, keepdims=True)
+            confidence = probabilities[np.arange(len(labels)), labels]
+            body = {
+                "predictions": [
+                    {"label": int(label), "confidence": float(conf)}
+                    for label, conf in zip(labels, confidence)
+                ],
+                "logits": logits.tolist(),
+                "rows": len(rows),
+                "trace_id": trace_id,
+            }
+        return 200, body, len(rows)
 
 
 class ServingServer(AppServer):

@@ -3,11 +3,13 @@
 The seed/variation sweeps behind the paper's aggregate tables train many
 *independent* printed networks — same topology and split, different seeds
 (and, for penalty sweeps, different α).  The serial loop pays N full Python
-training runs for that.  :class:`FleetProgram` stacks the whole fleet into
-one tensor program with a leading instance axis:
+training runs for that.  :class:`FleetProgram` stacks the whole fleet's
+leaves on a leading instance axis and trains them through the reference
+member's own :meth:`~repro.circuits.pnc.PrintedNeuralNetwork.forward_with_power`:
 
 - every crossbar θ becomes an ``(instances, M+2, N)`` :class:`Parameter`
-  stack, every activation u an ``(instances, 1, 1)`` stack,
+  stack, every activation u an ``(instances, 1, 1)`` stack, the logit
+  scales an ``(instances, 1, 1)`` leaf,
 - the AL dual state rides along as ``(instances, 1, 1)`` *leaf* tensors
   (λ, μ/2, budget, 1/budget, inactive value), refreshed in place per epoch
   so per-instance multiplier updates ``λᵢ ← max(0, λᵢ + μᵢ·cᵢ)`` never
@@ -26,11 +28,12 @@ Bit-identity contract (same bar as the Monte-Carlo ensemble): every
 per-instance loss/power/val-accuracy trace and every final
 :class:`~repro.training.trainer.TrainResult` equals the serial
 :func:`~repro.training.trainer.train_model` run bit for bit, for both the
-augmented-Lagrangian and penalty objectives.  Chunks shorter than the
-program width are padded with replicas of instance 0 (plus cloned
-objectives); padded slots get full symmetric bookkeeping but their results
-are discarded, and no real slot can read a pad slot's values (asserted by
-the property-based tests).
+augmented-Lagrangian and penalty objectives — the forward is the serial
+one, so the recorded program matches the serial program node for node.
+Chunks shorter than the program width are padded with replicas of
+instance 0 (plus cloned objectives); padded slots get full symmetric
+bookkeeping but their results are discarded, and no real slot can read a
+pad slot's values (asserted by the property-based tests).
 """
 
 from __future__ import annotations
@@ -51,25 +54,10 @@ from repro.autograd.graph import (
 )
 from repro.autograd.nn import Parameter
 from repro.autograd.tensor import Tensor, constant_of, graph_capture, no_grad
-from repro.circuits.activations import q_tensor_from_u
-from repro.circuits.crossbar import _EPS_G
-from repro.circuits.ensemble import (
-    stacked_broadcast,
-    stacked_extend_inputs,
-    stacked_power_inputs,
-    stacked_subsample_rows,
-)
 from repro.circuits.pnc import PrintedNeuralNetwork
 from repro.datasets.splits import DataSplit
 from repro.observability.callbacks import EpochEvent, TraceRecorder
 from repro.observability.metrics import get_registry
-from repro.power.counts import (
-    soft_column_activity,
-    soft_row_negativity,
-    straight_through_column_activity,
-    straight_through_row_negativity,
-)
-from repro.power.crossbar_power import crossbar_power_matrix_signed
 from repro.training.augmented_lagrangian import AugmentedLagrangianObjective
 from repro.training.penalty import PenaltyObjective
 from repro.training.trainer import (
@@ -364,146 +352,13 @@ class FleetProgram:
             theta = theta.where(np.stack(keeps), Tensor(np.zeros_like(theta.data)))
         return theta
 
-    def _health_term(self, signal: Tensor) -> Tensor:
-        """Per-instance twin of ``PrintedNeuralNetwork._health_term`` → (n,)."""
-        floor = self._ref.config.signal_health_floor
-        if self.signal_weight <= 0.0 or floor <= 0.0:
-            return Tensor(0.0)
-        mean = signal.mean(axis=-2, keepdims=True)
-        centered = signal - mean
-        variance = (centered * centered).mean(axis=-2)
-        std = (variance + 1e-12).sqrt()
-        shortfall = (Tensor(np.full(std.shape, floor)) - std).relu()
-        return (shortfall * shortfall).mean(axis=-1)
-
-    def _forward_power(self) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
-        """Stacked twin of ``PrintedNeuralNetwork._forward_with_power``.
-
-        Node-for-node transcription of the serial two-pass assembly: the
-        same fresh input extensions (three per layer), the same fresh q
-        materializations (two sets per layer) and per-layer negation q, the
-        same reduction order — so instance slices reproduce the serial
-        forward and backward bit for bit.
-        """
-        ref = self._ref
-        config = ref.config
-        n = self.instances
-        threshold = config.pdk.prune_threshold_us
-        straight = config.count_mode == "straight_through"
-        limit = config.power_batch_limit
-        crossbar_power = Tensor(0.0)
-        health_penalty = Tensor(0.0)
-
-        # Pass 1 — signal path.
-        per_layer: list[tuple[Tensor, Tensor, Tensor]] = []
-        signal: Tensor = self._x
-        for layer in range(self.n_layers):
-            crossbar = ref.crossbars()[layer]
-            activation = ref.activations()[layer]
-            theta = self._effective_theta(layer)
-            v_ext = stacked_extend_inputs(crossbar, signal, n)
-            numerator = v_ext @ theta
-            denominator = theta.abs().sum(axis=-2, keepdims=True) + _EPS_G
-            v_z = numerator / denominator
-            per_layer.append((signal, v_z, theta))
-            q_cols = [
-                q_tensor_from_u(activation.space, j, u)
-                for j, u in enumerate(self._u_params[layer])
-            ]
-            v_out, _ = activation.transfer.output_and_power(v_z, q_cols)
-            if activation.training and activation.GRADIENT_LEAK > 0.0:
-                v_out = v_out + (v_z - v_z.detach()) * activation.GRADIENT_LEAK
-            signal = v_out
-            health_penalty = health_penalty + self._health_term(signal)
-
-        # Pass 2 — power assembly (crossbar term + activity coefficients).
-        row_activities: list[Tensor] = []
-        col_activities: list[Tensor] = []
-        for layer, (layer_in, v_z, theta) in enumerate(per_layer):
-            crossbar = ref.crossbars()[layer]
-            v_ext = stacked_extend_inputs(crossbar, layer_in, n)
-            matrix = crossbar_power_matrix_signed(theta, v_ext, -v_ext, v_z)
-            crossbar_power = crossbar_power + matrix.sum(axis=(-2, -1))
-            if straight:
-                row_activities.append(
-                    straight_through_row_negativity(theta, threshold=threshold)
-                )
-                col_activities.append(
-                    straight_through_column_activity(theta, threshold=threshold)
-                )
-            else:
-                row_activities.append(soft_row_negativity(theta, threshold=threshold))
-                col_activities.append(soft_column_activity(theta, threshold=threshold))
-
-        activation_power = Tensor(0.0)
-        negation_power = Tensor(0.0)
-        if config.power_mode == "surrogate":
-            # P^N — one stacked MLP call over all layers, serial group order.
-            neg_groups: list[tuple[list[Tensor], Tensor]] = []
-            neg_shapes: list[tuple[int, int]] = []
-            for layer, (layer_in, _v_z, _theta) in enumerate(per_layer):
-                crossbar = ref.crossbars()[layer]
-                v_ext = stacked_extend_inputs(crossbar, layer_in, n)
-                v_sub = stacked_broadcast(stacked_subsample_rows(v_ext, limit), n)
-                batch, rows = v_sub.shape[-2], v_sub.shape[-1]
-                q = [Tensor(v) for v in ref.neg_q]
-                neg_groups.append((q, v_sub.reshape(n, batch * rows, 1)))
-                neg_shapes.append((batch, rows))
-            neg_outputs = ref.neg_surrogate.predict_tensor_batched(neg_groups)
-            for (batch, rows), output, row_activity in zip(
-                neg_shapes, neg_outputs, row_activities
-            ):
-                per_row = output.reshape(n, batch, rows).mean(axis=-2)
-                negation_power = negation_power + (row_activity * per_row).sum(axis=-1)
-
-            # P^AF — fresh q materializations per layer (second serial set).
-            shared = ref.activations()[0].surrogate
-            af_groups: list[tuple[list[Tensor], Tensor]] = []
-            af_shapes: list[tuple[int, int]] = []
-            for layer, (_layer_in, v_z, _theta) in enumerate(per_layer):
-                activation = ref.activations()[layer]
-                q_cols = [
-                    q_tensor_from_u(activation.space, j, u)
-                    for j, u in enumerate(self._u_params[layer])
-                ]
-                flat, batch, n_cols = stacked_power_inputs(v_z, n, limit)
-                af_groups.append((q_cols, flat))
-                af_shapes.append((batch, n_cols))
-            af_outputs = shared.predict_tensor_batched(af_groups)
-            for (batch, n_cols), output, col_activity in zip(
-                af_shapes, af_outputs, col_activities
-            ):
-                per_circuit = output.reshape(n, batch, n_cols).mean(axis=-2)
-                activation_power = activation_power + (col_activity * per_circuit).sum(
-                    axis=-1
-                )
-        else:
-            from repro.pdk.transfer import NegationModel
-
-            for layer, (layer_in, v_z, _theta) in enumerate(per_layer):
-                crossbar = ref.crossbars()[layer]
-                activation = ref.activations()[layer]
-                v_ext = stacked_extend_inputs(crossbar, layer_in, n)
-                v_sub = stacked_broadcast(stacked_subsample_rows(v_ext, limit), n)
-                model = NegationModel(pdk=config.pdk)
-                q = [Tensor(v) for v in ref.neg_q]
-                _, per_sample = model.output_and_power(v_sub, q)
-                per_row = per_sample.mean(axis=-2)
-                negation_power = negation_power + (
-                    row_activities[layer] * per_row
-                ).sum(axis=-1)
-                q_cols = [
-                    q_tensor_from_u(activation.space, j, u)
-                    for j, u in enumerate(self._u_params[layer])
-                ]
-                _, af_power = activation.transfer.output_and_power(v_z, q_cols)
-                per_circuit = af_power.mean(axis=-2)
-                activation_power = activation_power + (
-                    col_activities[layer] * per_circuit
-                ).sum(axis=-1)
-
-        logits = signal * self._logit_t
-        return logits, crossbar_power, activation_power, negation_power, health_penalty
+    def _stacked_leaves(self) -> dict:
+        """The fleet's leaves for the net's own forward (fresh masked θ)."""
+        return {
+            "thetas": [self._effective_theta(layer) for layer in range(self.n_layers)],
+            "units": self._u_params,
+            "logit_scale": self._logit_t,
+        }
 
     # ------------------------------------------------------------------
     def _prepare_epoch(self, epoch: int) -> None:
@@ -524,9 +379,10 @@ class FleetProgram:
         return 0
 
     def _forward_step(self, epoch: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        logits, crossbar_p, activation_p, negation_p, health = self._forward_power()
+        logits, breakdown = self._ref.forward_with_power(self._x, **self._stacked_leaves())
+        health = self._ref.signal_health
         task_vec = F.instance_cross_entropy(logits, self.split.y_train)
-        power = (crossbar_p + activation_p) + negation_p
+        power = breakdown.total
         power3 = power.reshape(-1, 1, 1)
         if self._structure_key[0] == "al":
             if epoch < self._structure_key[1]:
@@ -594,35 +450,13 @@ class FleetProgram:
         """Post-step forward (the step's head); ``(logits, per-instance power array)``."""
         if self._head is None:
             with no_grad():
-                logits, cp, ap, np_, _health = self._forward_power()
-                power = (cp + ap) + np_
+                logits, breakdown = self._ref.forward_with_power(self._x, **self._stacked_leaves())
+            power = breakdown.total
         else:
             self._head.replay_forward()
             self._head.stamp_leaves()
             _task_vec, _total, logits, power = self._outputs
         return logits, power.data.reshape(self.instances).copy()
-
-    def _forward_signal(self, x: Tensor) -> Tensor:
-        """Stacked twin of ``PrintedNeuralNetwork.forward`` (power-free)."""
-        ref = self._ref
-        signal = x
-        for layer in range(self.n_layers):
-            crossbar = ref.crossbars()[layer]
-            activation = ref.activations()[layer]
-            theta = self._effective_theta(layer)
-            v_ext = stacked_extend_inputs(crossbar, signal, self.instances)
-            numerator = v_ext @ theta
-            denominator = theta.abs().sum(axis=-2, keepdims=True) + _EPS_G
-            v_z = numerator / denominator
-            q_cols = [
-                q_tensor_from_u(activation.space, j, u)
-                for j, u in enumerate(self._u_params[layer])
-            ]
-            v_out, _ = activation.transfer.output_and_power(v_z, q_cols)
-            if activation.training and activation.GRADIENT_LEAK > 0.0:
-                v_out = v_out + (v_z - v_z.detach()) * activation.GRADIENT_LEAK
-            signal = v_out
-        return signal * self._logit_t
 
     def val_accuracies(self, post_logits: Tensor) -> np.ndarray:
         """Per-instance validation accuracy, reusing logits when val is train."""
@@ -633,12 +467,12 @@ class FleetProgram:
             return F.instance_accuracy(self._val_logits, self.split.y_val)
         if self._eager:
             with no_grad():
-                logits = self._forward_signal(self._x_val)
+                logits = self._ref.forward(self._x_val, **self._stacked_leaves())
             return F.instance_accuracy(logits, self.split.y_val)
         if self._val is not None:
             mark_recapture()
         with no_grad(), graph_capture():
-            logits = self._forward_signal(self._x_val)
+            logits = self._ref.forward(self._x_val, **self._stacked_leaves())
         try:
             self._val = CapturedGraph((logits,))
         except GraphCaptureError:

@@ -215,8 +215,6 @@ class _GraphEngine:
     # ------------------------------------------------------------------
     def _forward_step(self, epoch: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         logits, breakdown = self.net.forward_with_power(self.x_train)
-        # ``total`` builds a new node per access: the objective and the
-        # eval must read this one node.
         power = breakdown.total
         task_loss = F.cross_entropy(logits, self.split.y_train)
         total = self.objective.training_loss(task_loss, power, epoch)

@@ -164,3 +164,73 @@ class TestPrintedNeuralNetwork:
         net = PrintedNeuralNetwork(4, 2, cfg, rng)
         _, breakdown = net.forward_with_power(Tensor(rng.random((5, 4))))
         assert float(breakdown.total.data) > 0
+
+
+def _stacked_leaves(nets: list[PrintedNeuralNetwork]) -> dict:
+    """The nets' θ, u and logit-scale leaves stacked on a leading instance axis."""
+    ref = nets[0]
+    thetas = [
+        Tensor(np.stack([net.crossbars()[layer].effective_theta().data for net in nets]),
+               requires_grad=True)
+        for layer in range(ref.n_layers)
+    ]
+    units = [
+        [
+            Tensor(np.array([float(getattr(net.activations()[layer], f"u_{i}").data)
+                             for net in nets]).reshape(-1, 1, 1))
+            for i in range(activation.space.dimension)
+        ]
+        for layer, activation in enumerate(ref.activations())
+    ]
+    scale = Tensor(np.array([net.logit_scale for net in nets]).reshape(-1, 1, 1))
+    return {"thetas": thetas, "units": units, "logit_scale": scale}
+
+
+class TestStackedForward:
+    """One forward for every instance shape: stacked leaves of k nets must
+    reproduce the k per-net 2-D calls bit for bit (values and θ gradients)."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("count_mode", ["straight_through", "soft"])
+    @pytest.mark.parametrize("power_mode", ["surrogate", "analytic"])
+    def test_stacked_leaves_match_per_instance_calls(
+        self, power_mode, count_mode, k, af_surrogates, neg_surrogate, rng
+    ):
+        # batch 20 over a limit of 8 also exercises the power subsample
+        config = PNCConfig(kind=ActivationKind.TANH, power_mode=power_mode,
+                           count_mode=count_mode, power_batch_limit=8)
+        surrogates = (
+            (af_surrogates[ActivationKind.TANH], neg_surrogate)
+            if power_mode == "surrogate" else (None, None)
+        )
+        nets = [PrintedNeuralNetwork(4, 3, config, np.random.default_rng(seed), *surrogates)
+                for seed in range(k)]
+        x = Tensor(rng.random((20, 4)))
+        ref = nets[0]
+        leaves = _stacked_leaves(nets)
+
+        logits, breakdown = ref.forward_with_power(x, **leaves)
+        health = ref.signal_health
+        breakdown.total.backward(np.ones(k))
+        with no_grad():
+            signal_logits = ref.forward(x, **leaves)
+        assert logits.shape == (k, 20, 3)
+        assert breakdown.total.shape == health.shape == (k,)
+
+        for i, net in enumerate(nets):
+            net_logits, net_breakdown = net.forward_with_power(x)
+            net_breakdown.total.backward()
+            np.testing.assert_array_equal(logits.data[i], net_logits.data)
+            with no_grad():
+                np.testing.assert_array_equal(signal_logits.data[i], net.forward(x).data)
+            for name in ("crossbar", "activation", "negation", "total"):
+                assert getattr(breakdown, name).data[i] == getattr(net_breakdown, name).data
+            assert health.data[i] == net.signal_health.data
+            for theta, crossbar in zip(leaves["thetas"], net.crossbars()):
+                np.testing.assert_array_equal(theta.grad[i], crossbar.theta.grad)
+
+    def test_leaf_count_must_match_layers(self, af_surrogates, neg_surrogate, rng):
+        net = _make_net(ActivationKind.TANH, af_surrogates, neg_surrogate)
+        leaves = _stacked_leaves([net])
+        with pytest.raises(ValueError, match="units"):
+            net.forward_with_power(Tensor(rng.random((5, 4))), units=leaves["units"][:1])

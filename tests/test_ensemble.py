@@ -28,9 +28,10 @@ from repro.pdk.params import ActivationKind
 from repro.pdk.variation import NOMINAL, VariationSpec
 
 
-def _make_net(kind, af_surrogates, neg_surrogate, seed=3, power_mode="surrogate"):
+def _make_net(kind, af_surrogates, neg_surrogate, seed=3, power_mode="surrogate",
+              count_mode="straight_through"):
     net = PrintedNeuralNetwork(
-        4, 3, PNCConfig(kind=kind, power_mode=power_mode),
+        4, 3, PNCConfig(kind=kind, power_mode=power_mode, count_mode=count_mode),
         np.random.default_rng(seed),
         af_surrogates[kind], neg_surrogate,
     )
@@ -74,6 +75,38 @@ class TestBitIdentity:
         acc_s, pow_s = evaluate_instances(net, x, y, spec, _rngs(5, 5))
         acc_v, pow_v = evaluate_instances_vectorized(
             net, x, y, spec, _rngs(5, 5), instance_chunk=2
+        )
+        np.testing.assert_array_equal(acc_s, acc_v)
+        np.testing.assert_array_equal(pow_s, pow_v)
+
+    @pytest.mark.parametrize("power_mode", ["surrogate", "analytic"])
+    def test_soft_count_mode(self, power_mode, af_surrogates, neg_surrogate, xy):
+        x, y = xy
+        net = _make_net(ActivationKind.TANH, af_surrogates, neg_surrogate,
+                        power_mode=power_mode, count_mode="soft")
+        spec = VariationSpec()
+        acc_s, pow_s = evaluate_instances(net, x, y, spec, _rngs(8, 5))
+        acc_v, pow_v = evaluate_instances_vectorized(
+            net, x, y, spec, _rngs(8, 5), instance_chunk=3
+        )
+        np.testing.assert_array_equal(acc_s, acc_v)
+        np.testing.assert_array_equal(pow_s, pow_v)
+
+    def test_distinct_layer_surrogates(self, af_surrogates, neg_surrogate, xy):
+        """A hand-assembled net whose activation layers hold distinct
+        surrogate objects takes the per-layer P^AF path; stacked still
+        equals serial."""
+        import copy
+
+        x, y = xy
+        net = _make_net(ActivationKind.TANH, af_surrogates, neg_surrogate)
+        last = net.activations()[-1]
+        last.surrogate = copy.deepcopy(last.surrogate)
+        assert net.activations()[0].surrogate is not last.surrogate
+        spec = VariationSpec()
+        acc_s, pow_s = evaluate_instances(net, x, y, spec, _rngs(4, 5))
+        acc_v, pow_v = evaluate_instances_vectorized(
+            net, x, y, spec, _rngs(4, 5), instance_chunk=2
         )
         np.testing.assert_array_equal(acc_s, acc_v)
         np.testing.assert_array_equal(pow_s, pow_v)

@@ -114,6 +114,39 @@ class TestFleetBitIdentity:
         )
         _assert_result_pairs_identical(serial, fleet)
 
+    @pytest.mark.parametrize("objective_kind", ["penalty", "al"])
+    def test_soft_count_mode_matches_serial(
+        self, objective_kind, af_surrogates, neg_surrogate, iris_split
+    ):
+        data = load_dataset("iris")
+
+        def make_net(seed):
+            return PrintedNeuralNetwork(
+                data.n_features, data.n_classes,
+                PNCConfig(kind=ActivationKind.TANH, count_mode="soft"),
+                np.random.default_rng(seed),
+                af_surrogates[ActivationKind.TANH], neg_surrogate,
+            )
+
+        def objective(alpha):
+            if objective_kind == "penalty":
+                return PenaltyObjective(alpha=alpha)
+            return AugmentedLagrangianObjective(
+                power_budget=2e-4, mu=5.0, multiplier_every=3, warmup_epochs=2,
+            )
+
+        alphas = [0.1, 0.4]
+        serial = [
+            train_model(make_net(seed), iris_split, objective(alpha), settings=_settings())
+            for alpha, seed in zip(alphas, SEEDS)
+        ]
+        fleet = train_fleet(
+            [make_net(seed) for seed in SEEDS[:2]], iris_split,
+            [objective(alpha) for alpha in alphas],
+            settings=_settings(), instances=3,
+        )
+        _assert_result_pairs_identical(serial, fleet)
+
     def test_analytic_power_mode_matches_serial(self, iris_split):
         data = load_dataset("iris")
 

@@ -402,6 +402,40 @@ class TestHTTPTracePropagation:
         assert {"serving.client.predict", "serving.request",
                 "serving.queue_wait", "serving.batch", "serving.replay"} <= spans
 
+    @pytest.mark.parametrize(
+        "rows, status", [([[0.1, 0.2, 0.3, 0.4]], 200), ([[1.0, 2.0]], 400)]
+    )
+    def test_request_span_is_recorded_before_the_response(
+        self, serving_pair, monkeypatch, rows, status
+    ):
+        """The handler responds only after ``serving.request`` is recorded,
+        so a client reading the tracer after its response finds the span."""
+        from repro.serving.client import ServingClientError
+        from repro.serving.server import _Handler
+
+        client, _ = serving_pair
+        enable_tracing(capacity=1024)
+        trace_id = f"respond-order-{status}"
+        seen: list[tuple[int, set[str]]] = []
+        original = _Handler._respond
+
+        def respond(handler, code, payload, endpoint, *args, **kwargs):
+            if endpoint == "predict":
+                names = {r["name"] for r in get_tracer().records()
+                         if r.get("trace") == trace_id}
+                seen.append((code, names))
+            return original(handler, code, payload, endpoint, *args, **kwargs)
+
+        monkeypatch.setattr(_Handler, "_respond", respond)
+        try:
+            client.predict(rows, trace_id=trace_id)
+        except ServingClientError:
+            pass
+        assert len(seen) == 1
+        code, names = seen[0]
+        assert code == status
+        assert "serving.request" in names
+
     def test_error_response_echoes_trace_id(self, serving_pair):
         from repro.serving.client import ServingClientError
 
