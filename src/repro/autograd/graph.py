@@ -30,18 +30,30 @@ Validity is guarded by a cheap structural fingerprint: a process-wide
 ``CrossbarLayer.set_masks``), the objective's epoch key (e.g. the AL warmup
 boundary), and the recorded leaf shapes.  Value-only changes — LR halving,
 λ/μ updates, budget annealing — never invalidate a capture.
+
+:class:`Program` is the one loop around :class:`CapturedGraph`: it records
+a program, checks validity before each replay, re-records on a mismatch,
+falls back to eager for good on :class:`GraphCaptureError`, and times each
+replay per kernel while the kernel profiler is on.  The trainer, the fleet,
+the Monte-Carlo ensemble and the serving engine all run their programs
+through it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import logging
 from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, _run_backward, _topo_order
+from repro.autograd.tensor import Tensor, _run_backward, _topo_order, graph_capture, no_grad
 from repro.observability.metrics import get_registry
-from repro.observability.tracing import kernel_name
+from repro.observability.profiling import span
+from repro.observability.tracing import get_kernel_profiler, kernel_name
+
+logger = logging.getLogger(__name__)
 
 _REPLAY_EPOCHS = get_registry().counter(
     "graph_replay_epochs", "training epochs executed by captured-graph replay"
@@ -132,7 +144,6 @@ class CapturedGraph:
                 continue
             fwd = node._fwd
             if fwd is None:
-                _CAPTURE_FALLBACKS.inc()
                 raise GraphCaptureError(
                     "captured graph contains an op without a forward thunk "
                     "(was part of the program built outside graph_capture()?)"
@@ -312,11 +323,9 @@ def capture_forward(fn: Callable[..., "Tensor | Sequence[Tensor]"], *leaves: Ten
     bookkeeping — and wraps the outputs in a :class:`CapturedGraph`.  Later
     calls overwrite the leaves' arrays in place (``np.copyto``) and invoke
     :meth:`CapturedGraph.replay_forward`; the output buffers then hold the
-    fresh values.  This is the inference entry point used by
-    :mod:`repro.serving.engine`.
+    fresh values.  A bare capture with no recapture or fallback around it;
+    long-lived programs use :class:`Program`.
     """
-    from repro.autograd.tensor import graph_capture, no_grad
-
     with no_grad(), graph_capture():
         outputs = fn(*leaves)
     if isinstance(outputs, Tensor):
@@ -324,11 +333,172 @@ def capture_forward(fn: Callable[..., "Tensor | Sequence[Tensor]"], *leaves: Ten
     return CapturedGraph(tuple(outputs))
 
 
-def mark_replay_epoch() -> None:
-    """Count one epoch served by replay (shows up in ``repro report``)."""
-    _REPLAY_EPOCHS.inc()
+class Program:
+    """Capture → validity check → recapture → eager fallback for one program.
+
+    ``build(*args)`` returns the program's output tensors.  :meth:`run`
+    records it on first use — under :func:`graph_capture`, and
+    :func:`no_grad` when the program has no backward — and afterwards
+    replays it while :meth:`CapturedGraph.is_valid` accepts
+    ``epoch_key(*args)``.  A mismatch re-records it
+    (``graph_recapture_total``).  A :class:`GraphCaptureError` switches the
+    program to plain ``build`` calls for good (``graph_capture_fallbacks``,
+    one warning).  A capture that ran computed the outputs eagerly, so its
+    epoch needs no replay.  While the kernel profiler is enabled, each
+    capture opens one kernel recording per label and replays are timed into
+    it; otherwise a replay is one dict lookup away from the bare kernel loop.
+    The backward of a capture's own epoch, the first pass over fresh
+    buffers, is replayed untimed, as that epoch's forward is not replayed.
+
+    Parameters
+    ----------
+    build:
+        Called as ``build(*args)``; returns a tensor or a tuple of tensors.
+        It should not reference the object holding the program: that cycle
+        keeps every captured buffer alive until the cyclic collector runs.
+    label:
+        Kernel-recording label of the forward :meth:`run` replays (the tail
+        when ``head`` is given).
+    backward:
+        ``(index, label)``: also record the backward pass from
+        ``outputs[index]``, run by :meth:`backward`.  A replay of a program
+        with a backward counts as one training epoch (``graph_replay_epochs``).
+    head:
+        ``(index, label)``: split ``outputs[index:]`` and every kernel they
+        depend on off as a head (:meth:`CapturedGraph.split`), replayed by
+        :meth:`run_head`.  :meth:`run` then replays the tail, and the head
+        first only when its leaves changed since the last :meth:`run_head`.
+    epoch_key:
+        Maps ``args`` to the structural key replay must match; only called
+        while the program is captured or capturing.
+    enabled:
+        False runs ``build`` eagerly from the start (the reference path).
+    on_capture:
+        Called with the program after each successful capture.
+    """
+
+    def __init__(
+        self,
+        build: Callable[..., "Tensor | tuple[Tensor, ...]"],
+        label: str,
+        *,
+        backward: tuple[int, str] | None = None,
+        head: tuple[int, str] | None = None,
+        epoch_key: Callable[..., object] | None = None,
+        enabled: bool = True,
+        on_capture: Callable[["Program"], None] | None = None,
+    ):
+        self._build = build
+        self._label = label
+        self._backward = backward
+        self._head = head
+        self._epoch_key = epoch_key
+        self._on_capture = on_capture
+        self._eager = not enabled
+        self.graph: CapturedGraph | None = None
+        self.head: CapturedGraph | None = None
+        self._forward: CapturedGraph | None = None
+        self.outputs: tuple[Tensor, ...] = ()
+        self._recs: dict = {}
+        self._untimed_backward = False
+
+    @property
+    def captured(self) -> bool:
+        """Whether the program replays a recorded schedule (vs eager)."""
+        return self.graph is not None
+
+    @property
+    def n_ops(self) -> int:
+        """Kernels :meth:`run` replays (0 while not captured)."""
+        return 0 if self._forward is None else self._forward.n_ops
+
+    # ------------------------------------------------------------------
+    def capture(self, *args) -> tuple[Tensor, ...]:
+        """Record the program now; returns the outputs the recording computed."""
+        if self.graph is not None:
+            _RECAPTURE_TOTAL.inc()
+            logger.debug("%s: captured graph invalidated; re-recording", self._label)
+        self.graph = self.head = self._forward = None
+        self._recs = {}
+        with span("graph.capture"):
+            with self._grad_mode(), graph_capture():
+                self.outputs = _as_outputs(self._build(*args))
+            try:
+                root = None if self._backward is None else self.outputs[self._backward[0]]
+                graph = CapturedGraph(self.outputs, backward_root=root, epoch_key=self._key(args))
+            except GraphCaptureError:
+                _CAPTURE_FALLBACKS.inc()
+                logger.warning("%s: graph capture failed; running eagerly from now on",
+                               self._label, exc_info=True)
+                self._eager = True
+                return self.outputs
+            self.graph = self._forward = graph
+            self._untimed_backward = True
+            parts = {self._label: graph}
+            if self._head is not None:
+                self.head, self._forward = graph.split(self.outputs[self._head[0]:])
+                parts = {self._label: self._forward, self._head[1]: self.head}
+        profiler = get_kernel_profiler()
+        if profiler.enabled:
+            names = {label: part.kernel_names() for label, part in parts.items()}
+            if self._backward is not None:
+                names[self._backward[1]] = graph.backward_kernel_names()
+            self._recs = {label: profiler.recording(label, n) for label, n in names.items()}
+        if self._on_capture is not None:
+            self._on_capture(self)
+        return self.outputs
+
+    def run(self, *args) -> tuple[Tensor, ...]:
+        """The program's outputs for ``args``: replayed, re-recorded or eager."""
+        if self._eager:
+            with self._grad_mode():
+                self.outputs = _as_outputs(self._build(*args))
+            return self.outputs
+        if self.graph is None or not self.graph.is_valid(self._key(args)):
+            return self.capture(*args)
+        if self.head is not None and not self.head.leaves_unchanged():
+            self._replay(self.head.replay_forward, self._head[1])
+        self._replay(self._forward.replay_forward, self._label)
+        if self._backward is not None:
+            _REPLAY_EPOCHS.inc()
+        return self.outputs
+
+    def run_head(self) -> tuple[Tensor, ...] | None:
+        """Replay the head and stamp its leaves; its outputs (None while not captured)."""
+        if self.head is None:
+            return None
+        self._replay(self.head.replay_forward, self._head[1])
+        self.head.stamp_leaves()
+        return self.outputs[self._head[0]:]
+
+    def backward(self) -> None:
+        """Backward pass of the last :meth:`run`: replayed, or eager when not captured."""
+        if self.graph is None:
+            root = self.outputs[self._backward[0]]
+            root.backward(np.ones_like(root.data))
+        elif self._untimed_backward:
+            self._untimed_backward = False
+            self.graph.replay_backward()
+        else:
+            self._replay(self.graph.replay_backward, self._backward[1])
+
+    # ------------------------------------------------------------------
+    def _grad_mode(self):
+        # A forward-only program keeps no gradient bookkeeping.
+        return contextlib.nullcontext() if self._backward else no_grad()
+
+    def _key(self, args: tuple) -> object:
+        return None if self._epoch_key is None else self._epoch_key(*args)
+
+    def _replay(self, replay: Callable, label: str) -> None:
+        rec = self._recs.get(label)
+        if rec is None:
+            replay()
+            return
+        t0 = perf_counter()
+        replay(rec.times)
+        rec.note_replay(perf_counter() - t0)
 
 
-def mark_recapture() -> None:
-    """Count one mid-run invalidation that forced a re-record."""
-    _RECAPTURE_TOTAL.inc()
+def _as_outputs(outputs: "Tensor | Sequence[Tensor]") -> tuple[Tensor, ...]:
+    return (outputs,) if isinstance(outputs, Tensor) else tuple(outputs)

@@ -282,12 +282,15 @@ class PrintedActivation(Module):
         return powers.reshape(*flat.shape[:-2], batch, n).mean(axis=-2)
 
     # ------------------------------------------------------------------
-    def project_(self) -> None:
+    def project_(self, units: list[Tensor] | None = None) -> None:
         """Keep the unconstrained parameters numerically tame.
 
         The sigmoid mapping already confines q to the design space; clipping
         u avoids saturated-sigmoid dead zones after aggressive steps.
+        ``units`` clips other u leaves of this design space instead of the
+        layer's own (e.g. ``(instances, 1, 1)`` stacks).
         """
-        for i in range(self._dim):
-            u = getattr(self, f"u_{i}")
+        if units is None:
+            units = [getattr(self, f"u_{i}") for i in range(self._dim)]
+        for u in units:
             np.clip(u.data, -10.0, 10.0, out=u.data)

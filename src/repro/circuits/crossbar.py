@@ -38,6 +38,21 @@ _EFFECTIVE_THETA_COMPUTES = get_registry().counter(
 )
 
 
+def mask_theta(
+    theta: Tensor, keep: np.ndarray | None = None, positive: np.ndarray | None = None
+) -> Tensor:
+    """θ after masks: ``positive`` entries → |θ|, then non-``keep`` entries → 0.
+
+    Elementwise, so an ``(instances, M+2, N)`` θ stack takes mask stacks of
+    the same shape and each slice equals the 2-D call bit for bit.
+    """
+    if positive is not None:
+        theta = theta.abs().where(positive, theta)
+    if keep is not None:
+        theta = theta.where(keep, Tensor(np.zeros_like(theta.data)))
+    return theta
+
+
 class CrossbarLayer(Module):
     """One printed crossbar: M inputs → N outputs.
 
@@ -105,14 +120,7 @@ class CrossbarLayer(Module):
         the masked view is materialized.
         """
         _EFFECTIVE_THETA_COMPUTES.inc()
-        theta: Tensor = self.theta
-        if self._positive_mask is not None:
-            positive = theta.abs()
-            theta = positive.where(self._positive_mask, theta)
-        if self._keep_mask is not None:
-            zeros = Tensor(np.zeros_like(theta.data))
-            theta = theta.where(self._keep_mask, zeros)
-        return theta
+        return mask_theta(self.theta, keep=self._keep_mask, positive=self._positive_mask)
 
     # ------------------------------------------------------------------
     def extend_inputs(self, x: Tensor) -> Tensor:
@@ -164,21 +172,23 @@ class CrossbarLayer(Module):
         return matrix.sum(axis=(-2, -1))
 
     # ------------------------------------------------------------------
-    def project_(self) -> None:
+    def project_(self, theta: np.ndarray | None = None) -> None:
         """Clamp θ magnitudes into the printable conductance range (in place).
 
         Magnitudes above g_max clip to g_max; magnitudes below the prune
         threshold are left as-is (interpreted as not-printed), preserving the
-        optimizer's ability to prune.
+        optimizer's ability to prune.  ``theta`` projects another array of
+        this layer's shape instead of the layer's own θ — an ``(instances,
+        M+2, N)`` stack projects slice by slice.
         """
-        data = self.theta.data
+        data = self.theta.data if theta is None else theta
         magnitude = np.abs(data)
         sign = np.where(data >= 0, 1.0, -1.0)
         clipped = np.minimum(magnitude, self.pdk.conductance_max_us)
         # Write through the existing array: captured-graph replay (and the
         # backward closures recorded during capture) hold references to it.
         np.multiply(sign, clipped, out=data)
-        np.abs(data[-1, :], out=data[-1, :])
+        np.abs(data[..., -1, :], out=data[..., -1, :])
 
     # ------------------------------------------------------------------
     def printed_resistor_count(self, threshold: float | None = None, theta: Tensor | None = None) -> int:

@@ -16,8 +16,9 @@ stacked leaves:
   and a :class:`Tensor` card (recorded into the graph expressions), carried
   by one transfer model per layer.
 
-The program is recorded once with :func:`repro.autograd.graph
-.capture_forward` and replayed per chunk: only the leaf stacks change.
+The program is one forward-only :class:`repro.autograd.graph.Program`
+(kernel label ``mc.forward``), recorded when the ensemble is built and
+replayed per chunk: only the leaf stacks change.
 Chunks are fixed-shape — a short tail chunk is padded with nominal
 (base) instances, never zeros, so the padded elements stay physical and the
 real elements' bits cannot depend on the padding (per-element Newton
@@ -32,18 +33,12 @@ values (asserted by ``tests/test_ensemble.py`` and the benchmark gate).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, no_grad
-from repro.autograd.graph import (
-    CapturedGraph,
-    GraphCaptureError,
-    capture_forward,
-    mark_recapture,
-)
+from repro.autograd.tensor import Tensor
+from repro.autograd.graph import Program
 from repro.circuits.activations import units_from_q
 from repro.circuits.pnc import PrintedNeuralNetwork
 from repro.pdk.transfer import TransferModel
@@ -54,8 +49,6 @@ from repro.pdk.variation import (
     perturb_theta,
 )
 from repro.spice.egt import EGTModel
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -137,9 +130,8 @@ class EnsembleProgram:
 
     Built for a fixed ``(instances, batch)`` shape; :meth:`load` copies a
     sampled :class:`InstanceStack` into the leaf buffers (padding a short
-    chunk with the nominal base instance) and :meth:`run` replays the
-    captured kernel schedule.  Falls back to eager stacked execution when
-    the program cannot be captured (:class:`GraphCaptureError`).
+    chunk with the nominal base instance) and :meth:`run` evaluates them
+    through the program (replayed, or eager when capture failed).
     """
 
     def __init__(self, net: PrintedNeuralNetwork, x: np.ndarray, instances: int):
@@ -168,7 +160,6 @@ class EnsembleProgram:
         self._base_units: list[np.ndarray] = []
         self._unit_leaves: list[list[Tensor]] = []
         self._card_arrays: list[tuple[np.ndarray, np.ndarray]] = []
-        self._card_leaves: list[tuple[Tensor, Tensor]] = []
         self._base_cards: list[EGTModel] = []
         self._transfers: list[TransferModel] = []
         for activation in net.activations():
@@ -183,11 +174,11 @@ class EnsembleProgram:
             nominal = activation.transfer.model
             vth_arr = np.full((count, 1, 1), nominal.vth)
             k_arr = np.full((count, 1, 1), nominal.k)
-            vth_t, k_t = Tensor(vth_arr), Tensor(k_arr)
             np_card = EGTModel(vth=vth_arr, k=k_arr, n=nominal.n, phi=nominal.phi)
-            tensor_card = EGTModel(vth=vth_t, k=k_t, n=nominal.n, phi=nominal.phi)
+            tensor_card = EGTModel(
+                vth=Tensor(vth_arr), k=Tensor(k_arr), n=nominal.n, phi=nominal.phi
+            )
             self._card_arrays.append((vth_arr, k_arr))
-            self._card_leaves.append((vth_t, k_t))
             self._base_cards.append(nominal)
             self._transfers.append(
                 TransferModel(
@@ -199,35 +190,24 @@ class EnsembleProgram:
                 )
             )
 
-        self._graph: CapturedGraph | None = None
-        self._eager = False
-        self._capture()
+        x, thetas, units, transfers = self._x, self._theta_leaves, self._unit_leaves, self._transfers
+
+        def evaluate() -> tuple[Tensor, Tensor]:
+            # Closes over the leaves, not ``self``: the program must not keep
+            # its owner (and every captured buffer) alive through a cycle.
+            logits, breakdown = net.forward_with_power(
+                x, thetas=thetas, units=units, transfers=transfers
+            )
+            return logits, breakdown.total
+
+        self._program = Program(evaluate, "mc.forward")
+        self._program.capture()
 
     # ------------------------------------------------------------------
     @property
     def captured(self) -> bool:
         """Whether the program replays a captured schedule (vs eager)."""
-        return self._graph is not None
-
-    def _leaves(self) -> list[Tensor]:
-        leaves: list[Tensor] = [self._x]
-        leaves.extend(self._theta_leaves)
-        for unit_leaves in self._unit_leaves:
-            leaves.extend(unit_leaves)
-        for vth_t, k_t in self._card_leaves:
-            leaves.extend((vth_t, k_t))
-        return leaves
-
-    def _capture(self) -> None:
-        try:
-            self._graph = capture_forward(lambda *_: self._evaluate(), *self._leaves())
-            self._eager = False
-        except GraphCaptureError:
-            logger.warning(
-                "ensemble program not capturable; falling back to eager stacked execution"
-            )
-            self._graph = None
-            self._eager = True
+        return self._program.captured
 
     # ------------------------------------------------------------------
     def load(self, stack: InstanceStack) -> int:
@@ -269,21 +249,5 @@ class EnsembleProgram:
         program (valid until the next :meth:`run`); ``total_power`` is a
         fresh ``(instances,)`` copy of the forward's ``PowerBreakdown.total``.
         """
-        if not self._eager and (self._graph is None or not self._graph.is_valid()):
-            if self._graph is not None:
-                mark_recapture()
-            self._capture()
-        if self._eager:
-            with no_grad():
-                logits, total = self._evaluate()
-        else:
-            self._graph.replay_forward()
-            logits, total = self._graph.outputs
+        logits, total = self._program.run()
         return logits.data, total.data.reshape(self.instances).copy()
-
-    def _evaluate(self) -> tuple[Tensor, Tensor]:
-        """The net's own forward over the stacked leaves: ``(logits, total power)``."""
-        logits, breakdown = self.net.forward_with_power(
-            self._x, thetas=self._theta_leaves, units=self._unit_leaves, transfers=self._transfers
-        )
-        return logits, breakdown.total

@@ -1,10 +1,11 @@
 """Fixed-shape captured-graph inference engine.
 
-The serving forward reuses the training repo's captured-graph machinery
-(:func:`repro.autograd.graph.capture_forward`): the network's forward is
-recorded once over a preallocated ``(B, in_features)`` input buffer and every
-subsequent request replays the flat kernel schedule — no Tensor boxes, no
-graph construction, no Python autograd overhead per request.
+The serving forward is one forward-only :class:`repro.autograd.graph.Program`
+(kernel label ``serving.replay``): the network's forward is recorded once
+over a preallocated ``(B, in_features)`` input buffer and every subsequent
+request replays the flat kernel schedule — no Tensor boxes, no graph
+construction, no Python autograd overhead per request.  The program
+re-records itself after a structural change (e.g. ``set_masks``).
 
 **The fixed-shape invariant.**  BLAS matmul kernels choose different
 instruction schedules for different matrix shapes, so the low-order bits of a
@@ -20,38 +21,27 @@ real rows' bits (matmul row independence), so
 for any grouping of rows into requests — the property the batched HTTP
 server relies on to return exactly the outputs a serial client would see.
 
-If capture is impossible (an op without a forward thunk), the engine
+If capture is impossible (an op without a forward thunk), the program
 permanently falls back to an eager forward **over the same fixed-shape
 buffer**, preserving the invariant at reduced speed.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
-from time import perf_counter
 
 import numpy as np
 
-from repro.autograd.graph import CapturedGraph, GraphCaptureError, capture_forward
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.graph import Program
+from repro.autograd.tensor import Tensor
 from repro.circuits.pnc import PrintedNeuralNetwork
 from repro.observability.metrics import get_registry
-from repro.observability.tracing import get_kernel_profiler
-
-logger = logging.getLogger(__name__)
 
 _ENGINE_ROWS = get_registry().counter(
     "serving_engine_rows", "feature rows evaluated by the inference engine"
 )
 _ENGINE_REPLAYS = get_registry().counter(
     "serving_engine_replays", "fixed-shape graph replays executed by the inference engine"
-)
-_ENGINE_RECAPTURES = get_registry().counter(
-    "serving_engine_recaptures", "inference graphs invalidated and re-recorded"
-)
-_ENGINE_FALLBACKS = get_registry().counter(
-    "serving_engine_fallbacks", "inference engines running eager (capture failed)"
 )
 
 #: Default micro-batch shape.  Large enough that batched serving amortizes
@@ -81,37 +71,22 @@ class InferenceEngine:
         self.net = net
         self.micro_batch = int(micro_batch)
         self._buffer = Tensor(np.zeros((self.micro_batch, net.in_features)))
-        self._graph: CapturedGraph | None = None
-        self._eager = False
         self._lock = threading.Lock()
         self._capture()
 
     # ------------------------------------------------------------------
     def _capture(self) -> None:
-        try:
-            self._graph = capture_forward(self.net.forward, self._buffer)
-        except GraphCaptureError as exc:  # pragma: no cover - defensive
-            _ENGINE_FALLBACKS.inc()
-            logger.warning("inference capture failed (%s); running eager at fixed shape", exc)
-            self._graph = None
-            self._eager = True
-        # Per-kernel attribution for traced serving processes: one timing
-        # reading per kernel under --trace, nothing otherwise.
-        profiler = get_kernel_profiler()
-        self._kernel_rec = (
-            profiler.recording("serving.replay", self._graph.kernel_names())
-            if self._graph is not None and profiler.enabled
-            else None
-        )
+        self._program = Program(self.net.forward, "serving.replay")
+        self._program.capture(self._buffer)
 
     @property
     def n_ops(self) -> int:
         """Kernels per replay (0 when running eager)."""
-        return 0 if self._graph is None else self._graph.n_ops
+        return self._program.n_ops
 
     @property
     def is_captured(self) -> bool:
-        return self._graph is not None
+        return self._program.captured
 
     # ------------------------------------------------------------------
     def _forward_chunk(self, chunk: np.ndarray) -> np.ndarray:
@@ -120,27 +95,10 @@ class InferenceEngine:
         self._buffer.data[:n] = chunk
         if n < self.micro_batch:
             self._buffer.data[n:] = 0.0
-        if self._eager:
-            with no_grad():
-                out = self.net.forward(self._buffer).data
-            return out[:n].copy()
-        graph = self._graph
-        if not graph.is_valid():
-            _ENGINE_RECAPTURES.inc()
-            logger.info("inference graph invalidated; re-recording")
-            self._capture()
-            if self._eager:  # recapture itself failed
-                return self._forward_chunk(chunk)
-            graph = self._graph
-        rec = self._kernel_rec
-        if rec is None:
-            graph.replay_forward()
-        else:
-            t0 = perf_counter()
-            graph.replay_forward(rec.times)
-            rec.note_replay(perf_counter() - t0)
-        _ENGINE_REPLAYS.inc()
-        return graph.outputs[0].data[:n].copy()
+        (logits,) = self._program.run(self._buffer)
+        if self._program.captured:
+            _ENGINE_REPLAYS.inc()
+        return logits.data[:n].copy()
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Logits ``(n, out_features)`` for ``x`` of shape ``(n, in_features)``.

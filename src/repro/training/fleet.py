@@ -18,11 +18,16 @@ member's own :meth:`~repro.circuits.pnc.PrintedNeuralNetwork.forward_with_power`
   no cross-instance reduction exists anywhere in the program, so instance
   ``i``'s gradients are exactly the serial run's.
 
-One recorded forward+backward schedule then steps the whole fleet per
-replay, with per-instance Adam learning rates carried through stacked
-``lr_scale`` arrays (see :meth:`repro.autograd.optim.Adam.refresh_lr_scales`)
-and per-instance plateau schedulers/early stopping handled in plain Python
-around the replay.
+The fleet runs the serial trainer's step/eval/val engine
+(``_GraphEngine`` in :mod:`repro.training.trainer`, kernel labels
+``fleet.*``) over these leaves, so one recorded forward+backward schedule
+steps the whole fleet per replay; per-instance Adam learning rates ride
+in stacked ``lr_scale`` arrays (see
+:meth:`repro.autograd.optim.Adam.refresh_lr_scales`) and per-instance
+plateau schedulers/early stopping are handled in plain Python around the
+replay.  Masking and projection are the crossbar's and activation's own
+(:func:`~repro.circuits.crossbar.mask_theta`, ``project_``) applied to the
+stacks.
 
 Bit-identity contract (same bar as the Monte-Carlo ensemble): every
 per-instance loss/power/val-accuracy trace and every final
@@ -38,7 +43,7 @@ pad slot's values (asserted by the property-based tests).
 
 from __future__ import annotations
 
-import logging
+import weakref
 from time import perf_counter
 from typing import Sequence
 
@@ -46,14 +51,9 @@ import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd import optim
-from repro.autograd.graph import (
-    CapturedGraph,
-    GraphCaptureError,
-    mark_recapture,
-    mark_replay_epoch,
-)
 from repro.autograd.nn import Parameter
-from repro.autograd.tensor import Tensor, constant_of, graph_capture, no_grad
+from repro.autograd.tensor import Tensor, constant_of
+from repro.circuits.crossbar import mask_theta
 from repro.circuits.pnc import PrintedNeuralNetwork
 from repro.datasets.splits import DataSplit
 from repro.observability.callbacks import EpochEvent, TraceRecorder
@@ -64,12 +64,11 @@ from repro.training.trainer import (
     _POWER_VIOLATION,
     TrainResult,
     TrainerSettings,
+    _GraphEngine,
     _accuracy_only,
     _objective_multiplier,
     evaluate_model,
 )
-
-logger = logging.getLogger(__name__)
 
 _FLEET_INSTANCES = get_registry().counter(
     "fleet_instances_total", "real (non-pad) instances trained through fleet programs"
@@ -168,7 +167,9 @@ class FleetProgram:
 
     All members must share topology, config, PDK and surrogates (checked);
     ``instances`` fixes the program width — members beyond ``len(nets)`` are
-    pad replicas of member 0.
+    pad replicas of member 0.  ``run_step`` / ``run_eval`` /
+    ``val_accuracies`` delegate to one ``_GraphEngine``; this class owns the
+    stacked leaves, the per-instance loss and the learning-rate stacks.
     """
 
     def __init__(
@@ -260,16 +261,16 @@ class FleetProgram:
                 ).reshape(n, 1, 1)
             )
 
-        self._x = Tensor(split.x_train)
-        self._x_val = None if split.x_val is split.x_train else Tensor(split.x_val)
-
-        self._eager = not settings.capture_graph
-        self._step: CapturedGraph | None = None
-        self._head: CapturedGraph | None = None
-        self._tail: CapturedGraph | None = None
-        self._val: CapturedGraph | None = None
-        self._outputs: tuple[Tensor, Tensor, Tensor, Tensor] | None = None
-        self._val_logits: Tensor | None = None
+        # The engine reaches this program through a weak proxy: a strong
+        # reference would form a cycle that keeps every captured buffer alive
+        # until the cyclic garbage collector runs.
+        me = weakref.proxy(self)
+        self._engine = _GraphEngine(
+            ref, split, lambda *args: me._loss(*args), enabled=settings.capture_graph,
+            epoch_key=self.objectives[0].graph_epoch_key,
+            prepare=lambda epoch: me._prepare_epoch(epoch),
+            leaves=lambda: me._stacked_leaves(), label="fleet",
+        )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -328,37 +329,25 @@ class FleetProgram:
         self._lr_dirty = True
 
     # ------------------------------------------------------------------
-    def _effective_theta(self, layer: int) -> Tensor:
-        """Masked θ stack; mask structure is read fresh at every capture.
-
-        Mirrors :meth:`CrossbarLayer.effective_theta` slice by slice
-        (positive mask first, then keep mask).  ``set_masks`` on any member
-        bumps the graph version, so the next ``run_step`` lands here again
-        and re-bakes the stacked masks.
-        """
-        theta: Tensor = self._theta_params[layer]
-        crossbars = [member.crossbars()[layer] for member in self._members]
-        positives = [c._positive_mask for c in crossbars]
-        keeps = [c._keep_mask for c in crossbars]
-        has_positive = [m is not None for m in positives]
-        has_keep = [m is not None for m in keeps]
-        if any(has_positive) and not all(has_positive):
-            raise ValueError("fleet members must agree on positive-mask presence per layer")
-        if any(has_keep) and not all(has_keep):
-            raise ValueError("fleet members must agree on keep-mask presence per layer")
-        if all(has_positive):
-            theta = theta.abs().where(np.stack(positives), theta)
-        if all(has_keep):
-            theta = theta.where(np.stack(keeps), Tensor(np.zeros_like(theta.data)))
-        return theta
-
     def _stacked_leaves(self) -> dict:
-        """The fleet's leaves for the net's own forward (fresh masked θ)."""
-        return {
-            "thetas": [self._effective_theta(layer) for layer in range(self.n_layers)],
-            "units": self._u_params,
-            "logit_scale": self._logit_t,
-        }
+        """The fleet's leaves for the net's own forward.
+
+        The masked θ stacks are built here, so each capture reads the
+        members' masks fresh: ``set_masks`` on any member bumps the graph
+        version, and the next step re-records with the new masks.
+        """
+        thetas = []
+        for layer, theta in enumerate(self._theta_params):
+            crossbars = [member.crossbars()[layer] for member in self._members]
+            masks = {}
+            for name in ("positive", "keep"):
+                stack = [getattr(crossbar, f"_{name}_mask") for crossbar in crossbars]
+                present = [mask is not None for mask in stack]
+                if any(present) and not all(present):
+                    raise ValueError(f"fleet members must agree on {name}-mask presence per layer")
+                masks[name] = np.stack(stack) if all(present) else None
+            thetas.append(mask_theta(theta, **masks))
+        return {"thetas": thetas, "units": self._u_params, "logit_scale": self._logit_t}
 
     # ------------------------------------------------------------------
     def _prepare_epoch(self, epoch: int) -> None:
@@ -373,16 +362,10 @@ class FleetProgram:
             self._inv_budget_t.data[i] = 1.0 / budget
             self._inactive_t.data[i] = -(objective.multiplier**2) / (2.0 * objective.mu)
 
-    def _epoch_key(self, epoch: int):
-        if self._structure_key[0] == "al":
-            return 0 if epoch < self._structure_key[1] else 1
-        return 0
-
-    def _forward_step(self, epoch: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        logits, breakdown = self._ref.forward_with_power(self._x, **self._stacked_leaves())
+    def _loss(self, logits: Tensor, power: Tensor, epoch: int) -> tuple[Tensor, Tensor]:
+        """Per-instance ``(task, total)`` stacks: the serial loss on an instance axis."""
         health = self._ref.signal_health
         task_vec = F.instance_cross_entropy(logits, self.split.y_train)
-        power = breakdown.total
         power3 = power.reshape(-1, 1, 1)
         if self._structure_key[0] == "al":
             if epoch < self._structure_key[1]:
@@ -403,97 +386,28 @@ class FleetProgram:
             total = task_vec + power3 * self._penalty_scale_t
         if self.signal_weight > 0.0:
             total = total + health.reshape(-1, 1, 1) * self.signal_weight
-        return task_vec, total, logits, power
-
-    def _abandon_capture(self) -> None:
-        logger.debug("fleet graph capture unavailable; running eagerly", exc_info=True)
-        self._eager = True
-        self._step = self._head = self._tail = self._val = None
+        return task_vec, total
 
     def run_step(self, epoch: int) -> tuple[Tensor, Tensor]:
-        """One fleet epoch's forward + backward; ``(task_vec, total)``.
+        """One fleet epoch's forward + backward; ``(task_vec, total)``."""
+        return self._engine.run_step(epoch)
 
-        Replays only the step's tail when the head still holds the last
-        :meth:`run_eval`'s values (see ``_GraphEngine`` in the trainer).
-        """
-        self._prepare_epoch(epoch)
-        if self._eager:
-            task_vec, total, _logits, _power = self._forward_step(epoch)
-            total.backward(np.ones_like(total.data))
-            return task_vec, total
-        key = self._epoch_key(epoch)
-        if self._step is not None and self._step.is_valid(key):
-            if not self._head.leaves_unchanged():
-                self._head.replay_forward()
-            self._tail.replay_forward()
-            self._step.replay_backward()
-            mark_replay_epoch()
-            return self._outputs[:2]
-        if self._step is not None:
-            mark_recapture()
-        with graph_capture():
-            outputs = self._forward_step(epoch)
-        try:
-            self._step = CapturedGraph(outputs, backward_root=outputs[1], epoch_key=key)
-            self._head, self._tail = self._step.split(outputs[2:])
-        except GraphCaptureError:
-            self._abandon_capture()
-        self._outputs = outputs
-        if self._step is not None:
-            self._step.replay_backward()
-        else:
-            outputs[1].backward(np.ones_like(outputs[1].data))
-        return outputs[:2]
-
-    # ------------------------------------------------------------------
     def run_eval(self) -> tuple[Tensor, np.ndarray]:
         """Post-step forward (the step's head); ``(logits, per-instance power array)``."""
-        if self._head is None:
-            with no_grad():
-                logits, breakdown = self._ref.forward_with_power(self._x, **self._stacked_leaves())
-            power = breakdown.total
-        else:
-            self._head.replay_forward()
-            self._head.stamp_leaves()
-            _task_vec, _total, logits, power = self._outputs
-        return logits, power.data.reshape(self.instances).copy()
+        logits, power = self._engine.run_eval()
+        return logits, power.reshape(self.instances).copy()
 
     def val_accuracies(self, post_logits: Tensor) -> np.ndarray:
         """Per-instance validation accuracy, reusing logits when val is train."""
-        if self._x_val is None:
-            return F.instance_accuracy(post_logits, self.split.y_val)
-        if not self._eager and self._val is not None and self._val.is_valid():
-            self._val.replay_forward()
-            return F.instance_accuracy(self._val_logits, self.split.y_val)
-        if self._eager:
-            with no_grad():
-                logits = self._ref.forward(self._x_val, **self._stacked_leaves())
-            return F.instance_accuracy(logits, self.split.y_val)
-        if self._val is not None:
-            mark_recapture()
-        with no_grad(), graph_capture():
-            logits = self._ref.forward(self._x_val, **self._stacked_leaves())
-        try:
-            self._val = CapturedGraph((logits,))
-        except GraphCaptureError:
-            self._abandon_capture()
-        self._val_logits = logits
-        return F.instance_accuracy(logits, self.split.y_val)
+        return F.instance_accuracy(self._engine.val_logits(post_logits), self.split.y_val)
 
     # ------------------------------------------------------------------
     def project_(self) -> None:
-        """Stacked post-step projection; per-slice twin of the serial one."""
-        gmax = self._ref.config.pdk.conductance_max_us
-        for theta in self._theta_params:
-            data = theta.data
-            magnitude = np.abs(data)
-            sign = np.where(data >= 0, 1.0, -1.0)
-            clipped = np.minimum(magnitude, gmax)
-            np.multiply(sign, clipped, out=data)
-            np.abs(data[:, -1, :], out=data[:, -1, :])
-        for layer_us in self._u_params:
-            for u in layer_us:
-                np.clip(u.data, -10.0, 10.0, out=u.data)
+        """Post-step projection of the stacks through the reference member's layers."""
+        for crossbar, theta in zip(self._ref.crossbars(), self._theta_params):
+            crossbar.project_(theta.data)
+        for activation, units in zip(self._ref.activations(), self._u_params):
+            activation.project_(units)
 
     def instance_state(self, index: int) -> dict[str, np.ndarray]:
         """Instance ``index``'s parameters as a serial ``state_dict``."""

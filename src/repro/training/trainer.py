@@ -35,21 +35,16 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, graph_capture, no_grad
+from repro.autograd.tensor import Tensor, no_grad
 from repro.autograd import functional as F
 from repro.autograd import optim
-from repro.autograd.graph import (
-    CapturedGraph,
-    GraphCaptureError,
-    mark_recapture,
-    mark_replay_epoch,
-)
+from repro.autograd.graph import Program
 from repro.circuits.pnc import PrintedNeuralNetwork
 from repro.datasets.splits import DataSplit
 from repro.observability.callbacks import EpochEvent, TraceRecorder, TrainerCallback
 from repro.observability.metrics import get_registry
 from repro.observability.profiling import span
-from repro.observability.tracing import get_kernel_profiler, trace_span
+from repro.observability.tracing import trace_span
 
 logger = logging.getLogger(__name__)
 
@@ -160,87 +155,69 @@ def _accuracy_only(net: PrintedNeuralNetwork, x: np.ndarray, y: np.ndarray) -> f
 
 
 class _GraphEngine:
-    """Capture-and-replay driver for one training run.
+    """Step, eval and val programs of one training run (serial or fleet).
 
-    Owns two captured programs: the training **step** (forward with power +
-    loss; its backward closures and topo order are cached alongside) and
-    the **val** forward (only when the validation set is distinct from the
-    training set).  The step's forward is split (``CapturedGraph.split``)
-    into a **head** — every kernel the logits and power depend on — and a
-    **tail** — cross-entropy, the health term and the objective's penalty.
+    Both trainers run through it: :func:`train_model` over the net's own
+    leaves, :class:`~repro.training.fleet.FleetProgram` over instance stacks
+    (``leaves``).  Each program is a :class:`~repro.autograd.graph.Program`,
+    which decides when it is replayed, re-recorded or run eagerly; with
+    ``enabled`` false (``capture_graph=False``, or an objective without
+    graph support) every program runs eagerly — the bit-identity reference.
+
+    The **step** program is the forward with power plus ``loss`` — outputs
+    ``(task_loss, total, logits, power)``, backward from ``total`` — split
+    into a **head** (every kernel the logits and power depend on) and a
+    **tail** (cross-entropy, the health term and the objective's penalty).
     Epoch ``t``'s post-step eval replays the head at θ_{t+1}; epoch
     ``t+1``'s step then replays only the tail before its backward, reading
     the head's buffers, so each epoch runs the pNC forward once.  The head
     stamps its leaf values when the eval replays it; a step that finds them
     changed (a callback edited θ) or unstamped (the first step after a
-    capture) replays the head first.  Kernel labels: ``train.eval.forward``
-    is the head, ``train.step.forward`` the tail, ``train.step.backward``
-    the backward.
-
-    Each epoch either replays the recorded kernels into their original
-    buffers or — on the first epoch, after a structural invalidation, or
-    with capture disabled — runs the ordinary eager path.  Replay and eager
-    share the same forward kernels and the same backward closures and
-    accumulation order, so every produced float is bit-identical; if any
-    recorded op lacks a forward thunk the engine permanently falls back to
-    eager for the rest of the run.
+    capture) replays the head first.  The **val** program is the power-free
+    forward on the validation inputs, built only when they are not the
+    training inputs.  Kernel labels: ``{label}.eval.forward`` (head),
+    ``{label}.step.forward`` (tail), ``{label}.step.backward`` and
+    ``{label}.val.forward``.
     """
 
     def __init__(
         self,
         net: PrintedNeuralNetwork,
-        objective: Objective,
         split: DataSplit,
-        settings: TrainerSettings,
+        loss,
+        *,
+        enabled: bool,
+        epoch_key=None,
+        prepare=None,
+        leaves=dict,
+        label: str = "train",
     ):
         self.net = net
-        self.objective = objective
-        self.split = split
-        self.signal_weight = net.config.signal_health_weight
-        self.enabled = settings.capture_graph and bool(
-            getattr(objective, "supports_graph_capture", False)
+        self.prepare = prepare
+        self.leaves = leaves
+        x_train = self.x_train = Tensor(split.x_train)
+        x_val = None if split.x_val is split.x_train else Tensor(split.x_val)
+
+        # The builds close over locals, not ``self``: a program whose build
+        # reaches back to its owner would keep every captured buffer alive
+        # until the cyclic garbage collector runs.
+        def forward_step(epoch: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+            logits, breakdown = net.forward_with_power(x_train, **leaves())
+            power = breakdown.total
+            task_loss, total = loss(logits, power, epoch)
+            return task_loss, total, logits, power
+
+        self.step = Program(
+            forward_step, f"{label}.step.forward",
+            backward=(1, f"{label}.step.backward"), head=(2, f"{label}.eval.forward"),
+            epoch_key=epoch_key, enabled=enabled, on_capture=_count_step_ops,
         )
-        self.x_train = Tensor(split.x_train)
-        self.x_val = None if split.x_val is split.x_train else Tensor(split.x_val)
-        self._step: CapturedGraph | None = None
-        self._head: CapturedGraph | None = None
-        self._tail: CapturedGraph | None = None
-        self._val: CapturedGraph | None = None
-        self._outputs: tuple[Tensor, Tensor, Tensor, Tensor] | None = None
-        self._val_logits: Tensor | None = None
-        # Per-kernel attribution (repro profile --kernels): one recording
-        # per label, None while tracing is off.
-        self._recs: dict = {}
-
-    # ------------------------------------------------------------------
-    def _forward_step(self, epoch: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        logits, breakdown = self.net.forward_with_power(self.x_train)
-        power = breakdown.total
-        task_loss = F.cross_entropy(logits, self.split.y_train)
-        total = self.objective.training_loss(task_loss, power, epoch)
-        if self.signal_weight > 0.0:
-            total = total + self.net.signal_health * self.signal_weight
-        return task_loss, total, logits, power
-
-    def _abandon_capture(self) -> None:
-        logger.debug("graph capture unavailable; running eagerly", exc_info=True)
-        self.enabled = False
-        self._step = self._head = self._tail = self._val = None
-        self._recs = {}
-
-    def _record(self, label: str, names: list[str]) -> None:
-        """Start a fresh kernel recording for ``label`` while tracing is on."""
-        profiler = get_kernel_profiler()
-        self._recs[label] = profiler.recording(label, names) if profiler.enabled else None
-
-    def _replay(self, replay, label: str) -> None:
-        rec = self._recs.get(label)
-        if rec is None:
-            replay()
-            return
-        t0 = perf_counter()
-        replay(rec.times)
-        rec.note_replay(perf_counter() - t0)
+        self.val = None
+        if x_val is not None:
+            self.val = Program(
+                lambda: net.forward(x_val, **leaves()), f"{label}.val.forward",
+                enabled=enabled, on_capture=lambda program: _GRAPH_VAL_OPS.set(program.n_ops),
+            )
 
     def run_step(self, epoch: int) -> tuple[Tensor, Tensor]:
         """One epoch's forward + backward; returns ``(task_loss, total)``.
@@ -248,80 +225,39 @@ class _GraphEngine:
         The caller is responsible for ``zero_grad`` before and
         ``optimizer.step()`` / ``project_()`` after.
         """
-        if not self.enabled:
-            task_loss, total, _logits, _power = self._forward_step(epoch)
-            with span("trainer.backward"):
-                total.backward()
-            return task_loss, total
-
-        prepare = getattr(self.objective, "prepare_epoch", None)
-        if prepare is not None:
-            prepare(epoch)
-        key = self.objective.graph_epoch_key(epoch)
-        if self._step is not None and self._step.is_valid(key):
-            with span("trainer.step.replay"):
-                if not self._head.leaves_unchanged():
-                    self._replay(self._head.replay_forward, "train.eval.forward")
-                self._replay(self._tail.replay_forward, "train.step.forward")
-                self._replay(self._step.replay_backward, "train.step.backward")
-            mark_replay_epoch()
-            return self._outputs[:2]
-        if self._step is not None:
-            mark_recapture()
-        with span("trainer.capture"):
-            with graph_capture():
-                outputs = self._forward_step(epoch)
-            try:
-                self._step = CapturedGraph(outputs, backward_root=outputs[1], epoch_key=key)
-                self._head, self._tail = self._step.split(outputs[2:])
-                _GRAPH_STEP_OPS.set(self._tail.n_ops)
-                _GRAPH_EVAL_OPS.set(self._head.n_ops)
-                self._record("train.eval.forward", self._head.kernel_names())
-                self._record("train.step.forward", self._tail.kernel_names())
-                self._record("train.step.backward", self._step.backward_kernel_names())
-            except GraphCaptureError:
-                self._abandon_capture()
-        self._outputs = outputs
+        if self.prepare is not None:
+            self.prepare(epoch)
+        task_loss, total, _logits, _power = self.step.run(epoch)
         with span("trainer.backward"):
-            if self._step is not None:
-                self._step.replay_backward()
-            else:
-                outputs[1].backward()
-        return outputs[:2]
+            self.step.backward()
+        return task_loss, total
 
-    # ------------------------------------------------------------------
-    def run_eval(self) -> tuple[Tensor, float]:
-        """Post-step training-set forward; returns ``(logits, power_W)``."""
-        if self._head is None:
+    def run_eval(self) -> tuple[Tensor, np.ndarray]:
+        """Post-step training-set forward; returns ``(logits, power array)``.
+
+        The power comes back as its array, not its tensor: a caller holding
+        the tensor into the next step would keep the whole power path of a
+        replaced graph alive through a recapture.
+        """
+        head = self.step.run_head()
+        if head is not None:
+            logits, power = head
+        else:
             with no_grad():
-                logits, breakdown = self.net.forward_with_power(self.x_train)
-            return logits, float(breakdown.total.data)
-        self._replay(self._head.replay_forward, "train.eval.forward")
-        self._head.stamp_leaves()
-        _task_loss, _total, logits, power = self._outputs
-        return logits, float(power.data)
+                logits, breakdown = self.net.forward_with_power(self.x_train, **self.leaves())
+            power = breakdown.total
+        return logits, power.data
 
-    def val_accuracy(self, post_logits: Tensor) -> float:
-        """Validation accuracy, reusing ``post_logits`` when val is train."""
-        if self.x_val is None:
-            return F.accuracy(post_logits, self.split.y_val)
-        if self.enabled and self._val is not None and self._val.is_valid():
-            self._replay(self._val.replay_forward, "train.val.forward")
-            return F.accuracy(self._val_logits, self.split.y_val)
-        if not self.enabled:
-            return _accuracy_only(self.net, self.split.x_val, self.split.y_val)
-        if self._val is not None:
-            mark_recapture()
-        with no_grad(), graph_capture():
-            logits = self.net.forward(self.x_val)
-        try:
-            self._val = CapturedGraph((logits,))
-            _GRAPH_VAL_OPS.set(self._val.n_ops)
-            self._record("train.val.forward", self._val.kernel_names())
-        except GraphCaptureError:
-            self._abandon_capture()
-        self._val_logits = logits
-        return F.accuracy(logits, self.split.y_val)
+    def val_logits(self, post_logits: Tensor) -> Tensor:
+        """Validation logits, reusing ``post_logits`` when val is train."""
+        if self.val is None:
+            return post_logits
+        return self.val.run()[0]
+
+
+def _count_step_ops(program: Program) -> None:
+    _GRAPH_STEP_OPS.set(program.n_ops)
+    _GRAPH_EVAL_OPS.set(program.head.n_ops)
 
 
 def train_model(
@@ -357,7 +293,21 @@ def train_model(
     for callback in all_callbacks:
         callback.on_train_start(net, objective, settings)
 
-    engine = _GraphEngine(net, objective, split, settings)
+    signal_weight = net.config.signal_health_weight
+
+    def loss(logits: Tensor, power: Tensor, epoch: int) -> tuple[Tensor, Tensor]:
+        task_loss = F.cross_entropy(logits, split.y_train)
+        total = objective.training_loss(task_loss, power, epoch)
+        if signal_weight > 0.0:
+            total = total + net.signal_health * signal_weight
+        return task_loss, total
+
+    enabled = settings.capture_graph and bool(getattr(objective, "supports_graph_capture", False))
+    engine = _GraphEngine(
+        net, split, loss, enabled=enabled,
+        epoch_key=getattr(objective, "graph_epoch_key", None),
+        prepare=getattr(objective, "prepare_epoch", None),
+    )
     budget = getattr(objective, "power_budget", None)
 
     best_val = -1.0
@@ -386,13 +336,14 @@ def train_model(
             # sampling.
             with span("trainer.eval"), trace_span("trainer.eval", "train"):
                 eval_start = perf_counter()
-                post_logits, power_value = engine.run_eval()
+                post_logits, power = engine.run_eval()
+                power_value = float(power)
                 objective.on_epoch_end(power_value, epoch)
 
                 # Validation accuracy through the power-free forward; when
                 # the val set aliases the train set the post-step logits are
                 # reused outright (same array → same shapes → same logits).
-                val_accuracy = engine.val_accuracy(post_logits)
+                val_accuracy = F.accuracy(engine.val_logits(post_logits), split.y_val)
                 eval_time = perf_counter() - eval_start
 
             feasible_now = objective.is_feasible(power_value)
