@@ -15,11 +15,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, no_grad
 from repro.autograd.nn import Module, Parameter
 from repro.pdk.params import PDK, DEFAULT_PDK, ActivationKind, design_space
 from repro.pdk.transfer import TransferModel
 from repro.power.surrogate import SurrogatePowerModel
+
+#: q candidates each responsiveness screen draws (see
+#: :meth:`PrintedActivation._screen_units`).
+SCREEN_ATTEMPTS = 64
 
 
 def units_from_q(space, q: np.ndarray) -> np.ndarray:
@@ -129,7 +133,9 @@ class PrintedActivation(Module):
                 Parameter(np.array(u0[i]), name=f"{kind.name}.{name}", lr_scale=0.2),
             )
 
-    def _responsive_unit_init(self, rng: np.random.Generator, attempts: int = 64) -> np.ndarray:
+    def _responsive_unit_init(
+        self, rng: np.random.Generator, attempts: int = SCREEN_ATTEMPTS
+    ) -> np.ndarray:
         """Random q init screened for responsiveness on a default probe grid.
 
         Uniform draws over Q^AF frequently land the circuit's transition
@@ -153,27 +159,42 @@ class PrintedActivation(Module):
         The score counts probe points where the local slope |dV_out/dV_in|
         exceeds 0.05 (numeric difference), breaking ties by output spread —
         favouring gentle, well-centred transitions over razor-thin
-        high-gain ones that saturate after one optimizer step.
-        """
-        from repro.autograd.tensor import Tensor as _T, no_grad as _ng
+        high-gain ones that saturate after one optimizer step.  The first
+        best-scoring candidate wins.
 
+        All ``attempts`` candidates are solved in one broadcast transfer
+        call — the probe is a ``(1, P)`` row, each q axis an
+        ``(attempts, 1)`` column — and every row equals a lone solve of
+        that candidate bit for bit: the Newton solve freezes each element
+        on its own residual, so an element's trajectory depends only on its
+        own inputs; ``rng.random((attempts, d))`` consumes the stream
+        exactly as ``attempts`` draws of ``rng.random(d)``; and the ops
+        that touch only q (add, multiply, divide) are correctly rounded.
+        :meth:`DesignSpace.from_unit` stays per row: its ``10.0 ** x`` over
+        a whole block can take another SIMD path than one row's and change
+        bits.
+        """
         probe = np.sort(np.asarray(probe, dtype=np.float64).reshape(-1))
+        units = 0.1 + 0.8 * rng.random((attempts, self._dim))
+        q = np.stack([self.space.from_unit(unit) for unit in units])
+        with no_grad():
+            v_out, _ = self.transfer.output_and_power(
+                Tensor(probe[None, :]), [Tensor(column[:, None]) for column in q.T]
+            )
+        gaps = np.diff(probe)
+        gaps = np.where(gaps < 1e-12, 1e-12, gaps)
         best_unit, best_score = None, -np.inf
-        for _ in range(attempts):
-            unit = 0.1 + 0.8 * rng.random(self._dim)
-            q = self.space.from_unit(unit)
-            with _ng():
-                v_out, _ = self.transfer.output_and_power(_T(probe), [_T(v) for v in q])
-            values = v_out.data
-            gaps = np.diff(probe)
-            slopes = np.abs(np.diff(values)) / np.where(gaps < 1e-12, 1e-12, gaps)
+        for unit, values in zip(units, v_out.data):
+            slopes = np.abs(np.diff(values)) / gaps
             responsive = float((slopes > 0.05).sum())
             score = responsive + 0.1 * float(np.std(values))
             if score > best_score:
                 best_unit, best_score = unit, score
         return best_unit, best_score
 
-    def randomize_q(self, rng: np.random.Generator, probe: np.ndarray, attempts: int = 64) -> None:
+    def randomize_q(
+        self, rng: np.random.Generator, probe: np.ndarray, attempts: int = SCREEN_ATTEMPTS
+    ) -> None:
         """Re-randomize q screened against an observed signal distribution.
 
         Called by :class:`~repro.circuits.pnc.PrintedNeuralNetwork` during

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor, constant_of
 from repro.autograd.nn import Module
-from repro.circuits.activations import PrintedActivation, subsample_rows
+from repro.circuits.activations import SCREEN_ATTEMPTS, PrintedActivation, subsample_rows
 from repro.circuits.crossbar import CrossbarLayer
 from repro.circuits.negation import NEGATION_NOMINAL_Q
 from repro.pdk.params import PDK, DEFAULT_PDK, ActivationKind
@@ -44,6 +44,7 @@ from repro.power.counts import (
 from repro.power.surrogate import SurrogatePowerModel
 from repro.observability.metrics import get_registry
 from repro.observability.profiling import span
+from repro.observability.tracing import trace_span
 
 logger = logging.getLogger(__name__)
 
@@ -160,19 +161,25 @@ class PrintedNeuralNetwork(Module):
 
         widths = [in_features, *config.hidden, out_features]
         self.n_layers = len(widths) - 1
-        for index in range(self.n_layers):
-            crossbar = CrossbarLayer(widths[index], widths[index + 1], rng=rng, pdk=config.pdk)
-            activation = PrintedActivation(
-                config.kind,
-                rng=rng,
-                surrogate=af_surrogate,
-                power_mode=config.power_mode,
-                pdk=config.pdk,
-            )
-            setattr(self, f"crossbar_{index}", crossbar)
-            setattr(self, f"activation_{index}", activation)
-        if calibrate:
-            self._calibrate_activations(rng)
+        screens = self.n_layers * (2 if calibrate else 1)
+        with trace_span(
+            "pnc.build",
+            "circuits",
+            args={"layers": self.n_layers, "candidates": screens * SCREEN_ATTEMPTS},
+        ):
+            for index in range(self.n_layers):
+                crossbar = CrossbarLayer(widths[index], widths[index + 1], rng=rng, pdk=config.pdk)
+                activation = PrintedActivation(
+                    config.kind,
+                    rng=rng,
+                    surrogate=af_surrogate,
+                    power_mode=config.power_mode,
+                    pdk=config.pdk,
+                )
+                setattr(self, f"crossbar_{index}", crossbar)
+                setattr(self, f"activation_{index}", activation)
+            if calibrate:
+                self._calibrate_activations(rng)
 
     def _calibrate_activations(self, rng: np.random.Generator, probe_batch: int = 64) -> None:
         """Re-screen each activation's random q against realistic signals.

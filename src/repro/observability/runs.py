@@ -59,7 +59,14 @@ MANIFEST_SCHEMA_VERSION = 1
 
 #: Environment variables worth fingerprinting (behaviour-changing knobs).
 _FINGERPRINT_ENV_PREFIXES = ("REPRO_",)
-_FINGERPRINT_ENV_NAMES = ("PYTHONHASHSEED", "OMP_NUM_THREADS")
+_FINGERPRINT_ENV_NAMES = (
+    "PYTHONHASHSEED",
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
 
 
 def environment_fingerprint() -> dict:

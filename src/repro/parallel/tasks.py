@@ -16,6 +16,7 @@ that module).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -195,7 +196,18 @@ class FleetSweepChunkTask:
 
         surrogates = self.spec.surrogates()
         split = self.spec.split()
-        nets = [self.spec.build(seed, surrogates=surrogates) for _alpha, seed in self.pairs]
+        # Each distinct seed is built once; a later pair with that seed gets
+        # a deep copy sharing the surrogate objects (the fleet's identity
+        # fast path).  Members stay distinct: train_fleet loads each
+        # instance's best state into its own net.
+        built: dict = {}
+        nets = []
+        for _alpha, seed in self.pairs:
+            if seed in built:
+                nets.append(copy.deepcopy(built[seed], memo={id(s): s for s in surrogates}))
+            else:
+                built[seed] = self.spec.build(seed, surrogates=surrogates)
+                nets.append(built[seed])
         objectives = [
             PenaltyObjective(alpha=float(alpha), reference_power=self.reference_power)
             for alpha, _seed in self.pairs

@@ -128,7 +128,10 @@ def _newton_solve_np(
     grouping-invariance contract of :mod:`repro.serving.engine` (the same
     row must yield identical bits no matter which rows it was batched
     with).  With per-element freezing every trajectory is a pure function
-    of its own ``v0`` entry.
+    of its own ``v0`` entry and inputs, which is also what lets the
+    activation init screen solve all its q candidates in one broadcast call
+    (:meth:`repro.circuits.activations.PrintedActivation._screen_units`)
+    with the bits of one solve per candidate.
     """
     v = v0.copy()
     active = np.ones(np.shape(v), dtype=bool)

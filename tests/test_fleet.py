@@ -253,3 +253,78 @@ class TestVectorizedSweep:
         with pytest.raises(ValueError, match="net_spec"):
             penalty_pareto_sweep(None, iris_split, n_alphas=2, n_seeds=1,
                                  vectorized=True)
+
+
+class TestSweepChunkBuild:
+    """A fleet chunk builds each distinct seed once and clones the repeats."""
+
+    @staticmethod
+    def _spec():
+        from repro.parallel import NetworkSpec
+        from tests.conftest import TEST_SURROGATE_EPOCHS, TEST_SURROGATE_NQ
+
+        return NetworkSpec("iris", ActivationKind.TANH,
+                           surrogate_n_q=TEST_SURROGATE_NQ,
+                           surrogate_epochs=TEST_SURROGATE_EPOCHS)
+
+    def test_repeated_seeds_equal_independent_builds(self, monkeypatch):
+        import repro.training.fleet as fleet_module
+        from repro.parallel import FleetSweepChunkTask
+
+        spec = self._spec()
+        pairs = ((0.2, 0), (0.2, 1), (0.6, 0), (0.6, 1), (0.9, 0))
+        members = []
+
+        def capture(nets, *args, **kwargs):
+            members.extend(nets)
+            return []
+
+        monkeypatch.setattr(fleet_module, "train_fleet", capture)
+        FleetSweepChunkTask(spec=spec, pairs=pairs, indices=tuple(range(len(pairs)))).run()
+
+        assert len({id(net) for net in members}) == len(pairs)
+        af, neg = spec.surrogates()
+        for (_alpha, seed), net in zip(pairs, members):
+            reference = spec.build(seed)
+            state, expected = net.state_dict(), reference.state_dict()
+            assert state.keys() == expected.keys()
+            for name in state:
+                assert state[name].tobytes() == expected[name].tobytes(), name
+            assert net.logit_scale == reference.logit_scale
+            assert net.neg_q.tobytes() == reference.neg_q.tobytes()
+            for crossbar, ref_crossbar in zip(net.crossbars(), reference.crossbars()):
+                assert crossbar._keep_mask is None and ref_crossbar._keep_mask is None
+                assert crossbar._positive_mask is None and ref_crossbar._positive_mask is None
+            assert net.neg_surrogate is neg
+            assert all(activation.surrogate is af for activation in net.activations())
+
+    def test_traced_sweep_builds_each_seed_once_and_matches_untraced(self):
+        from repro.observability.tracing import (
+            disable_tracing, enable_tracing, get_kernel_profiler, get_tracer,
+        )
+        from repro.training.penalty import penalty_pareto_sweep
+
+        spec = self._spec()
+
+        def sweep():
+            return penalty_pareto_sweep(
+                None, spec.split(), n_alphas=2, n_seeds=2, alpha_range=(0.2, 0.6),
+                settings=_settings(epochs=3), net_spec=spec,
+                vectorized=True, instance_chunk=4,
+            )
+
+        untraced = sweep()
+        enable_tracing()
+        get_tracer().reset()  # drop spans an earlier traced run left in the ring
+        try:
+            traced = sweep()
+            builds = [r for r in get_tracer().drain() if r["name"] == "pnc.build"]
+        finally:
+            disable_tracing()
+            get_tracer().reset()
+            get_kernel_profiler().reset()
+        assert not untraced.errors and not traced.errors
+        assert len(builds) == 2
+        assert all(r["cat"] == "circuits" for r in builds)
+        assert all(r["args"] == {"layers": 2, "candidates": 4 * 64} for r in builds)
+        _assert_result_pairs_identical(untraced.results, traced.results)

@@ -97,6 +97,10 @@ class TestRunContext:
         monkeypatch.setenv("REPRO_FULL", "1")
         assert environment_fingerprint()["env"]["REPRO_FULL"] == "1"
 
+    def test_fingerprint_captures_blas_threads(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert environment_fingerprint()["env"]["OPENBLAS_NUM_THREADS"] == "3"
+
 
 # ----------------------------------------------------------------------
 class TestShardMerge:
