@@ -1,12 +1,15 @@
 """Measure captured-graph replay vs eager training; write ``BENCH_training.json``.
 
-Runs the same 40-epoch augmented-Lagrangian iris training twice in one
-process — once with ``capture_graph=False`` (every epoch eager) and once
-with the default capture-and-replay engine — and compares:
+Runs the same 40-epoch augmented-Lagrangian iris training in one process,
+alternating ``capture_graph=False`` (every epoch eager) with the default
+capture-and-replay engine ``SPEEDUP_PAIRS`` times, and compares:
 
-- **per-epoch step time** (the ``epoch_step_time_s`` histogram delta),
-  the number the PR's >=1.5x claim is about;
-- **per-epoch eval time** (``epoch_eval_time_s``);
+- **per-epoch step time** (each epoch's ``epoch_step_time_s``): the step
+  speedup is the ratio of the two modes' *medians* over every epoch but
+  the first (the replay run's capture epoch, left out on both sides),
+  pooled over ``SPEEDUP_PAIRS`` alternating eager/replay trainings, so
+  neither one slow epoch nor one slow stretch of the host moves it;
+- **per-epoch eval time** (``epoch_eval_time_s`` histogram mean);
 - **op counts** of the captured programs — the structural fingerprint of
   the execution engine.  The step's forward is split in two:
   ``graph_eval_ops`` counts the head (logits + power), which the post-step
@@ -25,9 +28,11 @@ Modes:
 
 - any captured-graph op count differs from the committed baseline (an op
   crept into the hot loop — always a real regression, host-independent);
-- the measured step-time speedup falls below baseline/1.25 (a >25%
-  relative wall-time regression; comparing *ratios* keeps the gate
-  host-independent);
+- the measured step-time speedup (ratio of per-epoch medians) is missing
+  or falls below baseline/1.25 (a >25% relative wall-time regression;
+  comparing *ratios* keeps the gate host-independent);
+- the replay run replays fewer epochs, or re-records more often, than the
+  baseline (an engine that stops replaying cannot pass on its medians);
 - the eager and replay traces are not bit-identical;
 - tracing misbehaves: an --trace training's traces differ from the
   untraced run (bit-identity), the per-kernel interval scheme attributes
@@ -52,6 +57,8 @@ DATASET = "iris"
 EPOCHS = 40
 BUDGET_FRACTION = 0.4
 WALL_TIME_TOLERANCE = 1.25
+#: eager/replay training pairs pooled into the step-speedup medians
+SPEEDUP_PAIRS = 5
 #: The tracing-disabled replay path may cost at most 2% over the bare loop.
 TRACING_OVERHEAD_TOLERANCE = 1.02
 #: The interval scheme must attribute at least this share of replay wall.
@@ -92,17 +99,40 @@ def _hist_mean_ms(delta: dict, name: str) -> float | None:
     return hist["sum"] / hist["count"] * 1e3
 
 
+def _step_times_callback():
+    """A trainer callback recording each epoch's step time."""
+    from repro.observability.callbacks import TrainerCallback
+
+    class StepTimes(TrainerCallback):
+        def __init__(self):
+            self.step_s: list[float] = []
+
+        def on_epoch(self, event) -> None:
+            self.step_s.append(event.epoch_step_time_s)
+
+    return StepTimes()
+
+
+def _median_ms(runs: list[dict], epochs: list[int]) -> float | None:
+    """Median step time over ``epochs`` of every run, pooled, in ms."""
+    import statistics
+
+    times = [run["step_s"][i] for run in runs for i in epochs]
+    return statistics.median(times) * 1e3 if times else None
+
+
 def _train_once(capture: bool, data, split, af, neg, budget: float) -> dict:
     from repro.observability.metrics import get_registry, snapshot_delta
     from repro.training import TrainerSettings, train_power_constrained
 
     settings = TrainerSettings(epochs=EPOCHS, patience=EPOCHS, capture_graph=capture)
     net = _make_net(data, af, neg, seed=1)
+    steps = _step_times_callback()
     registry = get_registry()
     before = registry.snapshot()
     t0 = time.perf_counter()
     result = train_power_constrained(
-        net, split, power_budget=budget, mu=5.0, settings=settings
+        net, split, power_budget=budget, mu=5.0, settings=settings, callbacks=[steps]
     )
     total_s = time.perf_counter() - t0
     delta = snapshot_delta(before, registry.snapshot())
@@ -124,7 +154,7 @@ def _train_once(capture: bool, data, split, af, neg, budget: float) -> dict:
         "multiplier": result.multiplier_trace,
         "val_accuracy": result.val_accuracy_trace,
     }
-    return {"stats": stats, "traces": traces,
+    return {"stats": stats, "traces": traces, "step_s": steps.step_s,
             "test_accuracy": result.test_accuracy, "power_w": result.power}
 
 
@@ -245,13 +275,20 @@ def measure() -> dict:
     )
     budget = BUDGET_FRACTION * max(reference.power_trace)
 
-    eager = _train_once(False, data, split, af, neg, budget)
-    replay = _train_once(True, data, split, af, neg, budget)
+    # Alternate the modes so both sample the same spread of host states.
+    pairs = [
+        (_train_once(False, data, split, af, neg, budget),
+         _train_once(True, data, split, af, neg, budget))
+        for _ in range(SPEEDUP_PAIRS)
+    ]
+    eager, replay = pairs[0]
     traced, kernel_coverage = _train_traced(data, split, af, neg, budget)
 
-    identical = eager["traces"] == replay["traces"]
-    eager_ms = eager["stats"]["step_time_mean_ms"]
-    replay_ms = replay["stats"]["step_time_mean_ms"]
+    identical = all(e["traces"] == r["traces"] == eager["traces"] for e, r in pairs)
+    # Both sides over the same epochs: all but the replay run's capture epoch.
+    steady = list(range(1, len(replay["step_s"])))
+    eager_ms = eager["stats"]["step_time_median_ms"] = _median_ms([e for e, _ in pairs], steady)
+    replay_ms = replay["stats"]["step_time_median_ms"] = _median_ms([r for _, r in pairs], steady)
     return {
         "benchmark": "training",
         "command": f"python -m repro.cli train {DATASET} --epochs {EPOCHS} --profile",
@@ -316,8 +353,17 @@ def check(fresh: dict) -> int:
             print(f"tracing-disabled overhead {(overhead - 1):+.1%} "
                   f"(gate {TRACING_OVERHEAD_TOLERANCE - 1:.0%}){suffix} — ok")
 
+    was, now = baseline["replay"]["replay_epochs"], fresh["replay"]["replay_epochs"]
+    if now < was:
+        failures.append(f"replay regression: replay_epochs {was} -> {now}")
+    was, now = baseline["replay"]["recaptures"], fresh["replay"]["recaptures"]
+    if now > was:
+        failures.append(f"replay regression: recaptures {was} -> {now}")
+
     base_speedup, now_speedup = baseline.get("step_time_speedup"), fresh.get("step_time_speedup")
-    if base_speedup and now_speedup:
+    if not now_speedup:
+        failures.append("no step-time speedup measured")
+    elif base_speedup:
         floor = base_speedup / WALL_TIME_TOLERANCE
         if now_speedup < floor:
             failures.append(

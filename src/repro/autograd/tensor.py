@@ -445,6 +445,17 @@ class Tensor:
             data, (self,), lambda g: (g.reshape(original),), fwd=lambda a: a.reshape(target)
         )
 
+    def broadcast_to(self, shape: tuple[int, ...]) -> "Tensor":
+        """Read-only broadcast view: no kernel under replay, it tracks its source."""
+        shape = tuple(shape)
+        original = self.data.shape
+        return Tensor._make(
+            np.broadcast_to(self.data, shape),
+            (self,),
+            lambda g: (unbroadcast(g, original),),
+            fwd=lambda a: np.broadcast_to(a, shape),
+        )
+
     def transpose(self, axes: Iterable[int] | None = None) -> "Tensor":
         axes_t = tuple(axes) if axes is not None else None
         data = np.transpose(self.data, axes_t)

@@ -289,9 +289,9 @@ class PrintedNeuralNetwork(Module):
 
         With stacked leaves every op acts elementwise or per slice on the
         leading instance axis and reduces trailing axes only, so logits,
-        power components and :attr:`signal_health` gain that axis and
-        instance ``i``'s values equal the 2-D call with slice ``i``'s leaves
-        bit for bit.  :attr:`soft_device_count` is built for 2-D θ only.
+        power components, :attr:`signal_health` and
+        :attr:`soft_device_count` gain that axis and instance ``i``'s values
+        equal the 2-D call with slice ``i``'s leaves bit for bit.
         """
         _FORWARD_CALLS.inc()
         with span("pnc.forward_with_power"):
@@ -334,8 +334,7 @@ class PrintedNeuralNetwork(Module):
         col_activities: list[Tensor] = []
         for layer_in, v_z, (crossbar, activation, theta, _unit, _transfer) in per_layer:
             crossbar_power = crossbar_power + crossbar.power(layer_in, v_z, theta=theta)
-            if not lead:
-                device_count = device_count + self._soft_devices(theta, activation)
+            device_count = device_count + self._soft_devices(theta, activation)
             # Negation circuits: one per input row with active negative θ;
             # activation circuits: one per crossbar column.
             if straight:
@@ -365,8 +364,7 @@ class PrintedNeuralNetwork(Module):
                 activation_power = activation_power + (col_activity * per_circuit).sum(axis=-1)
 
         self.signal_health = health_penalty
-        if not lead:
-            self.soft_device_count = device_count
+        self.soft_device_count = device_count
         logits = signal * (self.logit_scale if logit_scale is None else logit_scale)
         total = (crossbar_power + activation_power) + negation_power
         return logits, PowerBreakdown(crossbar_power, activation_power, negation_power, total)
@@ -429,13 +427,15 @@ class PrintedNeuralNetwork(Module):
 
         Mirrors :meth:`device_count`: printed crossbar resistors plus
         negation and activation circuits weighted by their component counts.
+        Reduces the trailing ``(M+2, N)`` axes only: one count per instance
+        for an instance-stacked θ.
         """
         from repro.power.counts import DEFAULT_SHARPNESS
 
         threshold = self.config.pdk.prune_threshold_us
-        resistor_soft = ((theta.abs() - threshold) * DEFAULT_SHARPNESS).sigmoid().sum()
+        resistor_soft = ((theta.abs() - threshold) * DEFAULT_SHARPNESS).sigmoid().sum(axis=(-2, -1))
         correction = constant_of(
-            lambda th, sv: float((np.abs(th) > threshold).sum()) - sv, theta, resistor_soft
+            lambda th, sv: (np.abs(th) > threshold).sum(axis=(-2, -1)) - sv, theta, resistor_soft
         )
         resistors = resistor_soft + correction
         negations = straight_through_negation_count(theta, threshold=threshold)
@@ -468,13 +468,13 @@ class PrintedNeuralNetwork(Module):
         """The crossbar's extended inputs, stride-subsampled to the batch limit.
 
         ``lead`` is the instance shape of a stacked forward.  An input shared
-        by every instance (2-D under stacked θ) is broadcast onto it:
-        multiplying by an all-ones stack is a bitwise identity per element,
-        and the batched surrogate call needs every group on the same lead.
+        by every instance (2-D under stacked θ) is broadcast onto it as a
+        read-only view (no kernel under replay): the batched surrogate call
+        needs every group on the same lead.
         """
         v_ext = subsample_rows(crossbar.extend_inputs(signal), self.config.power_batch_limit)
         if lead and v_ext.ndim == 2:
-            v_ext = v_ext * Tensor(np.ones((*lead, 1, 1)))
+            v_ext = v_ext.broadcast_to((*lead, *v_ext.shape))
         return v_ext
 
     def _negation_inputs(

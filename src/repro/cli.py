@@ -90,9 +90,17 @@ def _add_abort_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _epoch_count(value: str) -> int:
+    # Every command derives its budget or report from the trained epochs.
+    epochs = int(value)
+    if epochs < 1:
+        raise argparse.ArgumentTypeError("epochs must be >= 1")
+    return epochs
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--epochs", type=int, default=300, help="training epochs")
+    parser.add_argument("--epochs", type=_epoch_count, default=300, help="training epochs")
     parser.add_argument(
         "--af",
         default="p-tanh",
@@ -142,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("datasets", nargs="+")
     grid.add_argument("--budgets", type=float, nargs="+", default=[0.2, 0.4, 0.6, 0.8])
     grid.add_argument("--seed", type=int, default=0)
-    grid.add_argument("--epochs", type=int, default=300)
+    grid.add_argument("--epochs", type=_epoch_count, default=300)
     grid.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="worker processes for the grid cells (results identical to --jobs 1)")
     grid.add_argument("--no-capture", action="store_true",

@@ -1,9 +1,11 @@
 """Trainer callback API: per-epoch events dispatched to pluggable observers.
 
-The shared training loop (:func:`repro.training.trainer.train_model`)
-builds one :class:`EpochEvent` per epoch and hands it to every registered
-:class:`TrainerCallback` in registration order.  The three stock
-callbacks cover the built-in behaviours:
+The training loop (:func:`repro.training.trainer.train_model` for one
+network, :func:`repro.training.fleet.train_fleet` for a fleet) builds one
+:class:`EpochEvent` per epoch and instance and hands it to each of that
+instance's registered :class:`TrainerCallback` objects in registration
+order; a ``train_model`` call's callbacks see its network and objective in
+``on_train_start``.  The three stock callbacks cover the built-in behaviours:
 
 - :class:`TraceRecorder` — fills the ``TrainResult`` trace lists (the
   trainer always registers one first, so traces are byte-identical to the

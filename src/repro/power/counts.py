@@ -68,11 +68,12 @@ def soft_activation_count(
 ) -> Tensor:
     """Differentiable ``N^AF_soft = 1ᵀ · rowmax σ(k(|θ| − τ))`` (paper Eq. soft).
 
-    The max runs over the input axis (axis 0) so each output column — each
-    physical activation circuit — contributes at most 1.
+    The max runs over the input axis (``axis=-2``) so each output column —
+    each physical activation circuit — contributes at most 1; leading
+    (instance) axes are kept.
     """
     soft = ((theta.abs() - threshold) * sharpness).sigmoid()
-    return soft.max(axis=0).sum()
+    return soft.max(axis=-2).sum(axis=-1)
 
 
 def soft_negation_count(
@@ -84,13 +85,14 @@ def soft_negation_count(
 
     Negative entries are selected by the (data-level) sign mask; their
     magnitudes pass through the same sigmoid relaxation.  Rows without any
-    negative entry contribute ≈ σ(-kτ) ≈ 0.
+    negative entry contribute ≈ σ(-kτ) ≈ 0.  Leading (instance) axes are
+    kept.
     """
     negative_mask = constant_of(lambda th: th < 0.0, theta)
     magnitude = theta.abs()
     soft = ((magnitude - threshold) * sharpness).sigmoid()
     suppressed = soft.where(negative_mask, Tensor(np.zeros_like(theta.data)))
-    return suppressed.max(axis=1).sum()
+    return suppressed.max(axis=-1).sum(axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +178,7 @@ def straight_through_activation_count(
     """``N^AF`` exact in the forward pass, soft in the backward pass."""
     soft = soft_activation_count(theta, threshold=threshold, sharpness=sharpness)
     correction = constant_of(
-        lambda th, sv: float((np.abs(th) > threshold).any(axis=0).sum()) - sv,
+        lambda th, sv: (np.abs(th) > threshold).any(axis=-2).sum(axis=-1) - sv,
         theta,
         soft,
     )
@@ -191,7 +193,7 @@ def straight_through_negation_count(
     """``N^N`` exact in the forward pass, soft in the backward pass."""
     soft = soft_negation_count(theta, threshold=threshold, sharpness=sharpness)
     correction = constant_of(
-        lambda th, sv: float((th < -threshold).any(axis=1).sum()) - sv,
+        lambda th, sv: (th < -threshold).any(axis=-1).sum(axis=-1) - sv,
         theta,
         soft,
     )

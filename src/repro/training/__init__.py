@@ -1,16 +1,18 @@
 """Power-constrained training (the paper's core contribution, §III-C).
 
-- :mod:`repro.training.trainer` — the shared full-batch Adam training loop
-  with plateau LR halving, feasible-checkpoint tracking and early stopping,
+- :mod:`repro.training.trainer` — ``train_model``, the objective protocol
+  and the step/eval/val engine of the one training loop (full-batch Adam
+  with plateau LR halving, feasible-checkpoint tracking and early
+  stopping),
 - :mod:`repro.training.augmented_lagrangian` — the proposed method: smoothed
   augmented Lagrangian with analytic inner maximization and multiplier
   updates (Eqs. 3–4),
 - :mod:`repro.training.penalty` — the penalty-based baseline ``L + α·P``
   of [13], including the multi-run Pareto sweep,
-- :mod:`repro.training.fleet` — vectorized fleet training: one captured
+- :mod:`repro.training.fleet` — the training loop itself: one captured
   forward/backward/Adam schedule steps a whole stack of (network,
-  objective) instances per epoch, bit-identical per instance to
-  ``train_model``,
+  objective) instances per epoch, bit-identical per instance to training
+  it alone (``train_model`` is the loop with one instance),
 - :mod:`repro.training.finetune` — the paper's post-training fine-tuning:
   prune masks m^C / m^N, then constrained retraining,
 - :mod:`repro.training.pareto` — Pareto dominance and front extraction,
@@ -22,7 +24,6 @@ from repro.training.trainer import TrainResult, TrainerSettings, train_model, ev
 from repro.training.augmented_lagrangian import (
     AugmentedLagrangianObjective,
     train_power_constrained,
-    augmented_lagrangian_term,
 )
 from repro.training.fleet import FleetProgram, fleet_structure_key, train_fleet
 from repro.training.penalty import PenaltyObjective, train_penalty, penalty_pareto_sweep, train_unconstrained
@@ -38,7 +39,6 @@ __all__ = [
     "evaluate_model",
     "AugmentedLagrangianObjective",
     "train_power_constrained",
-    "augmented_lagrangian_term",
     "FleetProgram",
     "fleet_structure_key",
     "train_fleet",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -48,25 +48,52 @@ from repro.autograd.tensor import Tensor, constant_of
 from repro.circuits.pnc import PrintedNeuralNetwork
 from repro.datasets.splits import DataSplit
 from repro.observability.callbacks import TrainerCallback
-from repro.training.trainer import TrainResult, TrainerSettings, train_model
+from repro.training.trainer import LossLeaves, TrainResult, TrainerSettings, train_model
 
 logger = logging.getLogger(__name__)
 
 
-def augmented_lagrangian_term(c: Tensor, multiplier: float, mu: float) -> Tensor:
-    """The PHR penalty ψ(c; λ', μ) as a differentiable scalar.
+def phr_values(multiplier: float, mu: float, budget: float, prefix: str = "") -> dict[str, float]:
+    """One instance's constants of a PHR term over ``c = (value - budget)/budget``.
 
-    The branch condition is evaluated on data (it is a comparison, not a
-    differentiable quantity); both branches are C¹-matched at the boundary.
+    The value-leaf names :func:`phr_term` reads (see
+    :class:`~repro.training.trainer.LossLeaves`); ``prefix`` keeps the terms
+    of a multi-constraint objective apart.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
     if multiplier < 0:
         raise ValueError("the multiplier estimate must be non-negative")
-    active = (multiplier + mu * float(c.data)) >= 0.0
-    if active:
-        return c * multiplier + (c * c) * (0.5 * mu)
-    return Tensor(-(multiplier**2) / (2.0 * mu))
+    return {
+        f"{prefix}lam": multiplier,
+        f"{prefix}half_mu": 0.5 * mu,
+        f"{prefix}budget": budget,
+        f"{prefix}inv_budget": 1.0 / budget,
+        f"{prefix}inactive": -(multiplier**2) / (2.0 * mu),
+    }
+
+
+def phr_term(value: Tensor, leaves: Mapping[str, Tensor], prefix: str = "") -> Tensor:
+    """ψ(c; λ', μ) of ``c = (value - budget)/budget``, per instance.
+
+    ``leaves`` hold :func:`phr_values`' constants — ``(n, 1, 1)`` stacks in
+    the training loop, 0-d outside it — so λ/μ updates and budget changes
+    are value-only and a captured graph stays valid across them.
+    """
+    c = (value - leaves[f"{prefix}budget"]) * leaves[f"{prefix}inv_budget"]
+    return _psi(c, leaves[f"{prefix}lam"], leaves[f"{prefix}half_mu"], leaves[f"{prefix}inactive"])
+
+
+def _psi(c: Tensor, lam: Tensor, half_mu: Tensor, inactive: Tensor) -> Tensor:
+    # Branch-free PHR: both branches are computed and a replayable constant
+    # node selects between them, so the active/inactive flip is a value
+    # change, not a structural one.  The selected branch's value is the
+    # branching formula's, and the deselected branch contributes an
+    # exact-zero gradient.
+    active = constant_of(
+        lambda cd, lm, hm: ((lm + 2.0 * hm * cd) >= 0.0).astype(np.float64), c, lam, half_mu
+    )
+    return (c * lam + (c * c) * half_mu).where(active, inactive)
 
 
 @dataclass
@@ -111,11 +138,11 @@ class AugmentedLagrangianObjective:
     feasibility_rtol: float = 1e-3
     multiplier: float = 0.0
 
-    #: The post-warmup PHR term is expressed branch-free over persistent leaf
-    #: tensors (λ, μ/2, budget, inactive value), so λ/μ updates and budget
-    #: annealing only change leaf *values* — a captured training graph stays
-    #: structurally valid across them.  Only the warmup boundary changes the
-    #: program (see :meth:`graph_epoch_key`).
+    #: The post-warmup PHR term reads its constants (λ, μ/2, budget,
+    #: inactive value) from value leaves (see :meth:`loss_values`), so λ/μ
+    #: updates and budget annealing only change leaf *values* — a captured
+    #: training graph stays structurally valid across them.  Only the warmup
+    #: boundary changes the program (see :meth:`graph_epoch_key`).
     supports_graph_capture = True
 
     def __post_init__(self):
@@ -125,13 +152,6 @@ class AugmentedLagrangianObjective:
             raise ValueError("mu must be positive")
         if self.mu_growth < 1.0:
             raise ValueError("mu_growth must be >= 1")
-        # Persistent PHR leaves, refreshed in place by prepare_epoch().
-        self._lam_t = Tensor(0.0)
-        self._half_mu_t = Tensor(0.0)
-        self._budget_t = Tensor(1.0)
-        self._inv_budget_t = Tensor(1.0)
-        self._inactive_t = Tensor(0.0)
-        self.prepare_epoch(0)
 
     # ------------------------------------------------------------------
     def effective_budget(self, epoch: int) -> float:
@@ -152,39 +172,20 @@ class AugmentedLagrangianObjective:
         """Structural key: warmup (bare loss) vs the constrained program."""
         return 0 if epoch < self.warmup_epochs else 1
 
-    def prepare_epoch(self, epoch: int) -> None:
-        """Refresh the leaf tensors the PHR term reads (in place).
+    def structure_key(self) -> tuple:
+        """Instances with equal warmups share one program."""
+        return ("al", self.warmup_epochs)
 
-        Called by the trainer before every epoch — eager or replayed — so
-        value-only schedule changes (λ, μ, annealed budget) reach a captured
-        graph without re-recording it.
-        """
-        budget = self.effective_budget(epoch)
-        self._lam_t.data[...] = self.multiplier
-        self._half_mu_t.data[...] = 0.5 * self.mu
-        self._budget_t.data[...] = budget
-        self._inv_budget_t.data[...] = 1.0 / budget
-        self._inactive_t.data[...] = -(self.multiplier**2) / (2.0 * self.mu)
+    def loss_values(self, epoch: int) -> dict[str, float]:
+        """This instance's PHR constants at ``epoch`` (annealed budget)."""
+        return phr_values(self.multiplier, self.mu, self.effective_budget(epoch))
 
-    def training_loss(self, loss: Tensor, power: Tensor, epoch: int) -> Tensor:
+    def training_loss(
+        self, loss: Tensor, power: Tensor, epoch: int, leaves: Mapping[str, Tensor] | None = None
+    ) -> Tensor:
         if epoch < self.warmup_epochs:
             return loss
-        self.prepare_epoch(epoch)
-        # Branch-free PHR: both branches are computed and a replayable
-        # constant node selects between them, so the active/inactive flip is
-        # a value change, not a structural one.  Bitwise this matches
-        # augmented_lagrangian_term(): the selected branch's value is
-        # identical, and the deselected branch contributes an exact-zero
-        # gradient.
-        c = (power - self._budget_t) * self._inv_budget_t
-        active = constant_of(
-            lambda cd, lam, hm: np.float64((lam + 2.0 * hm * cd) >= 0.0),
-            c,
-            self._lam_t,
-            self._half_mu_t,
-        )
-        branch = c * self._lam_t + (c * c) * self._half_mu_t
-        return loss + branch.where(active, self._inactive_t)
+        return loss + phr_term(power, LossLeaves.single(self, epoch) if leaves is None else leaves)
 
     def on_epoch_end(self, power_value: float, epoch: int) -> None:
         if epoch < self.warmup_epochs:

@@ -1,48 +1,54 @@
-"""Vectorized fleet training: one captured graph trains N instances.
+"""The training loop: one captured graph trains N instances.
 
 The seed/variation sweeps behind the paper's aggregate tables train many
 *independent* printed networks — same topology and split, different seeds
-(and, for penalty sweeps, different α).  The serial loop pays N full Python
-training runs for that.  :class:`FleetProgram` stacks the whole fleet's
-leaves on a leading instance axis and trains them through the reference
-member's own :meth:`~repro.circuits.pnc.PrintedNeuralNetwork.forward_with_power`:
+(and, for penalty sweeps, different α).  :class:`FleetProgram` stacks the
+whole fleet's leaves on a leading instance axis and trains them through the
+reference member's own
+:meth:`~repro.circuits.pnc.PrintedNeuralNetwork.forward_with_power`:
 
 - every crossbar θ becomes an ``(instances, M+2, N)`` :class:`Parameter`
   stack, every activation u an ``(instances, 1, 1)`` stack, the logit
-  scales an ``(instances, 1, 1)`` leaf,
-- the AL dual state rides along as ``(instances, 1, 1)`` *leaf* tensors
-  (λ, μ/2, budget, 1/budget, inactive value), refreshed in place per epoch
-  so per-instance multiplier updates ``λᵢ ← max(0, λᵢ + μᵢ·cᵢ)`` never
-  invalidate the captured program,
-- the loss is a per-instance ``(instances, 1, 1)`` stack seeded with ones —
-  no cross-instance reduction exists anywhere in the program, so instance
-  ``i``'s gradients are exactly the serial run's.
+  scales an ``(instances, 1, 1)`` leaf; each member's own θ and u become
+  views of its slices, so callbacks and objectives that read or edit a
+  member between epochs see and move the trained values,
+- the objective's per-instance constants (AL: λ, μ/2, budget, 1/budget,
+  inactive value; penalty: α/P_ref) ride along as ``(instances, 1, 1)``
+  *leaf* tensors (:class:`~repro.training.trainer.LossLeaves`), refreshed
+  in place per epoch so per-instance multiplier updates
+  ``λᵢ ← max(0, λᵢ + μᵢ·cᵢ)`` never invalidate the captured program,
+- the loss is the objective's own ``training_loss`` over the per-instance
+  ``(instances, 1, 1)`` stacks, seeded with ones — no cross-instance
+  reduction exists anywhere in the program, so instance ``i``'s gradients
+  are exactly those of a one-instance run.
 
-The fleet runs the serial trainer's step/eval/val engine
-(``_GraphEngine`` in :mod:`repro.training.trainer`, kernel labels
-``fleet.*``) over these leaves, so one recorded forward+backward schedule
-steps the whole fleet per replay; per-instance Adam learning rates ride
-in stacked ``lr_scale`` arrays (see
+:func:`train_fleet` and :func:`~repro.training.trainer.train_model` (one
+instance, kernel labels ``train.*`` instead of ``fleet.*``) both run
+:func:`_train_loop`.  It drives the trainer's step/eval/val engine
+(``_GraphEngine`` in :mod:`repro.training.trainer`), so one recorded
+forward+backward schedule steps the whole fleet per replay; per-instance
+Adam learning rates ride in stacked ``lr_scale`` arrays (see
 :meth:`repro.autograd.optim.Adam.refresh_lr_scales`) and per-instance
-plateau schedulers/early stopping are handled in plain Python around the
-replay.  Masking and projection are the crossbar's and activation's own
-(:func:`~repro.circuits.crossbar.mask_theta`, ``project_``) applied to the
-stacks.
+plateau schedulers, checkpoints, early stopping and callbacks are handled in
+plain Python around the replay.  Masking and projection are the crossbar's
+and activation's own (:func:`~repro.circuits.crossbar.mask_theta`,
+``project_``) applied to the stacks.
 
 Bit-identity contract (same bar as the Monte-Carlo ensemble): every
 per-instance loss/power/val-accuracy trace and every final
-:class:`~repro.training.trainer.TrainResult` equals the serial
-:func:`~repro.training.trainer.train_model` run bit for bit, for both the
-augmented-Lagrangian and penalty objectives — the forward is the serial
-one, so the recorded program matches the serial program node for node.
-Chunks shorter than the program width are padded with replicas of
-instance 0 (plus cloned objectives); padded slots get full symmetric
-bookkeeping but their results are discarded, and no real slot can read a
-pad slot's values (asserted by the property-based tests).
+:class:`~repro.training.trainer.TrainResult` equals a one-instance run of
+the same (net, objective) pair bit for bit — the forward is the 2-D one on
+stacked leaves, so each slice matches the 2-D program op for op.  Chunks
+shorter than the program width are padded with replicas of instance 0 (plus
+copied objectives); padded slots get full symmetric bookkeeping but their
+results are discarded, and no real slot can read a pad slot's values
+(asserted by the property-based tests).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import logging
 import weakref
 from time import perf_counter
 from typing import Sequence
@@ -52,24 +58,37 @@ import numpy as np
 from repro.autograd import functional as F
 from repro.autograd import optim
 from repro.autograd.nn import Parameter
-from repro.autograd.tensor import Tensor, constant_of
+from repro.autograd.tensor import Tensor
 from repro.circuits.crossbar import mask_theta
 from repro.circuits.pnc import PrintedNeuralNetwork
 from repro.datasets.splits import DataSplit
-from repro.observability.callbacks import EpochEvent, TraceRecorder
+from repro.observability.callbacks import EpochEvent, TraceRecorder, TrainerCallback
 from repro.observability.metrics import get_registry
-from repro.training.augmented_lagrangian import AugmentedLagrangianObjective
-from repro.training.penalty import PenaltyObjective
+from repro.observability.profiling import span
+from repro.observability.tracing import trace_span
 from repro.training.trainer import (
-    _POWER_VIOLATION,
+    LossLeaves,
     TrainResult,
     TrainerSettings,
     _GraphEngine,
     _accuracy_only,
-    _objective_multiplier,
     evaluate_model,
 )
 
+logger = logging.getLogger(__name__)
+
+_EPOCH_TIME = get_registry().histogram(
+    "epoch_time_s", "wall time per training epoch (step + evaluations)"
+)
+_EPOCH_STEP_TIME = get_registry().histogram(
+    "epoch_step_time_s", "wall time of the gradient-step portion of each epoch"
+)
+_EPOCH_EVAL_TIME = get_registry().histogram(
+    "epoch_eval_time_s", "wall time of the post-step evaluation portion of each epoch"
+)
+_POWER_VIOLATION = get_registry().gauge(
+    "power_violation", "normalized constraint violation max(0, (P - budget)/budget) of the last epoch"
+)
 _FLEET_INSTANCES = get_registry().counter(
     "fleet_instances_total", "real (non-pad) instances trained through fleet programs"
 )
@@ -78,42 +97,17 @@ _FLEET_STEP_SECONDS = get_registry().histogram(
 )
 
 
-def fleet_structure_key(objective) -> tuple:
+def fleet_structure_key(objective) -> tuple | None:
     """Program-structure key: instances sharing a key can share one graph.
 
-    The AL program's shape depends only on the warmup boundary (all other
-    schedule state lives in value-refreshed leaves); the penalty program's
-    only structural switch is ``α == 0`` (the power path drops out of the
-    loss entirely).
+    An objective whose loss is written over instance leaves names the part
+    of its configuration that shapes the program in ``structure_key()``
+    (AL: the warmup boundary; penalty: whether α is 0, which drops the power
+    path from the loss).  Any other objective has no key (``None``) and
+    trains as a fleet of one.
     """
-    if isinstance(objective, AugmentedLagrangianObjective):
-        return ("al", objective.warmup_epochs)
-    if isinstance(objective, PenaltyObjective):
-        return ("penalty", objective.alpha == 0.0)
-    raise TypeError(
-        f"fleet training supports AL and penalty objectives, got {type(objective).__name__}"
-    )
-
-
-def _clone_objective(objective):
-    """Fresh objective with identical hyperparameters (for pad slots)."""
-    if isinstance(objective, AugmentedLagrangianObjective):
-        clone = AugmentedLagrangianObjective(
-            power_budget=objective.power_budget,
-            mu=objective.mu,
-            multiplier_every=objective.multiplier_every,
-            mu_growth=objective.mu_growth,
-            warmup_epochs=objective.warmup_epochs,
-            anneal_epochs=objective.anneal_epochs,
-            anneal_start_factor=objective.anneal_start_factor,
-            feasibility_rtol=objective.feasibility_rtol,
-            multiplier=objective.multiplier,
-        )
-        clone.mu = objective.mu
-        return clone
-    return PenaltyObjective(
-        alpha=objective.alpha, reference_power=objective.reference_power
-    )
+    key = getattr(objective, "structure_key", None)
+    return None if key is None else key()
 
 
 def _same_surrogate(a, b) -> bool:
@@ -168,8 +162,9 @@ class FleetProgram:
     All members must share topology, config, PDK and surrogates (checked);
     ``instances`` fixes the program width — members beyond ``len(nets)`` are
     pad replicas of member 0.  ``run_step`` / ``run_eval`` /
-    ``val_accuracies`` delegate to one ``_GraphEngine``; this class owns the
-    stacked leaves, the per-instance loss and the learning-rate stacks.
+    ``val_accuracies`` delegate to one ``_GraphEngine`` whose kernels are
+    labelled ``{label}.*``; this class owns the stacked leaves, the
+    objective's loss leaves and the learning-rate stacks.
     """
 
     def __init__(
@@ -179,21 +174,27 @@ class FleetProgram:
         split: DataSplit,
         settings: TrainerSettings,
         instances: int | None = None,
+        label: str = "fleet",
     ):
         if not nets:
             raise ValueError("fleet requires at least one network")
         if len(objectives) != len(nets):
             raise ValueError("one objective per network required")
+        if len({id(net) for net in nets}) != len(nets):
+            raise ValueError("fleet members must be distinct networks")
         k = len(nets)
         n = k if instances is None else int(instances)
         if n < k:
             raise ValueError("instances must be >= len(nets)")
 
         ref = nets[0]
-        self._structure_key = fleet_structure_key(objectives[0])
+        structure_key = fleet_structure_key(objectives[0])
         for objective in objectives[1:]:
-            if fleet_structure_key(objective) != self._structure_key:
+            if fleet_structure_key(objective) != structure_key:
                 raise ValueError("all fleet objectives must share one structure key")
+        if n > 1 and structure_key is None:
+            name = type(objectives[0]).__name__
+            raise ValueError(f"{name} names no structure key: it trains alone")
         self._check_members(nets, ref)
 
         self.split = split
@@ -202,11 +203,10 @@ class FleetProgram:
         self.n_real = k
         self._members = [nets[i] if i < k else nets[0] for i in range(n)]
         self.objectives = list(objectives) + [
-            _clone_objective(objectives[0]) for _ in range(n - k)
+            dataclasses.replace(objectives[0]) for _ in range(n - k)
         ]
         self._ref = ref
         self.n_layers = ref.n_layers
-        self.signal_weight = ref.config.signal_health_weight
 
         # Per-instance learning rates, shared into every parameter's
         # lr_scale so the fused Adam applies instance ``i``'s rate to slice
@@ -217,70 +217,68 @@ class FleetProgram:
         self._lr_dirty = False
 
         # Trainable leaves: θ stacks and u stacks, serial registration order
-        # (crossbar_0, activation_0, crossbar_1, ...).
+        # (crossbar_0, activation_0, crossbar_1, ...).  Each real member's
+        # own parameters then become views of its slices (every writer —
+        # Adam, project_, load_state_dict — writes in place).
         self._theta_params: list[Parameter] = []
         self._u_params: list[list[Parameter]] = []
         for layer in range(self.n_layers):
-            stack = np.stack(
-                [member.crossbars()[layer].theta.data for member in self._members]
+            crossbars = [member.crossbars()[layer] for member in self._members]
+            theta = Parameter(
+                np.stack([c.theta.data for c in crossbars]), name=f"crossbar_{layer}.theta"
             )
-            theta = Parameter(stack, name=f"crossbar_{layer}.theta")
             theta.lr_scale = self._lr_theta
             self._theta_params.append(theta)
+            activations = [member.activations()[layer] for member in self._members]
             layer_us: list[Parameter] = []
-            activation = ref.activations()[layer]
-            for j in range(activation.space.dimension):
-                values = np.array(
-                    [
-                        float(getattr(member.activations()[layer], f"u_{j}").data)
-                        for member in self._members
-                    ]
-                ).reshape(n, 1, 1)
-                u = Parameter(values, name=f"activation_{layer}.u_{j}")
+            for j in range(activations[0].space.dimension):
+                values = np.array([float(getattr(a, f"u_{j}").data) for a in activations])
+                u = Parameter(values.reshape(n, 1, 1), name=f"activation_{layer}.u_{j}")
                 u.lr_scale = self._lr_u
                 layer_us.append(u)
             self._u_params.append(layer_us)
+            for i in range(k):
+                crossbars[i].theta.data = theta.data[i]
+                for j, u in enumerate(layer_us):
+                    getattr(activations[i], f"u_{j}").data = u.data[i, 0, 0, ...]
 
         # Per-instance logit scales (no gradient — serial scale is a float).
         self._logit_t = Tensor(
             np.array([member.logit_scale for member in self._members]).reshape(n, 1, 1)
         )
 
-        # Objective leaves.  AL: the five PHR leaves as (n, 1, 1) stacks,
-        # value-refreshed per epoch.  Penalty: the fixed per-instance scale.
-        if self._structure_key[0] == "al":
-            self._lam_t = Tensor(np.zeros((n, 1, 1)))
-            self._half_mu_t = Tensor(np.zeros((n, 1, 1)))
-            self._budget_t = Tensor(np.ones((n, 1, 1)))
-            self._inv_budget_t = Tensor(np.ones((n, 1, 1)))
-            self._inactive_t = Tensor(np.zeros((n, 1, 1)))
-        elif not self._structure_key[1]:
-            self._penalty_scale_t = Tensor(
-                np.array(
-                    [o.alpha / o.reference_power for o in self.objectives]
-                ).reshape(n, 1, 1)
-            )
+        # The loss closes over locals only (see _GraphEngine) and reaches
+        # this program's leaves through a weak proxy: a strong reference
+        # would form a cycle that keeps every captured buffer alive until the
+        # cyclic garbage collector runs.
+        objective = self.objectives[0]
+        loss_leaves = LossLeaves(self.objectives) if hasattr(objective, "loss_values") else None
+        extra = () if loss_leaves is None else (loss_leaves,)
+        y_train = split.y_train
+        signal_weight = ref.config.signal_health_weight
 
-        # The engine reaches this program through a weak proxy: a strong
-        # reference would form a cycle that keeps every captured buffer alive
-        # until the cyclic garbage collector runs.
+        def loss(logits: Tensor, power: Tensor, epoch: int) -> tuple[Tensor, Tensor]:
+            """Per-instance ``(task, total)`` stacks."""
+            task = F.instance_cross_entropy(logits, y_train)
+            total = objective.training_loss(task, power.reshape(-1, 1, 1), epoch, *extra)
+            if signal_weight > 0.0:
+                total = total + ref.signal_health.reshape(-1, 1, 1) * signal_weight
+            return task, total
+
         me = weakref.proxy(self)
         self._engine = _GraphEngine(
-            ref, split, lambda *args: me._loss(*args), enabled=settings.capture_graph,
-            epoch_key=self.objectives[0].graph_epoch_key,
-            prepare=lambda epoch: me._prepare_epoch(epoch),
-            leaves=lambda: me._stacked_leaves(), label="fleet",
+            ref, split, loss,
+            enabled=settings.capture_graph
+            and bool(getattr(objective, "supports_graph_capture", False)),
+            epoch_key=getattr(objective, "graph_epoch_key", None),
+            prepare=None if loss_leaves is None else loss_leaves.refresh,
+            leaves=lambda: me._stacked_leaves(), label=label,
         )
 
     # ------------------------------------------------------------------
     @staticmethod
     def _check_members(nets: Sequence[PrintedNeuralNetwork], ref: PrintedNeuralNetwork) -> None:
         cfg = ref.config
-        ref_act = ref.activations()[0]
-        if cfg.power_mode == "surrogate":
-            shared = ref_act.surrogate
-            if any(a.surrogate is not shared for a in ref.activations()):
-                raise ValueError("fleet requires one shared activation surrogate per network")
         for net in nets:
             if net.n_layers != ref.n_layers:
                 raise ValueError("fleet members must share the topology")
@@ -303,14 +301,14 @@ class FleetProgram:
                     raise ValueError("fleet members must share crossbar shapes")
                 if crossbar.bias_voltage != ref_crossbar.bias_voltage:
                     raise ValueError("fleet members must share the bias voltage")
-            for activation in net.activations():
-                if activation.space.dimension != ref_act.space.dimension:
+            for activation, ref_activation in zip(net.activations(), ref.activations()):
+                if activation.space.dimension != ref_activation.space.dimension:
                     raise ValueError("fleet members must share the design space")
             if cfg.power_mode == "surrogate":
                 if not _same_surrogate(net.neg_surrogate, ref.neg_surrogate):
                     raise ValueError("fleet members must share the negation surrogate")
-                for activation in net.activations():
-                    if not _same_surrogate(activation.surrogate, ref_act.surrogate):
+                for activation, ref_activation in zip(net.activations(), ref.activations()):
+                    if not _same_surrogate(activation.surrogate, ref_activation.surrogate):
                         raise ValueError("fleet members must share the activation surrogate")
 
     # ------------------------------------------------------------------
@@ -350,44 +348,6 @@ class FleetProgram:
         return {"thetas": thetas, "units": self._u_params, "logit_scale": self._logit_t}
 
     # ------------------------------------------------------------------
-    def _prepare_epoch(self, epoch: int) -> None:
-        """Refresh the per-instance AL leaves (value-only; replay-safe)."""
-        if self._structure_key[0] != "al":
-            return
-        for i, objective in enumerate(self.objectives):
-            budget = objective.effective_budget(epoch)
-            self._lam_t.data[i] = objective.multiplier
-            self._half_mu_t.data[i] = 0.5 * objective.mu
-            self._budget_t.data[i] = budget
-            self._inv_budget_t.data[i] = 1.0 / budget
-            self._inactive_t.data[i] = -(objective.multiplier**2) / (2.0 * objective.mu)
-
-    def _loss(self, logits: Tensor, power: Tensor, epoch: int) -> tuple[Tensor, Tensor]:
-        """Per-instance ``(task, total)`` stacks: the serial loss on an instance axis."""
-        health = self._ref.signal_health
-        task_vec = F.instance_cross_entropy(logits, self.split.y_train)
-        power3 = power.reshape(-1, 1, 1)
-        if self._structure_key[0] == "al":
-            if epoch < self._structure_key[1]:
-                total = task_vec
-            else:
-                c = (power3 - self._budget_t) * self._inv_budget_t
-                active = constant_of(
-                    lambda cd, lam, hm: ((lam + 2.0 * hm * cd) >= 0.0).astype(np.float64),
-                    c,
-                    self._lam_t,
-                    self._half_mu_t,
-                )
-                branch = c * self._lam_t + (c * c) * self._half_mu_t
-                total = task_vec + branch.where(active, self._inactive_t)
-        elif self._structure_key[1]:
-            total = task_vec
-        else:
-            total = task_vec + power3 * self._penalty_scale_t
-        if self.signal_weight > 0.0:
-            total = total + health.reshape(-1, 1, 1) * self.signal_weight
-        return task_vec, total
-
     def run_step(self, epoch: int) -> tuple[Tensor, Tensor]:
         """One fleet epoch's forward + backward; ``(task_vec, total)``."""
         return self._engine.run_step(epoch)
@@ -419,29 +379,33 @@ class FleetProgram:
         return state
 
 
-def train_fleet(
+def _train_loop(
     nets: Sequence[PrintedNeuralNetwork],
     split: DataSplit,
     objectives: Sequence,
     settings: TrainerSettings | None = None,
+    callbacks: Sequence[Sequence[TrainerCallback]] | None = None,
     instances: int | None = None,
-    run_logger=None,
-    chunk_index: int | None = None,
+    label: str = "fleet",
 ) -> list[TrainResult]:
-    """Train ``len(nets)`` networks as one vectorized fleet.
+    """The epoch loop: train ``nets`` on one instance axis; one result each.
 
-    Drop-in batched twin of calling
-    :func:`~repro.training.trainer.train_model` per ``(net, objective)``
-    pair: returns one :class:`TrainResult` per real network, bit-identical
-    to the serial loop's (traces, checkpoints, final metrics).  ``instances``
-    optionally pads the program to a fixed width so tail chunks reuse a
-    captured program shape.
+    ``callbacks[i]`` are member ``i``'s, dispatched after its trace
+    recorder.  Each instance keeps the serial protocol: its own plateau
+    scheduler, feasible-best / minimum-power checkpoints, early stop and
+    final evaluation through the 2-D forward.
     """
     settings = settings or TrainerSettings()
-    program = FleetProgram(nets, objectives, split, settings, instances=instances)
-    n = program.instances
-    k = program.n_real
+    program = FleetProgram(nets, objectives, split, settings, instances=instances, label=label)
+    n, k = program.instances, program.n_real
     objectives = program.objectives
+    listeners = [
+        [TraceRecorder(settings.trace_every), *(callbacks[i] if callbacks and i < k else ())]
+        for i in range(n)
+    ]
+    for net, objective, instance_listeners in zip(nets, objectives, listeners):
+        for callback in instance_listeners:
+            callback.on_train_start(net, objective, settings)
 
     optimizer = optim.Adam(program.parameters(), lr=1.0)
     schedulers = [
@@ -454,7 +418,6 @@ def train_fleet(
         )
         for i in range(n)
     ]
-    recorders = [TraceRecorder(settings.trace_every) for _ in range(n)]
     budgets = [getattr(objective, "power_budget", None) for objective in objectives]
 
     best_val = np.full(n, -1.0)
@@ -464,124 +427,163 @@ def train_fleet(
     fallback_states: list[dict[str, np.ndarray] | None] = [None] * n
     stale = np.zeros(n, dtype=int)
     stopped = np.zeros(n, dtype=bool)
-    last_epoch = np.zeros(n, dtype=int)
+    epochs_run = np.zeros(n, dtype=int)
 
-    fleet_start = perf_counter()
-    epochs_executed = 0
     for epoch in range(settings.epochs):
         if stopped[:k].all():
             break
-        epochs_executed = epoch + 1
-        epoch_start = perf_counter()
-        optimizer.zero_grad()
-        task_vec, _total = program.run_step(epoch)
-        if program._lr_dirty:
-            optimizer.refresh_lr_scales()
-            program._lr_dirty = False
-        optimizer.step()
-        program.project_()
-        step_time = perf_counter() - epoch_start
-        _FLEET_STEP_SECONDS.observe(step_time)
+        with span("trainer.epoch"), trace_span("trainer.epoch", "train"):
+            epoch_start = perf_counter()
+            optimizer.zero_grad()
+            with span("trainer.step"), trace_span("trainer.step", "train"):
+                task_vec, _total = program.run_step(epoch)
+                if program._lr_dirty:
+                    optimizer.refresh_lr_scales()
+                    program._lr_dirty = False
+                optimizer.step()
+                program.project_()
+            step_time = perf_counter() - epoch_start
 
-        eval_start = perf_counter()
-        post_logits, power_values = program.run_eval()
-        # Dual updates run before validation accuracy, exactly as in the
-        # serial loop (multiplier traces pair with this epoch's power).
-        for i in range(n):
-            if not stopped[i]:
-                objectives[i].on_epoch_end(float(power_values[i]), epoch)
-        accuracies = program.val_accuracies(post_logits)
-        eval_time = perf_counter() - eval_start
-        epoch_time = perf_counter() - epoch_start
+            # Power of the *post-step* parameters — the state a checkpoint
+            # would actually save.  Feasibility is judged on the
+            # training-distribution power: the budget is defined over the
+            # deployment input distribution; val power differs only by
+            # sampling.  Dual updates run before validation accuracy
+            # (multiplier traces pair with this epoch's power).
+            with span("trainer.eval"), trace_span("trainer.eval", "train"):
+                eval_start = perf_counter()
+                post_logits, power_values = program.run_eval()
+                for i in range(n):
+                    if not stopped[i]:
+                        objectives[i].on_epoch_end(float(power_values[i]), epoch)
+                accuracies = program.val_accuracies(post_logits)
+                eval_time = perf_counter() - eval_start
+            epoch_time = perf_counter() - epoch_start
+            _EPOCH_TIME.observe(epoch_time)
+            _EPOCH_STEP_TIME.observe(step_time)
+            _EPOCH_EVAL_TIME.observe(eval_time)
+            _FLEET_STEP_SECONDS.observe(step_time)
 
-        violation: float | None = None
-        for i in range(n):
-            if stopped[i]:
-                continue
-            last_epoch[i] = epoch
-            power_value = float(power_values[i])
-            val_accuracy = float(accuracies[i])
-            feasible_now = objectives[i].is_feasible(power_value)
-            if i < k and budgets[i]:
-                instance_violation = max(0.0, (power_value - budgets[i]) / budgets[i])
-                violation = (
-                    instance_violation
-                    if violation is None
-                    else max(violation, instance_violation)
+            violation: float | None = None
+            for i in range(n):
+                if stopped[i]:
+                    continue
+                epochs_run[i] = epoch + 1
+                power_value = float(power_values[i])
+                val_accuracy = float(accuracies[i])
+                feasible_now = objectives[i].is_feasible(power_value)
+                if i < k and budgets[i]:
+                    instance_violation = max(0.0, (power_value - budgets[i]) / budgets[i])
+                    violation = (
+                        instance_violation
+                        if violation is None
+                        else max(violation, instance_violation)
+                    )
+                is_best = feasible_now and val_accuracy > best_val[i]
+                if is_best:
+                    best_val[i] = val_accuracy
+                    best_states[i] = program.instance_state(i)
+                    best_epochs[i] = epoch
+                    stale[i] = 0
+                else:
+                    stale[i] += 1
+                if power_value < fallback_power[i]:
+                    fallback_power[i] = power_value
+                    fallback_states[i] = program.instance_state(i)
+                schedulers[i].step(val_accuracy if feasible_now else -1.0)
+                event = EpochEvent(
+                    epoch=epoch,
+                    loss=float(task_vec.data[i, 0, 0]),
+                    power=power_value,
+                    val_accuracy=val_accuracy,
+                    feasible=feasible_now,
+                    lr=float(program._lrs[i]),
+                    multiplier=_objective_multiplier(objectives[i]),
+                    is_best=is_best,
+                    epoch_time_s=epoch_time,
+                    epoch_step_time_s=step_time,
+                    epoch_eval_time_s=eval_time,
                 )
-            is_best = feasible_now and val_accuracy > best_val[i]
-            if is_best:
-                best_val[i] = val_accuracy
-                best_states[i] = program.instance_state(i)
-                best_epochs[i] = epoch
-                stale[i] = 0
-            else:
-                stale[i] += 1
-            if power_value < fallback_power[i]:
-                fallback_power[i] = power_value
-                fallback_states[i] = program.instance_state(i)
-            schedulers[i].step(val_accuracy if feasible_now else -1.0)
-            event = EpochEvent(
-                epoch=epoch,
-                loss=float(task_vec.data[i, 0, 0]),
-                power=power_value,
-                val_accuracy=val_accuracy,
-                feasible=feasible_now,
-                lr=float(program._lrs[i]),
-                multiplier=_objective_multiplier(objectives[i]),
-                is_best=is_best,
-                epoch_time_s=epoch_time,
-                epoch_step_time_s=step_time,
-                epoch_eval_time_s=eval_time,
-            )
-            recorders[i].on_epoch(event)
-            if program._lrs[i] <= settings.min_lr and stale[i] >= settings.early_stop_stale:
-                stopped[i] = True
-        if violation is not None:
-            _POWER_VIOLATION.set(violation)
+                for callback in listeners[i]:
+                    callback.on_epoch(event)
+                if program._lrs[i] <= settings.min_lr and stale[i] >= settings.early_stop_stale:
+                    logger.debug("instance %d: early stop at epoch %d (lr bottomed out, %d stale epochs)",
+                                 i, epoch, stale[i])
+                    stopped[i] = True
+            if violation is not None:
+                _POWER_VIOLATION.set(violation)
 
     _FLEET_INSTANCES.inc(k)
-    if run_logger is not None and run_logger.enabled:
-        fields = {
-            "instances": k,
-            "epoch": epochs_executed,
-            "duration_s": perf_counter() - fleet_start,
-        }
-        if chunk_index is not None:
-            fields["chunk_index"] = int(chunk_index)
-        run_logger.emit("fleet", **fields)
-
-    # Finalize each real instance through the serial evaluation path.
+    # Finalize each real instance through the 2-D evaluation path.
     results: list[TrainResult] = []
-    for i in range(k):
-        net = nets[i]
+    for i, net in enumerate(nets):
         if best_states[i] is not None:
             net.load_state_dict(best_states[i])
             chosen_epoch = int(best_epochs[i])
         elif fallback_states[i] is not None:
+            logger.debug("no feasible epoch; restoring minimum-power state (P=%.4g W)", fallback_power[i])
             net.load_state_dict(fallback_states[i])
             chosen_epoch = -1
-        else:
+        else:  # no epoch ran
             chosen_epoch = -1
-        train_accuracy, power = evaluate_model(net, split.x_train, split.y_train)
-        val_accuracy = _accuracy_only(net, split.x_val, split.y_val)
-        test_accuracy = _accuracy_only(net, split.x_test, split.y_test)
-        results.append(
-            TrainResult(
-                train_accuracy=train_accuracy,
-                val_accuracy=val_accuracy,
-                test_accuracy=test_accuracy,
-                power=power,
-                feasible=objectives[i].is_feasible(power),
-                device_count=net.device_count(),
-                epochs_run=int(last_epoch[i]) + 1,
-                best_epoch=chosen_epoch,
-                loss_trace=recorders[i].loss_trace,
-                power_trace=recorders[i].power_trace,
-                val_accuracy_trace=recorders[i].val_accuracy_trace,
-                multiplier_trace=recorders[i].multiplier_trace,
-                state=net.state_dict(),
-                counts=net.hard_counts(),
-            )
+        with span("trainer.eval"):
+            train_accuracy, power = evaluate_model(net, split.x_train, split.y_train)
+            val_accuracy = _accuracy_only(net, split.x_val, split.y_val)
+            test_accuracy = _accuracy_only(net, split.x_test, split.y_test)
+        result = TrainResult(
+            train_accuracy=train_accuracy,
+            val_accuracy=val_accuracy,
+            test_accuracy=test_accuracy,
+            power=power,
+            feasible=objectives[i].is_feasible(power),
+            device_count=net.device_count(),
+            epochs_run=int(epochs_run[i]),
+            best_epoch=chosen_epoch,
+            loss_trace=listeners[i][0].loss_trace,
+            power_trace=listeners[i][0].power_trace,
+            val_accuracy_trace=listeners[i][0].val_accuracy_trace,
+            multiplier_trace=listeners[i][0].multiplier_trace,
+            state=net.state_dict(),
+            counts=net.hard_counts(),
         )
+        for callback in listeners[i]:
+            callback.on_train_end(result)
+        results.append(result)
+    return results
+
+
+def _objective_multiplier(objective) -> float | None:
+    multiplier = getattr(objective, "multiplier", None)
+    return None if multiplier is None else float(multiplier)
+
+
+def train_fleet(
+    nets: Sequence[PrintedNeuralNetwork],
+    split: DataSplit,
+    objectives: Sequence,
+    settings: TrainerSettings | None = None,
+    instances: int | None = None,
+    run_logger=None,
+    chunk_index: int | None = None,
+) -> list[TrainResult]:
+    """Train ``len(nets)`` networks as one vectorized fleet.
+
+    The loop :func:`~repro.training.trainer.train_model` runs with one
+    instance, run with many: returns one :class:`TrainResult` per real
+    network, bit-identical to training each ``(net, objective)`` pair alone
+    (traces, checkpoints, final metrics).  ``instances`` optionally pads the
+    program to a fixed width so tail chunks reuse a captured program shape.
+    A ``run_logger`` receives one ``fleet`` event for the whole call.
+    """
+    start = perf_counter()
+    results = _train_loop(nets, split, objectives, settings, instances=instances)
+    if run_logger is not None and run_logger.enabled:
+        fields = {
+            "instances": len(results),
+            "epoch": max(result.epochs_run for result in results),
+            "duration_s": perf_counter() - start,
+        }
+        if chunk_index is not None:
+            fields["chunk_index"] = int(chunk_index)
+        run_logger.emit("fleet", **fields)
     return results

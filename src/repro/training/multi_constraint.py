@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.autograd.tensor import Tensor
 from repro.circuits.pnc import PrintedNeuralNetwork
 from repro.datasets.splits import DataSplit
 from repro.observability.callbacks import TrainerCallback
-from repro.training.augmented_lagrangian import augmented_lagrangian_term
-from repro.training.trainer import TrainResult, TrainerSettings, train_model
+from repro.training.augmented_lagrangian import phr_term, phr_values
+from repro.training.trainer import LossLeaves, TrainResult, TrainerSettings, train_model
 
 logger = logging.getLogger(__name__)
 
@@ -60,8 +60,7 @@ class PowerAreaObjective:
     multiplier_area: float = 0.0
 
     #: training_loss reads ``self.net.soft_device_count`` — state the trainer
-    #: does not rebuild under replay — and branches in Python per epoch, so
-    #: this objective always runs eagerly.
+    #: does not rebuild under replay — so this objective always runs eagerly.
     supports_graph_capture = False
 
     def __post_init__(self):
@@ -69,22 +68,28 @@ class PowerAreaObjective:
             raise ValueError("budgets must be positive")
 
     # ------------------------------------------------------------------
-    def training_loss(self, loss: Tensor, power: Tensor, epoch: int) -> Tensor:
+    def loss_values(self, epoch: int) -> dict[str, float]:
+        """Both PHR terms' constants, ``power_*`` and ``area_*``."""
+        return {
+            **phr_values(self.multiplier_power, self.mu_power, self.power_budget, "power_"),
+            **phr_values(self.multiplier_area, self.mu_area, self.device_budget, "area_"),
+        }
+
+    def training_loss(
+        self, loss: Tensor, power: Tensor, epoch: int, leaves: Mapping[str, Tensor] | None = None
+    ) -> Tensor:
         if epoch < self.warmup_epochs:
             return loss
-        c_power = (power - self.power_budget) * (1.0 / self.power_budget)
-        total = loss + augmented_lagrangian_term(c_power, self.multiplier_power, self.mu_power)
-        devices = self.net.soft_device_count
-        c_area = (devices - self.device_budget) * (1.0 / self.device_budget)
-        total = total + augmented_lagrangian_term(c_area, self.multiplier_area, self.mu_area)
-        return total
+        leaves = LossLeaves.single(self, epoch) if leaves is None else leaves
+        devices = self.net.soft_device_count.reshape(power.shape)
+        return loss + phr_term(power, leaves, "power_") + phr_term(devices, leaves, "area_")
 
     def on_epoch_end(self, power_value: float, epoch: int) -> None:
         if epoch < self.warmup_epochs or (epoch + 1) % self.multiplier_every != 0:
             return
         c_power = (power_value - self.power_budget) / self.power_budget
         self.multiplier_power = max(0.0, self.multiplier_power + self.mu_power * c_power)
-        devices = float(self.net.soft_device_count.data)
+        devices = self.net.soft_device_count.item()
         c_area = (devices - self.device_budget) / self.device_budget
         self.multiplier_area = max(0.0, self.multiplier_area + self.mu_area * c_area)
         if self.mu_growth > 1.0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.autograd.tensor import Tensor
 from repro.circuits.pnc import PrintedNeuralNetwork
 from repro.datasets.splits import DataSplit
 from repro.observability.callbacks import TrainerCallback
-from repro.training.trainer import TrainResult, TrainerSettings, train_model
+from repro.training.trainer import LossLeaves, TrainResult, TrainerSettings, train_model
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +39,7 @@ class PenaltyObjective:
     reference_power: float = 1.0e-3
 
     #: The objective is structurally constant across epochs (one fixed
-    #: penalty scale), so captured-graph replay is always valid.
+    #: penalty scale, a value leaf), so captured-graph replay is always valid.
     supports_graph_capture = True
 
     def graph_epoch_key(self, epoch: int) -> int:
@@ -51,10 +51,20 @@ class PenaltyObjective:
         if self.reference_power <= 0:
             raise ValueError("reference power must be positive")
 
-    def training_loss(self, loss: Tensor, power: Tensor, epoch: int) -> Tensor:
+    def structure_key(self) -> tuple:
+        """α = 0 drops the power path from the loss: a program of its own."""
+        return ("penalty", self.alpha == 0.0)
+
+    def loss_values(self, epoch: int) -> dict[str, float]:
+        return {"scale": self.alpha / self.reference_power}
+
+    def training_loss(
+        self, loss: Tensor, power: Tensor, epoch: int, leaves: Mapping[str, Tensor] | None = None
+    ) -> Tensor:
         if self.alpha == 0.0:
             return loss
-        return loss + power * (self.alpha / self.reference_power)
+        leaves = LossLeaves.single(self, epoch) if leaves is None else leaves
+        return loss + power * leaves["scale"]
 
     def on_epoch_end(self, power_value: float, epoch: int) -> None:
         return None

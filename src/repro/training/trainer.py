@@ -6,19 +6,22 @@ descent with Adam starting at learning rate 0.1, learning-rate halving after
 checkpointing (the returned model is the best *feasible* validation epoch),
 and early stopping.
 
-The loop is objective-agnostic: the augmented Lagrangian method, the penalty
-baseline, and plain unconstrained training all plug in through the
-``Objective`` protocol, which maps ``(loss, power, epoch)`` to the scalar
-being minimized and owns any dual-variable state (λ updates happen in the
-objective's ``on_epoch_end``).
+There is one epoch loop, and it trains instances on a leading axis:
+:func:`train_model` runs it with one instance, and
+:func:`~repro.training.fleet.train_fleet` with many (the loop lives in
+:mod:`repro.training.fleet`).  It is objective-agnostic: the augmented
+Lagrangian method, the penalty baseline, and plain unconstrained training
+all plug in through the ``Objective`` protocol, which maps the per-instance
+``(loss, power, epoch)`` to the quantity being minimized and owns any
+dual-variable state (λ updates happen in the objective's ``on_epoch_end``).
 
 Observability: the loop packages every epoch into an
-:class:`~repro.observability.callbacks.EpochEvent` and dispatches it to the
-registered callbacks in order.  A :class:`TraceRecorder` is always
-registered first, so the ``TrainResult`` trace lists are identical to the
-pre-callback implementation; extra callbacks (event logging, progress
-reporting, anything user-supplied) ride along via ``train_model``'s
-``callbacks`` argument.
+:class:`~repro.observability.callbacks.EpochEvent` per instance and
+dispatches it to that instance's callbacks in order.  A
+:class:`TraceRecorder` is always registered first, so the ``TrainResult``
+trace lists are identical to the pre-callback implementation; extra
+callbacks (event logging, progress reporting, anything user-supplied) ride
+along via ``train_model``'s ``callbacks`` argument.
 
 Trace alignment: the objective's dual update runs *before* the epoch's
 traces are recorded, so ``multiplier_trace[i]`` is the **post-update** λ
@@ -28,38 +31,20 @@ updated from share an index.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
 from repro.autograd import functional as F
-from repro.autograd import optim
 from repro.autograd.graph import Program
 from repro.circuits.pnc import PrintedNeuralNetwork
 from repro.datasets.splits import DataSplit
-from repro.observability.callbacks import EpochEvent, TraceRecorder, TrainerCallback
+from repro.observability.callbacks import TrainerCallback
 from repro.observability.metrics import get_registry
 from repro.observability.profiling import span
-from repro.observability.tracing import trace_span
 
-logger = logging.getLogger(__name__)
-
-_EPOCH_TIME = get_registry().histogram(
-    "epoch_time_s", "wall time per training epoch (step + evaluations)"
-)
-_EPOCH_STEP_TIME = get_registry().histogram(
-    "epoch_step_time_s", "wall time of the gradient-step portion of each epoch"
-)
-_EPOCH_EVAL_TIME = get_registry().histogram(
-    "epoch_eval_time_s", "wall time of the post-step evaluation portion of each epoch"
-)
-_POWER_VIOLATION = get_registry().gauge(
-    "power_violation", "normalized constraint violation max(0, (P - budget)/budget) of the last epoch"
-)
 _GRAPH_STEP_OPS = get_registry().gauge(
     "graph_step_ops", "forward kernels per replayed training step (the tail after the eval)"
 )
@@ -72,17 +57,32 @@ _GRAPH_VAL_OPS = get_registry().gauge(
 
 
 class Objective(Protocol):
-    """Strategy turning task loss + power into the training scalar.
+    """Strategy turning task loss + power into the training quantity.
+
+    The loop hands ``training_loss`` the task loss and the power of ``n``
+    instances as ``(n, 1, 1)`` stacks (``n = 1`` for :func:`train_model`)
+    and minimizes the ``(n, 1, 1)`` result; nothing in it may mix
+    instances.  An objective of a fleet of many is called once, for all
+    instances, so its per-instance constants (λ, μ, a budget, a penalty
+    scale) must be *value leaves*: it names them in ``loss_values(epoch) ->
+    {name: float}``, the loop keeps one ``(n, 1, 1)`` tensor per name
+    (:class:`LossLeaves`), writes slot ``i`` from instance ``i``'s objective
+    before every step — eager or replayed — and passes them as
+    ``training_loss``'s fourth argument.  Called without it, the objective
+    reads 0-d leaves of its own state (:meth:`LossLeaves.single`).  An
+    objective without ``loss_values`` gets three arguments and trains alone.
 
     Objectives that additionally set ``supports_graph_capture = True`` opt
-    into the captured-graph execution engine; they must then keep their
-    epoch-to-epoch changes value-only (updating persistent leaf tensors in
-    ``prepare_epoch``) and report structural boundaries (e.g. a warmup
-    ending) through ``graph_epoch_key``.
+    into the captured-graph execution engine; their epoch-to-epoch changes
+    must then be value-only (through ``loss_values``), with structural
+    boundaries (e.g. a warmup ending) reported through ``graph_epoch_key``.
+    ``structure_key()`` names what shapes the program, so instances with
+    equal keys can share one (see
+    :func:`~repro.training.fleet.fleet_structure_key`).
     """
 
     def training_loss(self, loss: Tensor, power: Tensor, epoch: int) -> Tensor:
-        """Scalar to minimize this epoch."""
+        """Per-instance quantity to minimize this epoch."""
         ...
 
     def on_epoch_end(self, power_value: float, epoch: int) -> None:
@@ -92,6 +92,32 @@ class Objective(Protocol):
     def is_feasible(self, power_value: float) -> bool:
         """Whether a power value satisfies this objective's constraint."""
         ...
+
+
+class LossLeaves(dict):
+    """``name → (n, 1, 1)`` value leaves of ``n`` objectives' loss constants.
+
+    :meth:`refresh` (run before every step) writes slot ``i`` from
+    ``objectives[i].loss_values(epoch)`` in place, so λ/μ updates and budget
+    annealing reach a captured program without re-recording it.
+    """
+
+    def __init__(self, objectives: Sequence[Objective]):
+        super().__init__()
+        self._objectives = list(objectives)
+        n = len(self._objectives)
+        for name in self._objectives[0].loss_values(0):
+            self[name] = Tensor(np.zeros((n, 1, 1)))
+
+    def refresh(self, epoch: int) -> None:
+        for i, objective in enumerate(self._objectives):
+            for name, value in objective.loss_values(epoch).items():
+                self[name].data[i] = value
+
+    @staticmethod
+    def single(objective: Objective, epoch: int) -> dict[str, Tensor]:
+        """0-d leaves of one objective's constants, for a call outside the loop."""
+        return {name: Tensor(value) for name, value in objective.loss_values(epoch).items()}
 
 
 @dataclass
@@ -110,6 +136,10 @@ class TrainerSettings:
     #: execute epochs by captured-graph replay when the objective supports
     #: it (bit-identical to eager; ``--no-capture`` on the CLI disables)
     capture_graph: bool = True
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
 
 
 @dataclass
@@ -155,11 +185,12 @@ def _accuracy_only(net: PrintedNeuralNetwork, x: np.ndarray, y: np.ndarray) -> f
 
 
 class _GraphEngine:
-    """Step, eval and val programs of one training run (serial or fleet).
+    """Step, eval and val programs of one training run.
 
-    Both trainers run through it: :func:`train_model` over the net's own
-    leaves, :class:`~repro.training.fleet.FleetProgram` over instance stacks
-    (``leaves``).  Each program is a :class:`~repro.autograd.graph.Program`,
+    The training loop runs it through
+    :class:`~repro.training.fleet.FleetProgram`, over instance stacks
+    (``leaves``); called without ``leaves`` it runs over the net's own.
+    Each program is a :class:`~repro.autograd.graph.Program`,
     which decides when it is replayed, re-recorded or run eagerly; with
     ``enabled`` false (``capture_graph=False``, or an objective without
     graph support) every program runs eagerly — the bit-identity reference.
@@ -267,7 +298,7 @@ def train_model(
     settings: TrainerSettings | None = None,
     callbacks: Sequence[TrainerCallback] | None = None,
 ) -> TrainResult:
-    """Run the shared constrained-training loop.
+    """Run the shared constrained-training loop on one network.
 
     The best checkpoint is chosen by validation accuracy *among feasible
     epochs* (power within the objective's budget); if no epoch is feasible
@@ -276,153 +307,10 @@ def train_model(
 
     ``callbacks`` are dispatched per epoch after the built-in trace
     recorder, in the order given; see
-    :class:`repro.observability.callbacks.TrainerCallback`.
+    :class:`repro.observability.callbacks.TrainerCallback`.  The loop is
+    the fleet's, run with one instance (kernel labels ``train.*``).
     """
-    settings = settings or TrainerSettings()
-    optimizer = optim.Adam(net.parameters(), lr=settings.lr)
-    scheduler = optim.ReduceLROnPlateau(
-        optimizer,
-        patience=settings.patience,
-        factor=settings.lr_factor,
-        min_lr=settings.min_lr,
-        mode="max",
-    )
+    from repro.training.fleet import _train_loop  # fleet imports this module
 
-    recorder = TraceRecorder(settings.trace_every)
-    all_callbacks: list[TrainerCallback] = [recorder, *(callbacks or [])]
-    for callback in all_callbacks:
-        callback.on_train_start(net, objective, settings)
-
-    signal_weight = net.config.signal_health_weight
-
-    def loss(logits: Tensor, power: Tensor, epoch: int) -> tuple[Tensor, Tensor]:
-        task_loss = F.cross_entropy(logits, split.y_train)
-        total = objective.training_loss(task_loss, power, epoch)
-        if signal_weight > 0.0:
-            total = total + net.signal_health * signal_weight
-        return task_loss, total
-
-    enabled = settings.capture_graph and bool(getattr(objective, "supports_graph_capture", False))
-    engine = _GraphEngine(
-        net, split, loss, enabled=enabled,
-        epoch_key=getattr(objective, "graph_epoch_key", None),
-        prepare=getattr(objective, "prepare_epoch", None),
-    )
-    budget = getattr(objective, "power_budget", None)
-
-    best_val = -1.0
-    best_state: dict[str, np.ndarray] | None = None
-    best_epoch = -1
-    fallback_power = np.inf
-    fallback_state: dict[str, np.ndarray] | None = None
-    stale = 0
-
-    epoch = 0
-    for epoch in range(settings.epochs):
-        with span("trainer.epoch"), trace_span("trainer.epoch", "train"):
-            epoch_start = perf_counter()
-            optimizer.zero_grad()
-            with span("trainer.step"), trace_span("trainer.step", "train"):
-                task_loss, _ = engine.run_step(epoch)
-                optimizer.step()
-                net.project_()
-            step_time = perf_counter() - epoch_start
-
-            # Power of the *post-step* parameters — the state a checkpoint
-            # would actually save.  (The pre-step forward's power describes
-            # the state the optimizer just left.)  Feasibility is judged on
-            # the training-distribution power: the budget is defined over the
-            # deployment input distribution; val power differs only by
-            # sampling.
-            with span("trainer.eval"), trace_span("trainer.eval", "train"):
-                eval_start = perf_counter()
-                post_logits, power = engine.run_eval()
-                power_value = float(power)
-                objective.on_epoch_end(power_value, epoch)
-
-                # Validation accuracy through the power-free forward; when
-                # the val set aliases the train set the post-step logits are
-                # reused outright (same array → same shapes → same logits).
-                val_accuracy = F.accuracy(engine.val_logits(post_logits), split.y_val)
-                eval_time = perf_counter() - eval_start
-
-            feasible_now = objective.is_feasible(power_value)
-            if budget:
-                _POWER_VIOLATION.set(max(0.0, (power_value - budget) / budget))
-
-            is_best = feasible_now and val_accuracy > best_val
-            if is_best:
-                best_val = val_accuracy
-                best_state = net.state_dict()
-                best_epoch = epoch
-                stale = 0
-            else:
-                stale += 1
-            if power_value < fallback_power:
-                fallback_power = power_value
-                fallback_state = net.state_dict()
-
-            scheduler.step(val_accuracy if feasible_now else -1.0)
-
-            event = EpochEvent(
-                epoch=epoch,
-                loss=float(task_loss.data),
-                power=power_value,
-                val_accuracy=val_accuracy,
-                feasible=feasible_now,
-                lr=optimizer.lr,
-                multiplier=_objective_multiplier(objective),
-                is_best=is_best,
-                epoch_time_s=perf_counter() - epoch_start,
-                epoch_step_time_s=step_time,
-                epoch_eval_time_s=eval_time,
-            )
-            _EPOCH_TIME.observe(event.epoch_time_s)
-            _EPOCH_STEP_TIME.observe(step_time)
-            _EPOCH_EVAL_TIME.observe(eval_time)
-            for callback in all_callbacks:
-                callback.on_epoch(event)
-
-        if optimizer.lr <= settings.min_lr and stale >= settings.early_stop_stale:
-            logger.debug("early stop at epoch %d (lr bottomed out, %d stale epochs)", epoch, stale)
-            break
-
-    if best_state is not None:
-        net.load_state_dict(best_state)
-        chosen_epoch = best_epoch
-    elif fallback_state is not None:
-        logger.debug("no feasible epoch; restoring minimum-power state (P=%.4g W)", fallback_power)
-        net.load_state_dict(fallback_state)
-        chosen_epoch = -1
-    else:  # settings.epochs == 0
-        chosen_epoch = -1
-
-    with span("trainer.eval"):
-        train_accuracy, power = evaluate_model(net, split.x_train, split.y_train)
-        val_accuracy = _accuracy_only(net, split.x_val, split.y_val)
-        test_accuracy = _accuracy_only(net, split.x_test, split.y_test)
-
-    result = TrainResult(
-        train_accuracy=train_accuracy,
-        val_accuracy=val_accuracy,
-        test_accuracy=test_accuracy,
-        power=power,
-        feasible=objective.is_feasible(power),
-        device_count=net.device_count(),
-        epochs_run=epoch + 1,
-        best_epoch=chosen_epoch,
-        loss_trace=recorder.loss_trace,
-        power_trace=recorder.power_trace,
-        val_accuracy_trace=recorder.val_accuracy_trace,
-        multiplier_trace=recorder.multiplier_trace,
-        state=net.state_dict(),
-        counts=net.hard_counts(),
-    )
-    for callback in all_callbacks:
-        callback.on_train_end(result)
+    (result,) = _train_loop([net], split, [objective], settings, [callbacks or []], label="train")
     return result
-
-
-def _objective_multiplier(objective: Objective) -> float | None:
-    multiplier = getattr(objective, "multiplier", None)
-    return None if multiplier is None else float(multiplier)

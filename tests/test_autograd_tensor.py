@@ -205,6 +205,27 @@ class TestShapeOps:
         np.testing.assert_allclose(a.grad, [1.0, 1.0])
         np.testing.assert_allclose(b.grad, [1.0, 1.0])
 
+    def test_broadcast_to_is_a_view_with_the_ones_product_bits(self):
+        from repro.autograd.graph import CapturedGraph
+        from repro.autograd.tensor import graph_capture
+
+        rng = np.random.default_rng(4)
+        weights = rng.normal(size=(3, 5, 2))
+        with graph_capture():
+            a = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+            viewed = a.broadcast_to((3, 5, 2))
+            out = (viewed * Tensor(weights)).sum()
+        b = Tensor(a.data.copy(), requires_grad=True)
+        reference = (b * Tensor(np.ones((3, 1, 1))) * Tensor(weights)).sum()
+        assert viewed.shape == (3, 5, 2) and np.shares_memory(viewed.data, a.data)
+        assert out.data.tobytes() == reference.data.tobytes()
+        graph = CapturedGraph((out,), backward_root=out)
+        assert graph.n_view_nodes == 1
+        assert graph.n_ops == 2  # the product and the sum; the view is no kernel
+        out.backward()
+        reference.backward()
+        assert a.grad.tobytes() == b.grad.tobytes()
+
     def test_where_routes_gradient(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         b = Tensor(np.array([3.0, 4.0]), requires_grad=True)

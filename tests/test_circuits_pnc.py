@@ -186,6 +186,29 @@ def _stacked_leaves(nets: list[PrintedNeuralNetwork]) -> dict:
     return {"thetas": thetas, "units": units, "logit_scale": scale}
 
 
+class TestStackedDeviceCount:
+    """The differentiable device count reduces trailing axes only, so a
+    stacked forward yields one count per instance, equal to the 2-D call's."""
+
+    @pytest.mark.parametrize("count_mode", ["straight_through", "soft"])
+    def test_stacked_count_matches_per_instance_calls(self, count_mode, rng):
+        config = PNCConfig(power_mode="analytic", count_mode=count_mode)
+        nets = [PrintedNeuralNetwork(4, 3, config, np.random.default_rng(seed)) for seed in range(3)]
+        leaves = _stacked_leaves(nets)
+        x = Tensor(rng.random((10, 4)))
+        nets[0].forward_with_power(x, **leaves)
+        count = nets[0].soft_device_count
+        assert count.shape == (3,)
+        count.backward(np.ones(3))
+        for i, net in enumerate(nets):
+            net.forward_with_power(x)
+            assert count.data[i].tobytes() == net.soft_device_count.data.tobytes()
+            assert count.data[i] == net.device_count()
+            net.soft_device_count.backward()
+            for theta, crossbar in zip(leaves["thetas"], net.crossbars()):
+                assert theta.grad[i].tobytes() == crossbar.theta.grad.tobytes()
+
+
 class TestStackedForward:
     """One forward for every instance shape: stacked leaves of k nets must
     reproduce the k per-net 2-D calls bit for bit (values and θ gradients)."""

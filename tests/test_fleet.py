@@ -25,9 +25,9 @@ from repro.training import (
     PenaltyObjective,
     TrainerSettings,
     train_fleet,
-    train_model,
 )
 from repro.training.fleet import FleetProgram, fleet_structure_key
+from tests.serial_oracle import train_model
 
 EPOCHS = 12
 SEEDS = (0, 1, 2)
@@ -236,9 +236,14 @@ class TestVectorizedSweep:
         )
 
     def test_vectorized_matches_serial_with_padded_tail_and_sharding(
-        self, af_surrogates, neg_surrogate
+        self, af_surrogates, neg_surrogate, monkeypatch
     ):
-        serial = self._sweep(n_jobs=1)
+        import repro.training.penalty as penalty_module
+
+        # the serial side runs each point through the serial oracle in-process
+        with monkeypatch.context() as patch:
+            patch.setattr(penalty_module, "train_model", train_model)
+            serial = self._sweep(n_jobs=1)
         # chunk=2 over the α>0 group of 3 → one full chunk + a tail padded
         # to the fixed width; α=0 trains as its own single-instance fleet
         vectorized = self._sweep(n_jobs=1, vectorized=True, instance_chunk=2)

@@ -12,10 +12,21 @@ import pytest
 from repro.autograd.tensor import Tensor
 from repro.training.augmented_lagrangian import (
     AugmentedLagrangianObjective,
-    augmented_lagrangian_term,
+    phr_term,
+    phr_values,
 )
 from repro.training.penalty import PenaltyObjective
 from repro.training.pareto import dominates, pareto_front, front_accuracy_at_power, hypervolume_2d
+
+
+def augmented_lagrangian_term(c: Tensor, multiplier: float, mu: float) -> Tensor:
+    """ψ(c; λ', μ) of a normalized constraint ``c``, through :func:`phr_term`.
+
+    With budget 1 the term's constraint is ``value - 1``, so ``value = c + 1``
+    carries ``c`` (exactly, for the values used here) and ``dψ/dvalue = dψ/dc``.
+    """
+    leaves = {name: Tensor(v) for name, v in phr_values(multiplier, mu, budget=1.0).items()}
+    return phr_term(c + 1.0, leaves)
 
 
 class TestALTerm:
