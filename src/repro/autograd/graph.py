@@ -50,8 +50,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor, _run_backward, _topo_order, graph_capture, no_grad
 from repro.observability.metrics import get_registry
-from repro.observability.profiling import span
-from repro.observability.tracing import get_kernel_profiler, kernel_name
+from repro.observability.tracing import get_kernel_profiler, kernel_name, trace_span
 
 logger = logging.getLogger(__name__)
 
@@ -420,7 +419,7 @@ class Program:
             logger.debug("%s: captured graph invalidated; re-recording", self._label)
         self.graph = self.head = self._forward = None
         self._recs = {}
-        with span("graph.capture"):
+        with trace_span("graph.capture", "autograd"):
             with self._grad_mode(), graph_capture():
                 self.outputs = _as_outputs(self._build(*args))
             try:

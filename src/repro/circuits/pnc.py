@@ -43,7 +43,6 @@ from repro.power.counts import (
 )
 from repro.power.surrogate import SurrogatePowerModel
 from repro.observability.metrics import get_registry
-from repro.observability.profiling import span
 from repro.observability.tracing import trace_span
 
 logger = logging.getLogger(__name__)
@@ -255,7 +254,7 @@ class PrintedNeuralNetwork(Module):
         :meth:`forward_with_power` and runs its signal path op for op.
         """
         _FORWARD_CALLS.inc()
-        with span("pnc.forward"):
+        with trace_span("pnc.forward", "circuits"):
             signal = x
             for crossbar, activation, theta, unit, transfer in self._layer_leaves(
                 thetas, units, transfers
@@ -294,7 +293,7 @@ class PrintedNeuralNetwork(Module):
         equal the 2-D call with slice ``i``'s leaves bit for bit.
         """
         _FORWARD_CALLS.inc()
-        with span("pnc.forward_with_power"):
+        with trace_span("pnc.forward_with_power", "circuits"):
             return self._forward_with_power(x, thetas, units, transfers, logit_scale)
 
     def _forward_with_power(

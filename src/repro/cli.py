@@ -30,7 +30,7 @@ Observability flags (available on every subcommand)::
                         merged event timeline, metrics, profile)
     --health-abort      let critical training-health watchdogs abort the
                         run (exit code 3 + diagnostic.json)
-    --profile           enable span profiling; prints the breakdown at exit
+    --profile           enable the span tracer; prints its span profile at exit
     --trace             record spans + per-kernel replay timings (needs
                         --run-dir or --trace-out to persist anything)
     --trace-out PATH    export the trace as Chrome trace-event JSON
@@ -1144,18 +1144,20 @@ def main(argv: list[str] | None = None) -> int:
         TeeSink,
         TrainingHealthError,
         configure_logging,
-        enable_profiling,
-        get_profiler,
+        disable_tracing,
+        enable_tracing,
         get_registry,
+        get_tracer,
+        render_profile,
     )
 
     configure_logging(args.verbose - args.quiet)
 
     trace_enabled = bool(args.trace or args.trace_out)
     if trace_enabled:
-        from repro.observability import enable_tracing
-
         enable_tracing()
+    elif args.profile:
+        get_tracer().enable()  # spans only: no kernel timing, no trace export
 
     run_ctx: RunContext | None = None
     if args.run_dir:
@@ -1180,8 +1182,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     else:
         run_logger = RunLogger(JsonlSink(args.log_json)) if args.log_json else RunLogger()
-    if args.profile:
-        enable_profiling()
 
     started = perf_counter()
     run_logger.emit(
@@ -1205,11 +1205,12 @@ def main(argv: list[str] | None = None) -> int:
             print(file=sys.stderr)
         return code
     finally:
-        profiler = get_profiler()
+        profile = None
         if args.profile:
-            run_logger.emit("profile", spans=profiler.as_json())
+            profile = get_tracer().profile()
+            run_logger.emit("profile", spans=profile)
             print("\nspan breakdown:")
-            print(profiler.render_tree())
+            print(render_profile(profile))
         if args.metrics_out:
             Path(args.metrics_out).write_text(get_registry().render_prometheus(), encoding="utf-8")
         run_logger.emit(
@@ -1226,8 +1227,6 @@ def main(argv: list[str] | None = None) -> int:
             from repro.observability.tracing import (
                 KERNELS_NAME,
                 TRACE_NAME,
-                disable_tracing,
-                get_tracer,
                 read_trace,
                 write_chrome_trace,
                 write_kernels_json,
@@ -1239,16 +1238,17 @@ def main(argv: list[str] | None = None) -> int:
                 write_trace_jsonl(run_ctx.directory / TRACE_NAME, records, append=True)
                 write_kernels_json(run_ctx.directory / KERNELS_NAME)
         if run_ctx is not None:
-            run_ctx.finalize(code, perf_counter() - started)
+            run_ctx.finalize(code, perf_counter() - started, profile=profile)
             set_default_telemetry(None)
-        if trace_enabled:
-            if args.trace_out:
-                if run_ctx is not None:
-                    # Export the merged timeline (includes worker shards).
-                    records = read_trace(run_ctx.directory / TRACE_NAME)
-                n = write_chrome_trace(args.trace_out, records)
-                print(f"chrome trace: {args.trace_out} ({n} events)")
+        if trace_enabled and args.trace_out:
+            if run_ctx is not None:
+                # Export the merged timeline (includes worker shards).
+                records = read_trace(run_ctx.directory / TRACE_NAME)
+            n = write_chrome_trace(args.trace_out, records)
+            print(f"chrome trace: {args.trace_out} ({n} events)")
+        if trace_enabled or args.profile:
             disable_tracing()
+            get_tracer().reset()  # a later run in this process starts empty
 
 
 if __name__ == "__main__":

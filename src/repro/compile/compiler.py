@@ -8,8 +8,8 @@ otherwise — immediately re-verifies the bundle *from disk*, so a returned
 ``CompileResult.report.ok`` means the files that were just written
 reproduce the layered model.
 
-Instrumentation matches the rest of the pipeline: ``compile.*`` profiler
-spans and trace spans around each phase, a ``compile_tiles_total`` counter,
+Instrumentation matches the rest of the pipeline: a ``compile.*`` trace
+span around each phase, a ``compile_tiles_total`` counter,
 a ``compile_verify_seconds`` histogram, and schema-valid ``compile`` run
 events (one per phase) through the optional :class:`RunLogger`.
 """
@@ -35,7 +35,6 @@ from repro.compile.placement import Layout, plan_layout, profile_network
 from repro.compile.vectors import tile_vectors
 from repro.compile.verify import VerifyReport, verify_bundle
 from repro.observability.metrics import get_registry
-from repro.observability.profiling import span
 from repro.observability.tracing import trace_span
 from repro.spice.export import to_spice_text
 
@@ -97,7 +96,7 @@ def compile_model(
     x = np.asarray(x, dtype=np.float64)
     pdk = net.config.pdk
 
-    with span("compile.place"), trace_span("compile.place"):
+    with trace_span("compile.place"):
         start = time.perf_counter()
         profiles = profile_network(net, x)
         layout = plan_layout(profiles, constraints)
@@ -112,7 +111,7 @@ def compile_model(
     _TILES_TOTAL.inc(layout.n_tiles)
 
     n_vectors = min(max(1, n_vectors), x.shape[0])
-    with span("compile.netlist"), trace_span("compile.netlist"):
+    with trace_span("compile.netlist"):
         start = time.perf_counter()
         netlists: dict[str, str] = {}
         vectors: dict[str, dict] = {}
@@ -137,7 +136,7 @@ def compile_model(
             vectors=n_vectors,
         )
 
-    with span("compile.bundle"), trace_span("compile.bundle"):
+    with trace_span("compile.bundle"):
         start = time.perf_counter()
         model_power = net.power_estimate(Tensor(x))
         manifest = {
@@ -188,7 +187,7 @@ def compile_model(
 
     report: VerifyReport | None = None
     if verify:
-        with span("compile.verify"), trace_span("compile.verify"):
+        with trace_span("compile.verify"):
             report = verify_bundle(bundle_dir, tolerance_v=tolerance_v)
         _VERIFY_SECONDS.observe(report.duration_s)
         _emit(

@@ -1,4 +1,4 @@
-"""Structured observability: run events, metrics, span profiling, callbacks.
+"""Structured observability: run events, metrics, spans, callbacks, run dirs.
 
 The instrumentation substrate for the whole reproduction (and the perf
 work the ROADMAP plans on top of it):
@@ -7,14 +7,19 @@ work the ROADMAP plans on top of it):
   (:class:`RunLogger`, schema validation, sinks);
 - :mod:`repro.observability.metrics` — process-wide counters / gauges /
   histograms with a Prometheus textfile exporter;
-- :mod:`repro.observability.profiling` — nested wall-time spans
-  (``with span("pnc.forward_with_power"): ...``), off by default;
+- :mod:`repro.observability.tracing` — :class:`trace_span`, the one span
+  primitive (``with trace_span("pnc.forward_with_power", "circuits"):``),
+  off by default; enabled, it feeds the span trace (``--trace``) and the
+  per-path span profile (``--profile``), plus per-kernel replay timing;
 - :mod:`repro.observability.callbacks` — the trainer's per-epoch
   :class:`EpochEvent` dispatch and the stock callbacks;
 - :mod:`repro.observability.logconf` — ``configure_logging(verbosity)``,
   the single opt-in entry point for the module-logger tree;
 - :mod:`repro.observability.report` — ASCII rendering of a recorded run
-  (``repro.cli report RUN.jsonl``).
+  (``repro.cli report RUN.jsonl``);
+- :mod:`repro.observability.runs` — run directories (``--run-dir``); pool
+  workers write ``events``/``trace`` shards that one protocol,
+  :mod:`repro.observability.shards`, names, reads and merges.
 
 Everything is zero-cost by default: the null event sink drops events
 before they are built, disabled spans are one attribute check, and
@@ -40,14 +45,6 @@ from repro.observability.metrics import (
     MetricsRegistry,
     get_registry,
     snapshot_delta,
-)
-from repro.observability.profiling import (
-    SpanProfiler,
-    SpanStat,
-    disable_profiling,
-    enable_profiling,
-    get_profiler,
-    span,
 )
 from repro.observability.callbacks import (
     EpochEvent,
@@ -95,11 +92,11 @@ from repro.observability.tracing import (
     get_kernel_profiler,
     get_tracer,
     hot_kernels,
-    merge_trace_shards,
     new_trace_id,
     read_trace,
     render_kernel_diff,
     render_kernel_report,
+    render_profile,
     trace_context,
     trace_span,
     write_chrome_trace,
@@ -135,12 +132,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "SpanProfiler",
-    "SpanStat",
-    "disable_profiling",
-    "enable_profiling",
-    "get_profiler",
-    "span",
     "EpochEvent",
     "EventLogCallback",
     "ProgressReporter",
@@ -167,11 +158,12 @@ __all__ = [
     "hot_kernels",
     "load_run_kernels",
     "load_run_trace",
-    "merge_trace_shards",
+    "merge_worker_shards",
     "new_trace_id",
     "read_trace",
     "render_kernel_diff",
     "render_kernel_report",
+    "render_profile",
     "trace_context",
     "trace_span",
     "write_chrome_trace",

@@ -25,6 +25,8 @@ import logging
 import time
 from pathlib import Path
 
+from repro.observability.shards import ShardStream, read_jsonl
+
 logger = logging.getLogger(__name__)
 
 #: Required payload fields per event type, as ``name -> allowed types``.
@@ -305,31 +307,16 @@ def read_events(
     tailing, warehouse indexing).  Only the last line gets this grace:
     corruption anywhere else still fails loudly.
     """
-    events: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        is_tail = lineno == len(lines)
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if tolerate_truncated_tail and is_tail:
-                logger.debug("%s:%d: dropping truncated tail line", path, lineno)
-                break
-            raise ValueError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
-        if not strict and isinstance(event, dict) and event.get("type") not in EVENT_SCHEMAS:
-            logger.debug("%s:%d: keeping unknown event type %r", path, lineno, event.get("type"))
-            events.append(event)
-            continue
-        try:
+
+    def check(event) -> None:
+        if strict or not isinstance(event, dict) or event.get("type") in EVENT_SCHEMAS:
             validate_event(event)
-        except ValueError as exc:
-            if tolerate_truncated_tail and is_tail:
-                logger.debug("%s:%d: dropping invalid tail line (%s)", path, lineno, exc)
-                break
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        events.append(event)
-    return events
+
+    return read_jsonl(path, check, tolerate_truncated_tail)
+
+
+#: Worker shards of the run timeline (``events.worker-<pid>.jsonl``); an
+#: event's identity is its whole canonical line.
+EVENT_SHARDS = ShardStream(
+    "events", lambda path: read_events(path, strict=False, tolerate_truncated_tail=True)
+)

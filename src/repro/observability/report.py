@@ -5,7 +5,7 @@ Consumes the JSONL event stream written by ``--log-json`` (or the merged
 re-running anything: configuration and revision from ``run_start``, the
 accuracy/power/λ trajectory from the ``epoch`` events, the transition log
 (LR drops, checkpoints, feasibility losses), health-watchdog alerts,
-per-worker event attribution for parallel runs, the span-profiler
+per-worker event attribution for parallel runs, the span-profile
 breakdown when ``--profile`` was active, and the final metrics snapshot
 from ``run_end``.
 
@@ -21,6 +21,7 @@ from pathlib import Path
 
 from repro.observability.events import read_events
 from repro.observability.metrics import quantiles_from_snapshot
+from repro.observability.tracing import render_kernel_report, render_profile
 
 logger = logging.getLogger(__name__)
 
@@ -216,30 +217,10 @@ def render_report(events: list[dict], source: str = "", kernels: dict | None = N
 
     profile = next((e for e in reversed(events) if e.get("type") == "profile"), None)
     if profile is not None and profile["spans"]:
-        rows = []
-        for item in profile["spans"]:
-            path = item["path"].split("/")
-            mean_ms = item["total_s"] / item["count"] * 1e3 if item["count"] else 0.0
-            rows.append(
-                (
-                    "  " * (len(path) - 1) + path[-1],
-                    str(item["count"]),
-                    f"{item['total_s']:.4f}",
-                    f"{mean_ms:.3f}",
-                )
-            )
-        # left-align the span column for the tree indent to read correctly
-        widths = [max(len(r[i]) for r in [("span", "calls", "total_s", "mean_ms"), *rows]) for i in range(4)]
-        lines = ["span breakdown"]
-        for r in [("span", "calls", "total_s", "mean_ms"), *rows]:
-            lines.append(
-                f"  {r[0]:<{widths[0]}}  {r[1]:>{widths[1]}}  {r[2]:>{widths[2]}}  {r[3]:>{widths[3]}}"
-            )
-        sections.append("\n".join(lines))
+        table = render_profile(profile["spans"]).splitlines()
+        sections.append("\n".join(["span breakdown", *("  " + line for line in table)]))
 
     if kernels is not None:
-        from repro.observability.tracing import render_kernel_report
-
         sections.append(render_kernel_report(kernels, top=10))
 
     run_end = next((e for e in reversed(events) if e.get("type") == "run_end"), None)

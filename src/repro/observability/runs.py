@@ -9,16 +9,20 @@ leave a comparable artifact.  A run directory is that artifact::
         manifest.json           resolved config, seeds, git SHA, argv,
                                 python/platform/env fingerprint, status
         events.jsonl            merged, time-ordered, schema-valid timeline
-        events.worker-<k>.jsonl raw per-worker shards (kept for forensics)
+        events.worker-<pid>.jsonl raw per-worker shards (kept for forensics)
         metrics.prom            Prometheus textfile of the final registry
-        profile.json            span-profiler breakdown (when --profile)
+        profile.json            span profile: calls and time per span path (--profile)
+        trace.jsonl             merged span records (--trace)
+        trace.worker-<pid>.jsonl raw per-worker span shards (--trace)
+        kernels.json            per-kernel replay attribution (--trace)
         diagnostic.json         health-watchdog dump (aborted runs only)
 
 :class:`RunContext` owns the directory lifecycle: :meth:`RunContext.create`
 writes the manifest and opens the event sink; :meth:`RunContext.finalize`
-merges the worker shards written by :mod:`repro.parallel.telemetry` into
-one timeline, snapshots metrics, and stamps the outcome back into the
-manifest.  The module-level functions (:func:`list_runs`,
+folds the worker shards written by :mod:`repro.parallel.telemetry` into
+``events.jsonl`` and ``trace.jsonl`` (one protocol for both streams,
+:mod:`repro.observability.shards`), snapshots metrics, and stamps the
+outcome back into the manifest.  The module-level functions (:func:`list_runs`,
 :func:`resolve_run`, :func:`summarize_run`, the ``render_*`` helpers) are
 the read side backing ``repro runs list|show|compare``.
 """
@@ -36,15 +40,15 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.observability.events import JsonlSink, RunLogger, read_events, validate_event
-from repro.observability.metrics import get_registry
-from repro.observability.profiling import get_profiler
-from repro.observability.tracing import (
-    KERNELS_NAME,
-    TRACE_NAME,
-    merge_trace_shards,
-    read_trace,
+from repro.observability.events import (
+    EVENT_SHARDS,
+    JsonlSink,
+    RunLogger,
+    read_events,
+    validate_event,
 )
+from repro.observability.metrics import get_registry
+from repro.observability.tracing import KERNELS_NAME, TRACE_NAME, TRACE_SHARDS
 
 logger = logging.getLogger(__name__)
 
@@ -154,20 +158,25 @@ class RunContext:
         _write_json(path, diagnostic)
         return path
 
-    def finalize(self, exit_code: int, duration_s: float) -> None:
+    def finalize(
+        self, exit_code: int, duration_s: float, profile: list[dict] | None = None
+    ) -> None:
         """Close out the run: merge shards, snapshot metrics, stamp outcome.
 
         Call *after* the run's last event was emitted and the logger
-        closed — the shard merge rewrites ``events.jsonl`` in place.
+        closed — the shard merge rewrites ``events.jsonl`` in place.  A
+        non-empty ``profile`` (:meth:`Tracer.profile
+        <repro.observability.tracing.Tracer.profile>`) is written to
+        ``profile.json``.
         """
         self.logger.close()
-        merged = merge_worker_shards(self.directory)
+        merged = EVENT_SHARDS.merge(self.directory)
+        TRACE_SHARDS.merge(self.directory)
         (self.directory / METRICS_NAME).write_text(
             get_registry().render_prometheus(), encoding="utf-8"
         )
-        profiler = get_profiler()
-        if profiler.enabled and profiler.stats():
-            _write_json(self.directory / PROFILE_NAME, profiler.as_json())
+        if profile:
+            _write_json(self.directory / PROFILE_NAME, profile)
         self.manifest.update(
             status="completed" if exit_code == 0 else "failed",
             exit_code=exit_code,
@@ -192,41 +201,17 @@ def _write_json(path: Path, payload) -> None:
 # Worker-shard merging
 # ----------------------------------------------------------------------
 def merge_worker_shards(run_dir: str | Path) -> int:
-    """Fold ``events.worker-*.jsonl`` shards into one ordered timeline.
+    """Fold the run's worker shards into ``events.jsonl`` and ``trace.jsonl``.
 
-    Every event (parent stream + shards) is schema-validated, the union is
-    stably sorted by timestamp (ties keep stream order), and
-    ``events.jsonl`` is rewritten atomically.  Shard files stay on disk —
-    they are the per-worker forensic record.  Returns the number of worker
-    events merged (0 when the run had no worker telemetry).
-
-    Per-pid ``trace.worker-<pid>.jsonl`` shards (written by traced pool
-    workers) are folded into the run's ``trace.jsonl`` the same way; their
-    merge de-duplicates by span id, so re-merging a finalized run never
-    double counts trace records.
+    Both streams go through :meth:`ShardStream.merge
+    <repro.observability.shards.ShardStream.merge>`: shard records are
+    de-duplicated (events by their canonical line, spans by span id),
+    stably time-ordered with the main file's and rewritten atomically, so
+    re-merging a finalized run changes neither file.  Shard files stay on
+    disk as the per-worker forensic record.  Returns the number of records
+    newly merged across both streams (0 without shards).
     """
-    run_dir = Path(run_dir)
-    merge_trace_shards(run_dir)
-    shards = sorted(run_dir.glob("events.worker-*.jsonl"))
-    if not shards:
-        return 0
-    events_path = run_dir / EVENTS_NAME
-    timeline = read_events(events_path, strict=False) if events_path.exists() else []
-    worker_events: list[dict] = []
-    for shard in shards:
-        worker_events.extend(read_events(shard, strict=False))
-    merged = sorted(timeline + worker_events, key=lambda e: e.get("ts", 0.0))
-    tmp = events_path.with_suffix(f".tmp-{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for event in merged:
-            json.dump(event, fh, separators=(",", ":"))
-            fh.write("\n")
-    os.replace(tmp, events_path)
-    logger.info(
-        "merged %d worker events from %d shard(s) into %s",
-        len(worker_events), len(shards), events_path,
-    )
-    return len(worker_events)
+    return EVENT_SHARDS.merge(run_dir) + TRACE_SHARDS.merge(run_dir)
 
 
 # ----------------------------------------------------------------------
@@ -401,30 +386,25 @@ def summarize_run(run_dir: str | Path, events: list[dict] | None = None) -> RunS
     )
 
 
+def _in_flight(run_dir: Path) -> bool:
+    """Whether the run is still running — its shards may hold unmerged records."""
+    return load_manifest_safe(run_dir).get("status", "running") == "running"
+
+
 def tail_run_events(run_dir: str | Path, offset: int = 0) -> tuple[list[dict], int]:
     """Follow an active run's merged timeline: events after ``offset``.
 
-    Reads ``events.jsonl`` *and* any live ``events.worker-*.jsonl``
-    shards (tolerating a mid-write final line in each), merges them the
-    same way :func:`merge_worker_shards` will at finalization (stable
-    sort by timestamp, parent stream first), and returns
-    ``(events[offset:], new_offset)``.  The caller polls with the
-    returned offset; because finished files only ever grow, the merged
-    prefix below ``offset`` is stable for a completed stream and at
-    worst transiently reordered while workers interleave.
+    Reads ``events.jsonl`` and, while the run is in flight, its live
+    ``events.worker-*.jsonl`` shards (tolerating a mid-write final line in
+    each), merged in memory the way :func:`merge_worker_shards` will at
+    finalization, and returns ``(events[offset:], new_offset)``.  The
+    caller polls with the returned offset; because finished files only
+    ever grow, the merged prefix below ``offset`` is stable for a
+    completed stream and at worst transiently reordered while workers
+    interleave.
     """
     run_dir = Path(run_dir)
-    merged: list[dict] = list(read_run_events(run_dir))
-    # Finalized runs already fold their shards into events.jsonl (the
-    # shard files stay on disk for forensics) — only an in-flight run's
-    # shards still hold events the parent timeline lacks.
-    if load_manifest_safe(run_dir).get("status", "running") == "running":
-        for shard in sorted(run_dir.glob("events.worker-*.jsonl")):
-            try:
-                merged.extend(read_events(shard, strict=False, tolerate_truncated_tail=True))
-            except (OSError, ValueError) as exc:
-                logger.warning("unreadable worker shard %s: %s", shard, exc)
-    merged.sort(key=lambda e: e.get("ts", 0.0))
+    merged = EVENT_SHARDS.read_live(run_dir, include_shards=_in_flight(run_dir))
     offset = max(0, int(offset))
     return merged[offset:], len(merged)
 
@@ -438,27 +418,7 @@ def load_run_trace(run_dir: str | Path) -> list[dict]:
     ``[]`` when the run was not traced.
     """
     run_dir = Path(run_dir)
-    trace_path = run_dir / TRACE_NAME
-    records: list[dict] = []
-    if trace_path.exists():
-        records.extend(read_trace(trace_path))
-    if load_manifest_safe(run_dir).get("status", "running") == "running":
-        seen = {rec.get("span") for rec in records if rec.get("span")}
-        for shard in sorted(run_dir.glob("trace.worker-*.jsonl")):
-            try:
-                shard_records = read_trace(shard)
-            except (OSError, ValueError) as exc:
-                logger.warning("unreadable trace shard %s: %s", shard, exc)
-                continue
-            for rec in shard_records:
-                span = rec.get("span")
-                if span is not None and span in seen:
-                    continue
-                if span is not None:
-                    seen.add(span)
-                records.append(rec)
-    records.sort(key=lambda rec: rec.get("ts", 0.0))
-    return records
+    return TRACE_SHARDS.read_live(run_dir, include_shards=_in_flight(run_dir))
 
 
 def load_run_kernels(run_dir: str | Path) -> dict | None:

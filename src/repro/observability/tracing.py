@@ -1,9 +1,10 @@
-"""End-to-end tracing: spans, per-kernel replay attribution, exporters.
+"""End-to-end tracing: spans, the span profile, kernel attribution, exporters.
 
 Three cooperating pieces live here:
 
-* :class:`Tracer` — a process-wide span recorder.  Disabled (the default)
-  it holds **no buffer at all** (``_ring is None``) and every
+* :class:`Tracer` — a process-wide span recorder, and :class:`trace_span`,
+  the one primitive that times a region.  Disabled (the default) the
+  tracer holds **no buffer at all** (``_ring is None``) and every
   :class:`trace_span` enter/exit is a single attribute check, so traced
   code paths cost nothing in production.  Enabled, completed spans land
   in a preallocated ring buffer (no per-span allocation beyond the record
@@ -11,7 +12,12 @@ Three cooperating pieces live here:
   can record concurrently.  Trace identity (``trace_id``/``span_id``)
   propagates through :mod:`contextvars`, and — for hops that cross thread
   boundaries, like the micro-batcher queue — explicitly via
-  :func:`current_trace_context` + :class:`trace_context`.
+  :func:`current_trace_context` + :class:`trace_context`.  The same lock
+  section adds each span's duration to the **span profile**: call count
+  and total wall time per span-name path (``trainer.epoch/trainer.step``),
+  exact however far the ring has wrapped.  The CLI's ``--profile`` enables
+  the tracer and prints :meth:`Tracer.profile` via :func:`render_profile`;
+  ``--trace`` additionally enables the kernel profiler and exports spans.
 
 * :class:`KernelProfiler` — aggregation for the opt-in per-kernel timing
   in ``CapturedGraph.replay_forward/replay_backward``.  The replay loops
@@ -22,9 +28,10 @@ Three cooperating pieces live here:
   kernels.  Recordings are keyed by ``(label, schedule index, op name)``.
 
 * Exporters — per-process JSONL shards (``trace.jsonl`` in the run dir,
-  ``trace.worker-<pid>.jsonl`` from pool workers, merged and de-duplicated
-  by span id in :func:`merge_trace_shards`) and Chrome trace-event JSON
-  (:func:`chrome_trace`) loadable in Perfetto / ``chrome://tracing``.
+  ``trace.worker-<pid>.jsonl`` from pool workers, folded together by the
+  worker-shard protocol of :mod:`repro.observability.shards` through
+  :data:`TRACE_SHARDS`, de-duplicated by span id) and Chrome trace-event
+  JSON (:func:`chrome_trace`) loadable in Perfetto / ``chrome://tracing``.
 
 Trace record shape (one JSON object per line in the shards)::
 
@@ -45,9 +52,12 @@ from time import perf_counter, time as _wall_time
 
 import numpy as np
 
+from repro.observability.shards import ShardStream, canonical_json, read_jsonl, write_jsonl
+
 __all__ = [
     "TRACE_NAME",
     "KERNELS_NAME",
+    "TRACE_SHARDS",
     "Tracer",
     "get_tracer",
     "enable_tracing",
@@ -65,7 +75,7 @@ __all__ = [
     "read_trace",
     "chrome_trace",
     "write_chrome_trace",
-    "merge_trace_shards",
+    "render_profile",
     "write_kernels_json",
     "hot_kernels",
     "render_kernel_report",
@@ -85,6 +95,11 @@ _TRACE_ID: contextvars.ContextVar[str | None] = contextvars.ContextVar(
 )
 _SPAN_ID: contextvars.ContextVar[str | None] = contextvars.ContextVar(
     "repro_span_id", default=None
+)
+# Names of the open spans, outermost first: the span-profile key.  Set
+# only while tracing is enabled; a new thread starts at the root.
+_SPAN_PATH: contextvars.ContextVar[tuple[str, ...]] = contextvars.ContextVar(
+    "repro_span_path", default=()
 )
 
 _ID_COUNTER = 0
@@ -120,7 +135,8 @@ class Tracer:
     disabled the tracer owns no span storage whatsoever, which the
     zero-allocation test asserts directly.  When more spans are recorded
     than ``capacity``, the oldest are overwritten and :attr:`dropped`
-    counts the loss (never silently: exporters embed the count).
+    counts the loss (never silently: exporters embed the count); the span
+    profile (:meth:`profile`) aggregates outside the ring and loses nothing.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
@@ -129,6 +145,7 @@ class Tracer:
         self.pid = os.getpid()
         self._ring: list[dict | None] | None = None
         self._count = 0
+        self._profile: dict[tuple[str, ...], list] = {}  # path -> [count, total_s]
         self._lock = threading.Lock()
         # Wall-clock anchor: spans are timed with perf_counter() (cheap,
         # monotonic) and converted to unix time via this pair at export.
@@ -140,12 +157,6 @@ class Tracer:
         with self._lock:
             if capacity is not None:
                 self.capacity = int(capacity)
-            if os.getpid() != self.pid:
-                # Forked child inherited the parent's ring: drop it so the
-                # worker shard never re-exports the parent's spans.
-                self._ring = None
-                self._count = 0
-                self.pid = os.getpid()
             if self._ring is None or len(self._ring) != self.capacity:
                 self._ring = [None] * self.capacity
                 self._count = 0
@@ -156,10 +167,25 @@ class Tracer:
     def disable(self) -> None:
         self.enabled = False
 
+    def _forked(self) -> None:
+        """Start a forked child disabled and empty (registered at fork).
+
+        Nothing in the child exports the parent's spans, and a pool worker
+        that records must :meth:`enable` itself (``--trace`` workers do),
+        so an inherited ring would only fill up unread.
+        """
+        self.enabled = False
+        self._ring = None
+        self._count = 0
+        self._profile = {}
+        self._lock = threading.Lock()  # the parent's may be held mid-fork
+        self.pid = os.getpid()
+
     def reset(self) -> None:
-        """Drop recorded spans; release the ring unless still enabled."""
+        """Drop recorded spans and the profile; release the ring unless enabled."""
         with self._lock:
             self._count = 0
+            self._profile = {}
             self._ring = [None] * self.capacity if self.enabled else None
 
     # -- recording -----------------------------------------------------
@@ -177,8 +203,12 @@ class Tracer:
         span_id: str | None = None,
         parent_id: str | None = None,
         args: dict | None = None,
+        path: tuple[str, ...] | None = None,
     ) -> None:
-        """Append one completed span (no-op while disabled)."""
+        """Append one completed span (no-op while disabled).
+
+        A span with a name ``path`` also counts toward the span profile.
+        """
         if not self.enabled:
             return
         rec = {
@@ -202,6 +232,10 @@ class Tracer:
                 return
             ring[self._count % self.capacity] = rec
             self._count += 1
+            if path is not None:
+                entry = self._profile.setdefault(path, [0, 0.0])
+                entry[0] += 1
+                entry[1] += rec["dur"]
 
     # -- inspection / draining -----------------------------------------
     @property
@@ -212,43 +246,95 @@ class Tracer:
     def dropped(self) -> int:
         return max(0, self._count - self.capacity)
 
+    def _ordered(self) -> list[dict]:
+        """Recorded spans, oldest first; the caller holds the lock."""
+        ring, n = self._ring, self._count
+        if ring is None or n == 0:
+            return []
+        if n <= self.capacity:
+            return ring[:n]
+        head = n % self.capacity
+        return ring[head:] + ring[:head]
+
     def records(self) -> list[dict]:
         """Recorded spans, oldest first (ring order resolved)."""
         with self._lock:
-            ring, n = self._ring, self._count
-            if ring is None or n == 0:
-                return []
-            if n <= self.capacity:
-                return list(ring[:n])
-            head = n % self.capacity
-            return ring[head:] + ring[:head]
+            return self._ordered()
 
     def drain(self) -> list[dict]:
-        """Return recorded spans and clear the buffer (keeps enabled state)."""
-        out = self.records()
+        """Return recorded spans and clear the buffer (keeps enabled state).
+
+        Read and clear are one lock section, so a span another thread
+        records meanwhile is either returned here or kept for the next drain.
+        """
         with self._lock:
+            out = self._ordered()
+            if out:
+                self._ring[: len(out)] = [None] * len(out)
             self._count = 0
-            if self._ring is not None:
-                for i in range(min(len(out), self.capacity)):
-                    self._ring[i] = None
+        return out
+
+    def profile(self) -> list[dict]:
+        """The span profile: the ``profile`` event payload and ``profile.json``.
+
+        ``[{"path": "a/b", "count": n, "total_s": s}, ...]`` per span-name
+        path, depth-first with each node's children by total, descending.
+        """
+        with self._lock:
+            totals = {path: (count, total) for path, (count, total) in self._profile.items()}
+        children: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for path in totals:
+            children.setdefault(path[:-1], []).append(path)
+        out: list[dict] = []
+
+        def walk(prefix: tuple[str, ...]) -> None:
+            for path in sorted(children.get(prefix, ()), key=lambda p: -totals[p][1]):
+                count, total = totals[path]
+                out.append({"path": "/".join(path), "count": count, "total_s": total})
+                walk(path)
+
+        walk(())
         return out
 
 
 _TRACER = Tracer()
+os.register_at_fork(after_in_child=_TRACER._forked)
 
 
 def get_tracer() -> Tracer:
     return _TRACER
 
 
+def render_profile(spans: list[dict]) -> str:
+    """A span profile as an indented table: calls, total and mean wall time."""
+    if not spans:
+        return "(no spans recorded — was profiling enabled?)"
+    rows = [("span", "calls", "total_s", "mean_ms")]
+    for item in spans:
+        path = item["path"].split("/")
+        mean_ms = item["total_s"] / item["count"] * 1e3 if item["count"] else 0.0
+        rows.append(
+            ("  " * (len(path) - 1) + path[-1], str(item["count"]),
+             f"{item['total_s']:.4f}", f"{mean_ms:.3f}")
+        )
+    widths = [max(len(r[i]) for r in rows) for i in range(4)]
+    return "\n".join(
+        f"{r[0]:<{widths[0]}}  {r[1]:>{widths[1]}}  {r[2]:>{widths[2]}}  {r[3]:>{widths[3]}}"
+        for r in rows
+    )
+
+
 class trace_span:
     """Context manager recording one span around a block.
 
-    Disabled path: ``__enter__``/``__exit__`` are one attribute check each
-    (``_TRACER.enabled``) — no ids, no clock reads, no allocation.
+    The one way this package times a region: the completed span goes to
+    the ring and adds to the span profile under the names of the spans
+    open around it in this thread.  Disabled path: ``__enter__``/
+    ``__exit__`` are one attribute check each (``_TRACER.enabled``) — no
+    ids, no clock reads, no allocation.
     """
 
-    __slots__ = ("name", "cat", "args", "_t0", "_span_id", "_tok_span", "_tok_trace")
+    __slots__ = ("name", "cat", "args", "_t0", "_span_id", "_tok_span", "_tok_trace", "_tok_path")
 
     def __init__(self, name: str, cat: str = "app", args: dict | None = None):
         self.name = name
@@ -265,6 +351,7 @@ class trace_span:
             self._tok_trace = _TRACE_ID.set(new_trace_id())
         self._span_id = new_trace_id()
         self._tok_span = _SPAN_ID.set(self._span_id)
+        self._tok_path = _SPAN_PATH.set(_SPAN_PATH.get() + (self.name,))
         self._t0 = perf_counter()
         return self
 
@@ -273,6 +360,8 @@ class trace_span:
         if t0 is None:
             return False
         dur = perf_counter() - t0
+        path = _SPAN_PATH.get()
+        _SPAN_PATH.reset(self._tok_path)
         _SPAN_ID.reset(self._tok_span)
         _TRACER.record(
             self.name,
@@ -283,6 +372,7 @@ class trace_span:
             span_id=self._span_id,
             parent_id=_SPAN_ID.get(),
             args=self.args,
+            path=path,
         )
         if self._tok_trace is not None:
             _TRACE_ID.reset(self._tok_trace)
@@ -455,71 +545,20 @@ def disable_tracing() -> None:
 # ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
-def write_trace_jsonl(path: str | Path, records: list[dict], append: bool = False) -> int:
-    """Write trace records as JSONL; returns the number written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a" if append else "w", encoding="utf-8") as fh:
-        for rec in records:
-            json.dump(rec, fh, separators=(",", ":"))
-            fh.write("\n")
-    return len(records)
+#: Trace shards are written by the worker-shard protocol's line writer.
+write_trace_jsonl = write_jsonl
 
 
 def read_trace(path: str | Path) -> list[dict]:
-    """Read a trace shard; a truncated final line is dropped, not fatal."""
-    records: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
-                break  # in-flight writer mid-line
-            raise ValueError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
-        if isinstance(rec, dict):
-            records.append(rec)
-    return records
+    """Read a trace file; a truncated final line is dropped, not fatal."""
+    return [rec for rec in read_jsonl(path, tolerate_truncated_tail=True) if isinstance(rec, dict)]
 
 
-def merge_trace_shards(run_dir: str | Path) -> int:
-    """Fold ``trace.worker-*.jsonl`` shards into the run's ``trace.jsonl``.
-
-    Records are de-duplicated by span id (so re-merging a finalized run —
-    or a fork-inherited parent span exported by both sides — never double
-    counts), stably time-ordered, and rewritten atomically.  Shard files
-    stay on disk as the per-worker forensic record, mirroring the event
-    shards.  Returns the number of *new* worker records merged; 0 when
-    there are no shards or everything was already folded in.
-    """
-    run_dir = Path(run_dir)
-    shards = sorted(run_dir.glob("trace.worker-*.jsonl"))
-    if not shards:
-        return 0
-    main_path = run_dir / TRACE_NAME
-    merged: list[dict] = list(read_trace(main_path)) if main_path.exists() else []
-    seen = {rec.get("span") for rec in merged if rec.get("span")}
-    new_count = 0
-    for shard in shards:
-        for rec in read_trace(shard):
-            span = rec.get("span")
-            if span is not None and span in seen:
-                continue
-            if span is not None:
-                seen.add(span)
-            merged.append(rec)
-            new_count += 1
-    if new_count == 0 and main_path.exists():
-        return 0
-    merged.sort(key=lambda rec: rec.get("ts", 0.0))
-    tmp = main_path.with_suffix(f".tmp-{os.getpid()}")
-    write_trace_jsonl(tmp, merged)
-    tmp.replace(main_path)
-    return new_count
+#: Worker shards of the span trace (``trace.worker-<pid>.jsonl``); a
+#: span's identity is its span id.
+TRACE_SHARDS = ShardStream(
+    "trace", read_trace, key=lambda rec: rec.get("span") or canonical_json(rec)
+)
 
 
 def chrome_trace(records: list[dict]) -> dict:

@@ -1,4 +1,4 @@
-"""Worker-side telemetry: per-process event shards + metrics forwarding.
+"""Worker-side telemetry: per-process event and span shards + metrics forwarding.
 
 The PR-1 observability layer records single-process runs; this module
 extends it across the process pool so a 16-way grid run is no longer a
@@ -13,7 +13,10 @@ black box.  The contract:
   run directory.  Every event it emits is stamped with ``worker_id`` (the
   worker pid) and the ``task_id`` (task label) it ran under, so the merged
   timeline (see :func:`repro.observability.runs.merge_worker_shards`)
-  stays attributable per event.
+  stays attributable per event.  With ``trace=True`` each worker also
+  drains its spans into ``trace.worker-<pid>.jsonl`` after every task.
+  Both shard streams follow one protocol — file name, line format, merge
+  and live read — owned by :mod:`repro.observability.shards`.
 - Task code reaches the active logger through :func:`worker_run_logger`
   and gets ready-made trainer callbacks (event forwarding + health
   watchdogs) from :func:`worker_callbacks` — both no-ops when telemetry
@@ -36,7 +39,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.observability.events import JsonlSink, RunLogger
+from repro.observability.events import EVENT_SHARDS, JsonlSink, RunLogger
 
 logger = logging.getLogger(__name__)
 
@@ -52,12 +55,6 @@ class WorkerTelemetry:
 
     run_dir: str
     trace: bool = False
-
-    def shard_path(self, worker_id: int) -> Path:
-        return Path(self.run_dir) / f"events.worker-{worker_id}.jsonl"
-
-    def trace_shard_path(self, worker_id: int) -> Path:
-        return Path(self.run_dir) / f"trace.worker-{worker_id}.jsonl"
 
 
 class WorkerRunLogger(RunLogger):
@@ -103,7 +100,7 @@ def bind_task(telemetry: WorkerTelemetry, task_id: str) -> WorkerRunLogger:
     """
     global _ACTIVE_LOGGER
     worker_id = os.getpid()
-    path = telemetry.shard_path(worker_id)
+    path = EVENT_SHARDS.shard_path(telemetry.run_dir, worker_id)
     sink = _SHARD_SINKS.get(path)
     if sink is None:
         sink = JsonlSink(path, append=True)
@@ -128,9 +125,9 @@ def worker_run_logger() -> WorkerRunLogger | None:
 def worker_trace_begin(telemetry: WorkerTelemetry) -> None:
     """Enable span tracing in this worker process (engine-internal).
 
-    Idempotent; re-enabling re-anchors the clock pair.  Fork-inherited
-    parent spans are dropped by ``Tracer.enable`` so the worker shard only
-    ever holds this process's records.
+    Idempotent; re-enabling re-anchors the clock pair.  A forked worker's
+    tracer starts disabled and empty (the tracer resets itself at fork), so
+    the worker shard only ever holds this process's records.
     """
     if not telemetry.trace:
         return
@@ -143,11 +140,12 @@ def worker_trace_flush(telemetry: WorkerTelemetry) -> None:
     """Drain this process's spans into its ``trace.worker-<pid>.jsonl`` shard."""
     if not telemetry.trace:
         return
-    from repro.observability.tracing import get_tracer, write_trace_jsonl
+    from repro.observability.tracing import TRACE_SHARDS, get_tracer, write_trace_jsonl
 
     records = get_tracer().drain()
     if records:
-        write_trace_jsonl(telemetry.trace_shard_path(os.getpid()), records, append=True)
+        path = TRACE_SHARDS.shard_path(telemetry.run_dir, os.getpid())
+        write_trace_jsonl(path, records, append=True)
 
 
 def worker_callbacks(phase: str = "train") -> list:

@@ -29,7 +29,7 @@ from repro.autograd.tensor import Tensor, concatenate, no_grad
 from repro.autograd import nn, optim
 from repro.autograd import functional as F
 from repro.observability.metrics import get_registry
-from repro.observability.profiling import span
+from repro.observability.tracing import trace_span
 from repro.pdk.params import ActivationKind, DesignSpace, design_space, negation_design_space
 from repro.power.dataset import PowerDataset, generate_power_dataset, generate_negation_dataset
 
@@ -117,7 +117,7 @@ class SurrogatePowerModel:
     def predict_numpy(self, q: np.ndarray, v_in: np.ndarray) -> np.ndarray:
         """Predict power for ``(n, d)`` q and ``(n,)`` v_in arrays."""
         _SURROGATE_EVALS.inc()
-        with span("surrogate.predict_numpy"):
+        with trace_span("surrogate.predict_numpy", "power"):
             return self._predict_numpy(q, v_in)
 
     def _predict_numpy(self, q: np.ndarray, v_in: np.ndarray) -> np.ndarray:
@@ -146,7 +146,7 @@ class SurrogatePowerModel:
             ``(n, 1)`` powers in watts, differentiable w.r.t. q and v.
         """
         _SURROGATE_EVALS.inc()
-        with span("surrogate.predict_tensor"):
+        with trace_span("surrogate.predict_tensor", "power"):
             return self._predict_tensor(q_columns, v_in)
 
     def predict_tensor_batched(self, groups: list[tuple[list[Tensor], Tensor]]) -> list[Tensor]:
@@ -165,7 +165,7 @@ class SurrogatePowerModel:
         if len(groups) == 1:
             return [self.predict_tensor(*groups[0])]
         _SURROGATE_EVALS.inc()
-        with span("surrogate.predict_tensor"):
+        with trace_span("surrogate.predict_tensor", "power"):
             per_group: list[list[Tensor]] = []
             sizes: list[int] = []
             for q_columns, v_in in groups:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.observability.metrics import get_registry
-from repro.observability.profiling import span
+from repro.observability.tracing import trace_span
 from repro.spice.netlist import Circuit, GROUND_NAMES
 
 logger = logging.getLogger(__name__)
@@ -233,7 +233,7 @@ def solve_dc(
     SolverError
         If Newton (with gmin-stepping fallback) fails to converge.
     """
-    with span("spice.solve_dc"):
+    with trace_span("spice.solve_dc", "spice"):
         return _solve_dc(circuit, max_iter=max_iter, tol=tol, v_limit=v_limit)
 
 

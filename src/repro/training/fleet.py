@@ -64,7 +64,6 @@ from repro.circuits.pnc import PrintedNeuralNetwork
 from repro.datasets.splits import DataSplit
 from repro.observability.callbacks import EpochEvent, TraceRecorder, TrainerCallback
 from repro.observability.metrics import get_registry
-from repro.observability.profiling import span
 from repro.observability.tracing import trace_span
 from repro.training.trainer import (
     LossLeaves,
@@ -89,11 +88,8 @@ _EPOCH_EVAL_TIME = get_registry().histogram(
 _POWER_VIOLATION = get_registry().gauge(
     "power_violation", "normalized constraint violation max(0, (P - budget)/budget) of the last epoch"
 )
-_FLEET_INSTANCES = get_registry().counter(
-    "fleet_instances_total", "real (non-pad) instances trained through fleet programs"
-)
-_FLEET_STEP_SECONDS = get_registry().histogram(
-    "fleet_step_seconds", "wall time of one fleet epoch step (all instances)"
+_TRAIN_INSTANCES = get_registry().counter(
+    "train_instances_total", "real (non-pad) instances trained (train_model: one per run)"
 )
 
 
@@ -432,10 +428,10 @@ def _train_loop(
     for epoch in range(settings.epochs):
         if stopped[:k].all():
             break
-        with span("trainer.epoch"), trace_span("trainer.epoch", "train"):
+        with trace_span("trainer.epoch", "train"):
             epoch_start = perf_counter()
             optimizer.zero_grad()
-            with span("trainer.step"), trace_span("trainer.step", "train"):
+            with trace_span("trainer.step", "train"):
                 task_vec, _total = program.run_step(epoch)
                 if program._lr_dirty:
                     optimizer.refresh_lr_scales()
@@ -450,7 +446,7 @@ def _train_loop(
             # deployment input distribution; val power differs only by
             # sampling.  Dual updates run before validation accuracy
             # (multiplier traces pair with this epoch's power).
-            with span("trainer.eval"), trace_span("trainer.eval", "train"):
+            with trace_span("trainer.eval", "train"):
                 eval_start = perf_counter()
                 post_logits, power_values = program.run_eval()
                 for i in range(n):
@@ -462,7 +458,6 @@ def _train_loop(
             _EPOCH_TIME.observe(epoch_time)
             _EPOCH_STEP_TIME.observe(step_time)
             _EPOCH_EVAL_TIME.observe(eval_time)
-            _FLEET_STEP_SECONDS.observe(step_time)
 
             violation: float | None = None
             for i in range(n):
@@ -513,7 +508,7 @@ def _train_loop(
             if violation is not None:
                 _POWER_VIOLATION.set(violation)
 
-    _FLEET_INSTANCES.inc(k)
+    _TRAIN_INSTANCES.inc(k)
     # Finalize each real instance through the 2-D evaluation path.
     results: list[TrainResult] = []
     for i, net in enumerate(nets):
@@ -526,7 +521,7 @@ def _train_loop(
             chosen_epoch = -1
         else:  # no epoch ran
             chosen_epoch = -1
-        with span("trainer.eval"):
+        with trace_span("trainer.eval", "train"):
             train_accuracy, power = evaluate_model(net, split.x_train, split.y_train)
             val_accuracy = _accuracy_only(net, split.x_val, split.y_val)
             test_accuracy = _accuracy_only(net, split.x_test, split.y_test)

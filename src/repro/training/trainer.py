@@ -43,7 +43,7 @@ from repro.circuits.pnc import PrintedNeuralNetwork
 from repro.datasets.splits import DataSplit
 from repro.observability.callbacks import TrainerCallback
 from repro.observability.metrics import get_registry
-from repro.observability.profiling import span
+from repro.observability.tracing import trace_span
 
 _GRAPH_STEP_OPS = get_registry().gauge(
     "graph_step_ops", "forward kernels per replayed training step (the tail after the eval)"
@@ -259,7 +259,7 @@ class _GraphEngine:
         if self.prepare is not None:
             self.prepare(epoch)
         task_loss, total, _logits, _power = self.step.run(epoch)
-        with span("trainer.backward"):
+        with trace_span("trainer.backward", "train"):
             self.step.backward()
         return task_loss, total
 

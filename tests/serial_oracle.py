@@ -29,7 +29,6 @@ from repro.autograd.tensor import Tensor, constant_of
 from repro.circuits.pnc import PrintedNeuralNetwork
 from repro.datasets.splits import DataSplit
 from repro.observability.callbacks import EpochEvent, TraceRecorder, TrainerCallback
-from repro.observability.profiling import span
 from repro.observability.tracing import trace_span
 from repro.training.augmented_lagrangian import AugmentedLagrangianObjective
 from repro.training.fleet import (
@@ -206,10 +205,10 @@ def _serial_train_model(
 
     epoch = 0
     for epoch in range(settings.epochs):
-        with span("trainer.epoch"), trace_span("trainer.epoch", "train"):
+        with trace_span("trainer.epoch", "train"):
             epoch_start = perf_counter()
             optimizer.zero_grad()
-            with span("trainer.step"), trace_span("trainer.step", "train"):
+            with trace_span("trainer.step", "train"):
                 task_loss, _ = engine.run_step(epoch)
                 optimizer.step()
                 net.project_()
@@ -221,7 +220,7 @@ def _serial_train_model(
             # the training-distribution power: the budget is defined over the
             # deployment input distribution; val power differs only by
             # sampling.
-            with span("trainer.eval"), trace_span("trainer.eval", "train"):
+            with trace_span("trainer.eval", "train"):
                 eval_start = perf_counter()
                 post_logits, power = engine.run_eval()
                 power_value = float(power)
@@ -284,7 +283,7 @@ def _serial_train_model(
     else:  # settings.epochs == 0
         chosen_epoch = -1
 
-    with span("trainer.eval"):
+    with trace_span("trainer.eval", "train"):
         train_accuracy, power = evaluate_model(net, split.x_train, split.y_train)
         val_accuracy = _accuracy_only(net, split.x_val, split.y_val)
         test_accuracy = _accuracy_only(net, split.x_test, split.y_test)

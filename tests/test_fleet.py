@@ -215,8 +215,8 @@ class TestFleetStructure:
         assert event["epoch"] == 3
         assert event["chunk_index"] == 7
         assert event["duration_s"] > 0
-        assert delta.get("fleet_instances_total", 0) == 2
-        assert delta.get("fleet_step_seconds", {}).get("count", 0) == 3
+        assert delta.get("train_instances_total", 0) == 2
+        assert delta.get("epoch_step_time_s", {}).get("count", 0) == 3
 
 
 class TestVectorizedSweep:

@@ -23,28 +23,29 @@ from repro.observability import (
     RunLogger,
     TeeSink,
     configure_logging,
-    disable_profiling,
-    enable_profiling,
-    get_profiler,
+    disable_tracing,
+    get_kernel_profiler,
     get_registry,
+    get_tracer,
     read_events,
+    render_profile,
     render_report,
     render_report_file,
     snapshot_delta,
-    span,
+    trace_span,
     validate_event,
     verbosity_to_level,
 )
 
 
 @pytest.fixture(autouse=True)
-def _clean_profiler():
-    """Every test starts with a disabled, empty profiler."""
-    disable_profiling()
-    get_profiler().reset()
+def _clean_tracer():
+    """Every test starts with a disabled, empty tracer and span profile."""
+    disable_tracing()
+    get_tracer().reset()
     yield
-    disable_profiling()
-    get_profiler().reset()
+    disable_tracing()
+    get_tracer().reset()
 
 
 # ----------------------------------------------------------------------
@@ -365,59 +366,98 @@ class TestMetrics:
 
 # ----------------------------------------------------------------------
 class TestSpans:
+    """The span profile the tracer aggregates (the ``--profile`` tree)."""
+
+    def _stats(self) -> dict:
+        return {tuple(item["path"].split("/")): item for item in get_tracer().profile()}
+
     def test_disabled_spans_record_nothing(self):
-        with span("outer"):
+        with trace_span("outer"):
             pass
-        assert get_profiler().stats() == []
+        assert get_tracer().profile() == []
 
     def test_nesting_and_monotonicity(self):
-        enable_profiling()
+        get_tracer().enable()
         for _ in range(3):
-            with span("outer"):
-                with span("inner"):
+            with trace_span("outer"):
+                with trace_span("inner"):
                     time.sleep(0.001)
-        stats = {s.path: s for s in get_profiler().stats()}
+        stats = self._stats()
         outer = stats[("outer",)]
         inner = stats[("outer", "inner")]
-        assert outer.count == 3 and inner.count == 3
+        assert outer["count"] == 3 and inner["count"] == 3
         # A child's total can never exceed its parent's.
-        assert 0 < inner.total_s <= outer.total_s
-        assert inner.mean_s <= outer.mean_s
+        assert 0 < inner["total_s"] <= outer["total_s"]
+        assert inner["total_s"] / inner["count"] <= outer["total_s"] / outer["count"]
 
     def test_tree_order_is_depth_first(self):
-        enable_profiling()
-        with span("a"):
-            with span("b"):
+        get_tracer().enable()
+        with trace_span("a"):
+            with trace_span("b"):
                 pass
-        with span("c"):
+        with trace_span("c"):
             pass
-        paths = [s.path for s in get_profiler().stats()]
-        assert paths.index(("a",)) < paths.index(("a", "b"))
-        assert ("c",) in paths
+        paths = [item["path"] for item in get_tracer().profile()]
+        assert paths.index("a") < paths.index("a/b")
+        assert "c" in paths
 
-    def test_decorator_and_recursion(self):
-        enable_profiling()
+    def test_recursion_nests_paths(self):
+        get_tracer().enable()
 
-        @span("fib")
         def fib(n):
-            return n if n < 2 else fib(n - 1) + fib(n - 2)
+            with trace_span("fib"):
+                return n if n < 2 else fib(n - 1) + fib(n - 2)
 
         assert fib(5) == 5
-        stats = {s.path: s for s in get_profiler().stats()}
-        assert stats[("fib",)].count == 1  # one top-level call
+        stats = self._stats()
+        assert stats[("fib",)]["count"] == 1  # one top-level call
         assert ("fib", "fib") in stats  # recursive frames nest under it
 
     def test_as_json_round_trips_through_profile_event(self):
-        enable_profiling()
-        with span("x"):
+        get_tracer().enable()
+        with trace_span("x"):
             pass
-        payload = get_profiler().as_json()
+        payload = get_tracer().profile()
         sink = ListSink()
         RunLogger(sink).emit("profile", spans=payload)
         assert sink.events[0]["spans"][0]["path"] == "x"
 
     def test_render_tree_mentions_disabled_state(self):
-        assert "no spans" in get_profiler().render_tree()
+        assert "no spans" in render_profile(get_tracer().profile())
+
+    def test_profile_stays_exact_when_ring_wraps(self):
+        tracer = get_tracer()
+        default_capacity = tracer.capacity
+        tracer.enable(capacity=8)
+        try:
+            for _ in range(50):
+                with trace_span("outer"):
+                    with trace_span("inner"):
+                        pass
+            assert tracer.dropped > 0
+            stats = self._stats()
+            assert stats[("outer",)]["count"] == 50
+            assert stats[("outer", "inner")]["count"] == 50
+        finally:
+            tracer.capacity = default_capacity  # later enable() calls size the ring by it
+
+    def test_cli_profile_without_trace(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        kernel_enables = []
+        monkeypatch.setattr(
+            type(get_kernel_profiler()), "enable", lambda self: kernel_enables.append(self)
+        )
+        assert main(["train", "iris", "--epochs", "2", "--seed", "0",
+                     "--profile", "--run-dir", str(tmp_path)]) in (0, 1)
+        out = capsys.readouterr().out
+        assert "span breakdown:" in out and "trainer.epoch" in out
+        (run,) = [p for p in tmp_path.iterdir() if p.is_dir()]
+        profile = json.loads((run / "profile.json").read_text())
+        assert {"trainer.epoch", "trainer.epoch/trainer.step"} <= {i["path"] for i in profile}
+        assert not (run / "trace.jsonl").exists()
+        assert not (run / "kernels.json").exists()
+        assert kernel_enables == [] and not get_kernel_profiler().enabled
 
 
 # ----------------------------------------------------------------------

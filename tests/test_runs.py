@@ -144,6 +144,22 @@ class TestShardMerge:
         assert merge_worker_shards(tmp_path) == 0
         assert (tmp_path / "events.jsonl").read_text() == before
 
+    def test_remerge_is_byte_identical_for_both_streams(self, tmp_path):
+        parent = RunLogger(JsonlSink(tmp_path / "events.jsonl"))
+        parent.emit("run_start", command="grid", config={}, git_sha="abc")
+        parent.close()
+        self._shard(tmp_path / "events.worker-7.jsonl", 7, [(50.0, 0), (150.0, 1)])
+        span = {"name": "w", "cat": "t", "ts": 5.0, "dur": 0.1, "pid": 7, "tid": 1, "span": "s1"}
+        (tmp_path / "trace.jsonl").write_text("")
+        (tmp_path / "trace.worker-7.jsonl").write_text(json.dumps(span) + "\n")
+        assert merge_worker_shards(tmp_path) == 3
+        events = (tmp_path / "events.jsonl").read_bytes()
+        trace = (tmp_path / "trace.jsonl").read_bytes()
+        assert len(events.splitlines()) == 3 and len(trace.splitlines()) == 1
+        assert merge_worker_shards(tmp_path) == 0
+        assert (tmp_path / "events.jsonl").read_bytes() == events
+        assert (tmp_path / "trace.jsonl").read_bytes() == trace
+
     def test_merge_is_stable_for_equal_timestamps(self, tmp_path):
         self._shard(tmp_path / "events.worker-5.jsonl", 5, [(10.0, 0), (10.0, 1), (10.0, 2)])
         merge_worker_shards(tmp_path)

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -26,6 +28,7 @@ import pytest
 from repro.autograd.graph import capture_forward
 from repro.autograd.tensor import Tensor
 from repro.observability.metrics import Histogram, estimate_quantile, quantiles_from_snapshot
+from repro.observability.runs import merge_worker_shards
 from repro.observability.tracing import (
     KERNELS_NAME,
     TRACE_NAME,
@@ -37,7 +40,6 @@ from repro.observability.tracing import (
     get_tracer,
     hot_kernels,
     kernel_name,
-    merge_trace_shards,
     new_trace_id,
     read_trace,
     render_kernel_diff,
@@ -132,6 +134,47 @@ class TestTracer:
             tracer.record("a", "test", 0.0, 0.001)
             assert len(tracer.drain()) == 1
             assert tracer.records() == [] and tracer.enabled
+        finally:
+            tracer.disable()
+            tracer.reset()
+
+    def test_drain_never_loses_concurrent_spans(self):
+        tracer = get_tracer()
+        default_capacity = tracer.capacity
+        n = 20000
+        tracer.enable(capacity=n)  # no wrap: every span must be accounted for
+        try:
+            def writer():
+                for i in range(n):
+                    tracer.record("s", "test", 0.0, 0.0, span_id=str(i))
+
+            thread = threading.Thread(target=writer)
+            drained: list[dict] = []
+            thread.start()
+            while thread.is_alive():
+                drained.extend(tracer.drain())
+            thread.join()
+            # Returned by a drain, or still in the ring.
+            drained.extend(tracer.records())
+            assert sorted(int(r["span"]) for r in drained) == list(range(n))
+        finally:
+            tracer.disable()
+            tracer.capacity = default_capacity
+            tracer.reset()
+
+    def test_forked_child_starts_disabled_and_empty(self):
+        tracer = get_tracer()
+        tracer.enable()
+        try:
+            with trace_span("parent", "test"):
+                pass
+            pid = os.fork()
+            if pid == 0:  # child: report through the exit code only
+                fresh = not tracer.enabled and tracer.records() == [] and not tracer.profile()
+                os._exit(0 if fresh and tracer._ring is None else 1)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            assert [r["name"] for r in tracer.records()] == ["parent"]  # parent untouched
         finally:
             tracer.disable()
             tracer.reset()
@@ -309,11 +352,11 @@ class TestMergeShards:
             tmp_path / "trace.worker-11.jsonl",
             [self._rec("w", "s2", 5.0), self._rec("dup", "s1", 10.0)],
         )
-        assert merge_trace_shards(tmp_path) == 1  # s1 deduped
+        assert merge_worker_shards(tmp_path) == 1  # s1 deduped
         merged = read_trace(tmp_path / TRACE_NAME)
         assert [r["span"] for r in merged] == ["s2", "s1"]  # ts-sorted
         # Re-merging a finalized run folds in nothing new.
-        assert merge_trace_shards(tmp_path) == 0
+        assert merge_worker_shards(tmp_path) == 0
         assert read_trace(tmp_path / TRACE_NAME) == merged
         # Shards stay on disk as the forensic record.
         assert (tmp_path / "trace.worker-11.jsonl").exists()
