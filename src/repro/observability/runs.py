@@ -74,7 +74,14 @@ _FINGERPRINT_ENV_NAMES = (
 
 
 def environment_fingerprint() -> dict:
-    """Where and how this process runs — enough to explain a drifted rerun."""
+    """Where and how this process runs — enough to explain a drifted rerun.
+
+    ``blas_threads`` is the BLAS thread count in effect, read back from the
+    loaded OpenBLAS (``None`` when it does not export a getter): pool
+    workers set theirs in place, which no environment variable shows.
+    """
+    from repro.parallel.engine import blas_threads
+
     try:
         import numpy
         numpy_version = numpy.__version__
@@ -93,6 +100,7 @@ def environment_fingerprint() -> dict:
         "machine": platform.machine(),
         "numpy": numpy_version,
         "pid": os.getpid(),
+        "blas_threads": blas_threads(),
         "env": env,
     }
 

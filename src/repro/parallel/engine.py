@@ -21,10 +21,17 @@ processes with three guarantees:
 
 ``n_jobs=1`` is a true serial fallback: the same task objects run inline
 in the calling process, with no executor and no pickling.
+
+Pool workers share the host's cores: each one caps its BLAS at
+``max(1, os.cpu_count() // n_jobs)`` threads (:func:`set_blas_threads`),
+so ``n_jobs`` workers never oversubscribe the cores with numpy's default
+one-thread-per-core OpenBLAS pools.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
 import os
 import traceback
@@ -47,6 +54,53 @@ logger = logging.getLogger(__name__)
 
 #: Environment variable overriding the multiprocessing start method.
 MP_START_ENV = "REPRO_MP_START"
+
+#: Thread-count variables BLAS/OpenMP libraries read when they load.
+_BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """Setter and getter of the thread count of the OpenBLAS numpy loaded.
+
+    ``None`` when numpy's BLAS does not export them.  Looked up through
+    numpy's core extension: ``dlsym`` on a library handle also searches the
+    libraries it links, so this finds the bundled OpenBLAS whatever its
+    mangled file name.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        setter = lib.scipy_openblas_set_num_threads64_
+        getter = lib.scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return setter, getter
+
+
+def blas_threads() -> int | None:
+    """The BLAS thread count in effect in this process (``None``: unreadable)."""
+    handles = _openblas()
+    return None if handles is None else int(handles[1]())
+
+
+def set_blas_threads(threads: int) -> None:
+    """Cap this process's BLAS threads.
+
+    Calls into the loaded OpenBLAS when it exports its setter (numpy is
+    already imported in a forked worker, so its pool size is fixed unless
+    changed in place); otherwise sets the thread variables, which reach
+    BLAS libraries loaded from here on.
+    """
+    handles = _openblas()
+    if handles is not None:
+        handles[0](threads)
+        return
+    for name in _BLAS_THREAD_ENV:
+        os.environ[name] = str(threads)
 
 
 class ExperimentTask(Protocol):
@@ -289,7 +343,12 @@ def map_tasks(
     logger.info("mapping %d tasks over %d worker processes", total, n_jobs)
     registry = get_registry()
     first_failure: str | None = None
-    with ProcessPoolExecutor(max_workers=n_jobs, mp_context=_mp_context()) as pool:
+    with ProcessPoolExecutor(
+        max_workers=n_jobs,
+        mp_context=_mp_context(),
+        initializer=set_blas_threads,
+        initargs=(max(1, (os.cpu_count() or 1) // n_jobs),),
+    ) as pool:
         futures = [
             pool.submit(_execute, index, task, telemetry) for index, task in enumerate(tasks)
         ]

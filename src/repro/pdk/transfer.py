@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from repro.autograd.tensor import Tensor, constant_of
+from repro.observability.metrics import get_registry
 from repro.pdk.params import PDK, DEFAULT_PDK, ActivationKind
 from repro.spice.egt import EGTModel, DEFAULT_NEGT
 
@@ -40,20 +41,21 @@ from repro.spice.egt import EGTModel, DEFAULT_NEGT
 # EKV primitives, numpy and Tensor flavours
 # ----------------------------------------------------------------------
 
-def _softplus_np(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0.0))))
+def _ekv_np(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """EKV interpolation ``f(x) = softplus(x/2)²`` and ``f'(x) = softplus(x/2)·σ(x/2)``.
+
+    One softplus serves both.  ``max(h, 0) + log1p(exp(-|h|))`` is the
+    overflow-safe softplus in one branch-free expression: it gives the bits
+    of the two-branch ``np.where`` form while evaluating each ufunc once.
+    """
+    h = x / 2.0
+    s = np.maximum(h, 0.0) + np.log1p(np.exp(-np.abs(h)))
+    return s**2, s * (1.0 / (1.0 + np.exp(-np.clip(h, -500, 500))))
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
-
-
-def _f_np(x: np.ndarray) -> np.ndarray:
-    return _softplus_np(x / 2.0) ** 2
-
-
-def _fp_np(x: np.ndarray) -> np.ndarray:
-    return _softplus_np(x / 2.0) * _sigmoid_np(x / 2.0)
+def _specific_current_np(width: np.ndarray, length: np.ndarray, model: EGTModel) -> np.ndarray:
+    """EKV specific current ``I_s`` (numpy; broadcasts over geometry and card)."""
+    return 2.0 * model.n * model.k * (width / length) * model.phi**2
 
 
 def _softplus_t(x: Tensor) -> Tensor:
@@ -64,34 +66,6 @@ def _softplus_t(x: Tensor) -> Tensor:
 def _f_t(x: Tensor) -> Tensor:
     s = _softplus_t(x * 0.5)
     return s * s
-
-
-def ids_np(
-    vg: np.ndarray, vd: np.ndarray, vs: np.ndarray, width: np.ndarray, length: np.ndarray, model: EGTModel
-) -> np.ndarray:
-    """EKV drain current, numpy version (broadcasts)."""
-    i_s = 2.0 * model.n * model.k * (width / length) * model.phi**2
-    vp = (vg - model.vth) / model.n
-    return i_s * (_f_np((vp - vs) / model.phi) - _f_np((vp - vd) / model.phi))
-
-
-def ids_partials_np(
-    vg: np.ndarray, vd: np.ndarray, vs: np.ndarray, width: np.ndarray, length: np.ndarray, model: EGTModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(ids, dI/dVg, dI/dVd, dI/dVs)`` as numpy arrays."""
-    i_s = 2.0 * model.n * model.k * (width / length) * model.phi**2
-    vp = (vg - model.vth) / model.n
-    xf = (vp - vs) / model.phi
-    xr = (vp - vd) / model.phi
-    ff, fr = _f_np(xf), _f_np(xr)
-    fpf, fpr = _fp_np(xf), _fp_np(xr)
-    ids = i_s * (ff - fr)
-    return (
-        ids,
-        i_s * (fpf - fpr) / (model.n * model.phi),
-        i_s * fpr / model.phi,
-        -i_s * fpf / model.phi,
-    )
 
 
 def ids_t(vg: Tensor, vd: Tensor, vs: Tensor, width: Tensor, length: Tensor, model: EGTModel) -> Tensor:
@@ -111,8 +85,20 @@ def _const(value: float | np.ndarray) -> Tensor:
 # Generic implicit node solve
 # ----------------------------------------------------------------------
 
+#: A residual closure ``g(V) -> (g, ∂g/∂V)`` over the moving node voltage.
+Residual = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+_NEWTON_EVALS = get_registry().counter(
+    "transfer_newton_evals_total", "residual evaluations by transfer-model Newton solves"
+)
+_NEWTON_UNCONVERGED = get_registry().counter(
+    "transfer_newton_unconverged_total",
+    "transfer-model Newton elements still at or above tol when the iteration cap hit",
+)
+
+
 def _newton_solve_np(
-    g_and_gprime: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    g_and_gprime: Residual,
     v0: np.ndarray,
     iterations: int = 60,
     step_limit: float = 0.4,
@@ -132,10 +118,19 @@ def _newton_solve_np(
     activation init screen solve all its q candidates in one broadcast call
     (:meth:`repro.circuits.activations.PrintedActivation._screen_units`)
     with the bits of one solve per candidate.
+
+    The solve is loud, not silent: every call adds its residual evaluations
+    to ``transfer_newton_evals_total``, and when the cap of ``iterations``
+    evaluations is reached with elements whose last residual was still at
+    or above ``tol``, their count goes to
+    ``transfer_newton_unconverged_total``.  Both come from the iterates the
+    solve already computed — no extra residual evaluation, so the returned
+    bits are the same whether anyone reads the counters or not.
     """
     v = v0.copy()
     active = np.ones(np.shape(v), dtype=bool)
-    for _ in range(iterations):
+    evals = 0
+    for evals in range(1, iterations + 1):
         g, gp = g_and_gprime(v)
         active &= np.abs(g) >= tol
         if not active.any():
@@ -143,32 +138,45 @@ def _newton_solve_np(
         step = g / np.where(np.abs(gp) < 1e-30, 1e-30, gp)
         step = np.clip(step, -step_limit, step_limit)
         v = np.where(active, v - step, v)
+    else:
+        _NEWTON_UNCONVERGED.inc(int(np.count_nonzero(active)))
+    _NEWTON_EVALS.inc(evals)
     return v
 
 
 def _implicit_solve(
-    g_np: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    residual: Callable[[], Residual],
     v0: np.ndarray,
     iterations: int,
     inputs: tuple[Tensor, ...],
 ) -> tuple[Tensor, Tensor]:
     """Newton-solve the node equation as replayable constant nodes.
 
+    ``residual`` is a *factory*: called with no arguments, it reads the
+    current ``.data`` of ``inputs`` (and of the model card), computes every
+    term that does not depend on the node voltage ``V`` — specific
+    currents, pinch-off voltages, the fixed terminal's ``f(x)``, ``1/R`` —
+    and returns the closure ``g(V) -> (g, ∂g/∂V)`` that evaluates only the
+    terms that move with ``V``.  The factory runs at the start of every
+    solve and of every ``1/g'`` evaluation, never once at build time: a
+    captured graph overwrites the input buffers in place between replays,
+    and terms hoisted when the graph was built would freeze the capture
+    epoch's values.
+
     Returns ``(v_star, inv_gprime)``: the detached solution and the detached
-    ``1/g'(V*)`` factor.  Both are :func:`constant_of` nodes over ``inputs``
-    — the tensors whose ``.data`` the ``g_np`` closure reads — so a captured
-    graph reruns the Newton iteration against the *current* input and
-    parameter values on every replay instead of freezing the solution from
-    the capture epoch.
+    ``1/g'(V*)`` factor.  Both are :func:`constant_of` nodes over ``inputs``,
+    so a captured graph reruns the Newton iteration against the *current*
+    input and parameter values on every replay instead of freezing the
+    solution from the capture epoch.
     """
 
     def solve(*_: np.ndarray) -> np.ndarray:
-        return _newton_solve_np(g_np, v0, iterations=iterations)
+        return _newton_solve_np(residual(), v0, iterations=iterations)
 
     v_star = constant_of(solve, *inputs)
 
     def inv_gprime(v: np.ndarray, *_: np.ndarray) -> np.ndarray:
-        _, g_prime = g_np(v)
+        _, g_prime = residual()(v)
         safe = np.where(np.abs(g_prime) < 1e-30, 1e-30, g_prime)
         return 1.0 / safe
 
@@ -247,13 +255,22 @@ class TransferModel:
         vin_np = v_in.data
         rs_np, w1_np, l1_np = r_s.data, w_1.data, l_1.data
 
-        def g_np(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            i1, _, _, di_dvs = ids_partials_np(vin_np, np.full_like(v, vdd), v, w1_np, l1_np, model)
-            return i1 - v / rs_np, di_dvs - 1.0 / rs_np
+        def residual() -> Residual:
+            # Drain at VDD, gate at v_in: only the source side moves with V.
+            i_s = _specific_current_np(w1_np, l1_np, model)
+            vp = (vin_np - model.vth) / model.n
+            f_drain, _ = _ekv_np((vp - vdd) / model.phi)
+            neg_i_s, inv_rs = -i_s, 1.0 / rs_np
+
+            def g_np(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                f_src, fp_src = _ekv_np((vp - v) / model.phi)
+                return i_s * (f_src - f_drain) - v / rs_np, neg_i_s * fp_src / model.phi - inv_rs
+
+            return g_np
 
         v0 = np.full(np.broadcast_shapes(vin_np.shape, np.shape(rs_np)), 0.05)
         v_star_t, inv_gp = _implicit_solve(
-            g_np, v0, self.newton_iterations, (v_in, r_s, w_1, l_1)
+            residual, v0, self.newton_iterations, (v_in, r_s, w_1, l_1)
         )
         g_t = ids_t(v_in, _const(vdd), v_star_t, w_1, l_1, model_t) - v_star_t / r_s
         v_out = _implicit_attach(v_star_t, g_t, inv_gp)
@@ -279,22 +296,43 @@ class TransferModel:
         rd_np, rs_np = r_d.data, r_s.data
         w1_np, l1_np, wc_np, lc_np = w_1.data, l_1.data, w_c.data, l_c.data
 
-        def g_np(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            ic, ic_dvg, ic_dvd, _ = ids_partials_np(v, v, np.zeros_like(v), wc_np, lc_np, model)
-            ic_prime = ic_dvg + ic_dvd
-            i_total = v / rs_np + ic
-            i_total_prime = 1.0 / rs_np + ic_prime
-            v_drain = vdd - rd_np * i_total
-            i1, _, i1_dvd, i1_dvs = ids_partials_np(vin_np, v_drain, v, w1_np, l1_np, model)
-            g = i1 - i_total
-            gp = i1_dvd * (-rd_np * i_total_prime) + i1_dvs - i_total_prime
-            return g, gp
+        def residual() -> Residual:
+            # Both transistors move with V; only the partials g and g' use
+            # are computed (clamp: dI/dVg + dI/dVd; M1: dI/dVd and dI/dVs).
+            i_s_c = _specific_current_np(wc_np, lc_np, model)
+            i_s_1 = _specific_current_np(w1_np, l1_np, model)
+            vp_1 = (vin_np - model.vth) / model.n
+            neg_i_s_1, neg_rd = -i_s_1, -rd_np
+            inv_rs, n_phi = 1.0 / rs_np, model.n * model.phi
+
+            def g_np(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                # Clamp: gate and drain at V, source at ground.
+                vp_c = (v - model.vth) / model.n
+                f_src, fp_src = _ekv_np(vp_c / model.phi)
+                f_drn, fp_drn = _ekv_np((vp_c - v) / model.phi)
+                ic = i_s_c * (f_src - f_drn)
+                ic_prime = i_s_c * (fp_src - fp_drn) / n_phi + i_s_c * fp_drn / model.phi
+                i_total = v / rs_np + ic
+                i_total_prime = inv_rs + ic_prime
+                v_drain = vdd - rd_np * i_total
+                # M1: gate at v_in, source at V, drain at V_drain(V).
+                f_src, fp_src = _ekv_np((vp_1 - v) / model.phi)
+                f_drn, fp_drn = _ekv_np((vp_1 - v_drain) / model.phi)
+                g = i_s_1 * (f_src - f_drn) - i_total
+                gp = (
+                    i_s_1 * fp_drn / model.phi * (neg_rd * i_total_prime)
+                    + neg_i_s_1 * fp_src / model.phi
+                    - i_total_prime
+                )
+                return g, gp
+
+            return g_np
 
         v0 = np.full(
             np.broadcast_shapes(vin_np.shape, np.shape(rs_np), np.shape(rd_np)), 0.05
         )
         v_star_t, inv_gp = _implicit_solve(
-            g_np, v0, self.newton_iterations, (v_in, r_d, r_s, w_1, l_1, w_c, l_c)
+            residual, v0, self.newton_iterations, (v_in, r_d, r_s, w_1, l_1, w_c, l_c)
         )
         ic_t = ids_t(v_star_t, v_star_t, _const(0.0), w_c, l_c, model_t)
         i_total_t = v_star_t / r_s + ic_t
@@ -337,20 +375,30 @@ class TransferModel:
         r_np, w_np, l_np = r_load.data, width.data, length.data
         rsh_np = None if r_shunt is None else r_shunt.data
 
-        def g_np(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            i_m, _, di_dvd, _ = ids_partials_np(vg_np, v, np.full_like(v, vss), w_np, l_np, model)
-            g = (vdd - v) / r_np - i_m
-            gp = -1.0 / r_np - di_dvd
-            if rsh_np is not None:
-                g = g - (v - vss) / rsh_np
-                gp = gp - 1.0 / rsh_np
-            return g, gp
+        def residual() -> Residual:
+            # Gate and source are fixed: only the drain side moves with V.
+            i_s = _specific_current_np(w_np, l_np, model)
+            vp = (vg_np - model.vth) / model.n
+            f_src, _ = _ekv_np((vp - vss) / model.phi)
+            neg_inv_r = -1.0 / r_np
+            inv_rsh = None if rsh_np is None else 1.0 / rsh_np
+
+            def g_np(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                f_drn, fp_drn = _ekv_np((vp - v) / model.phi)
+                g = (vdd - v) / r_np - i_s * (f_src - f_drn)
+                gp = neg_inv_r - i_s * fp_drn / model.phi
+                if inv_rsh is not None:
+                    g = g - (v - vss) / rsh_np
+                    gp = gp - inv_rsh
+                return g, gp
+
+            return g_np
 
         v0 = np.full(np.broadcast_shapes(vg_np.shape, np.shape(r_np)), 0.5 * (vdd + vss))
         inputs = (v_gate, r_load, width, length)
         if r_shunt is not None:
             inputs = inputs + (r_shunt,)
-        v_star_t, inv_gp = _implicit_solve(g_np, v0, self.newton_iterations, inputs)
+        v_star_t, inv_gp = _implicit_solve(residual, v0, self.newton_iterations, inputs)
         i_t = ids_t(v_gate, v_star_t, _const(vss), width, length, model_t)
         g_t = (_const(vdd) - v_star_t) / r_load - i_t
         if r_shunt is not None:

@@ -69,6 +69,20 @@ class DyingTask:
         os._exit(3)
 
 
+@dataclass(frozen=True)
+class BlasThreadsTask:
+    """Reads back the BLAS thread count its worker runs with."""
+
+    @property
+    def label(self) -> str:
+        return "blas-threads"
+
+    def run(self) -> int | None:
+        from repro.parallel.engine import blas_threads
+
+        return blas_threads()
+
+
 class TestMapTasks:
     def test_ordered_results_across_workers(self):
         outcomes = map_tasks([SquareTask(i) for i in range(6)], n_jobs=2)
@@ -97,6 +111,15 @@ class TestMapTasks:
         assert len(outcomes) == 3
         assert not outcomes[1].ok
         assert outcomes[1].error is not None
+
+    def test_pool_workers_share_the_cores_between_their_blas(self):
+        from repro.parallel.engine import blas_threads
+
+        if blas_threads() is None:
+            pytest.skip("this BLAS does not export a thread-count getter")
+        outcomes = map_tasks([BlasThreadsTask(), BlasThreadsTask()], n_jobs=2)
+        expected = max(1, (os.cpu_count() or 1) // 2)
+        assert [o.value for o in outcomes] == [expected, expected]
 
     def test_serial_error_isolation(self):
         outcomes = map_tasks([FailingTask(), SquareTask(3)], n_jobs=1)

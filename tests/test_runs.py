@@ -101,6 +101,18 @@ class TestRunContext:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         assert environment_fingerprint()["env"]["OPENBLAS_NUM_THREADS"] == "3"
 
+    def test_fingerprint_records_effective_blas_threads(self):
+        from repro.parallel.engine import blas_threads, set_blas_threads
+
+        before = blas_threads()
+        if before is None:
+            pytest.skip("this BLAS does not export a thread-count getter")
+        try:
+            set_blas_threads(1)
+            assert environment_fingerprint()["blas_threads"] == 1
+        finally:
+            set_blas_threads(before)
+
 
 # ----------------------------------------------------------------------
 class TestShardMerge:
