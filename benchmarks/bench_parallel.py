@@ -7,10 +7,12 @@
    overhead and the honest measured speedup is ~1×; on a 4-core host the
    same command line approaches 4×.
 2. **Vectorized power path** — a 40-epoch iris training run with
-   ``--profile`` (the exact command of ``BENCH_observability.json``),
-   comparing ``surrogate.predict_tensor`` span call counts and wall time
-   against that recorded PR-1 baseline: the batched path issues 2 stacked
-   surrogate evaluations per forward instead of 4 per-layer ones.
+   ``--profile --no-capture`` (the command of ``BENCH_observability.json``,
+   run eagerly, as that recorded baseline was: captured replays open no
+   ``surrogate.predict_tensor`` spans), comparing span call counts and wall
+   time against the baseline: the batched path issues 3 surrogate
+   evaluations per forward (stacked P^AF, the input layer's P^N, the deeper
+   layers' P^N stacked) instead of 4 per-layer ones.
 
 Run from the repo root:
 
@@ -93,7 +95,7 @@ def _train_spans(log_path: Path) -> list[dict]:
 
     cmd = [
         sys.executable, "-m", "repro.cli", "train", "iris",
-        "--epochs", str(TRAIN_EPOCHS), "--log-json", str(log_path), "--profile",
+        "--epochs", str(TRAIN_EPOCHS), "--log-json", str(log_path), "--profile", "--no-capture",
     ]
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     # exit code 1 means the run finished but infeasible — fine for profiling
@@ -127,7 +129,7 @@ def bench_vectorized() -> dict:
         baseline = _surrogate_totals(baseline_spans)
 
     result = {
-        "command": f"python -m repro.cli train iris --epochs {TRAIN_EPOCHS} --profile",
+        "command": f"python -m repro.cli train iris --epochs {TRAIN_EPOCHS} --profile --no-capture",
         "vectorized": now,
     }
     if baseline:

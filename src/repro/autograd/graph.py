@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import weakref
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -104,6 +105,10 @@ class CapturedGraph:
     epoch_key:
         Opaque structural key (see ``Objective.graph_epoch_key``); replay is
         valid only for epochs with an equal key.
+    inputs:
+        Declared input leaves: kernels that descend from one never fold,
+        whatever its ``requires_grad`` (a caller replaying unchanged input
+        buffers to time them still times every kernel).
     """
 
     def __init__(
@@ -111,6 +116,7 @@ class CapturedGraph:
         outputs: Sequence[Tensor],
         backward_root: Tensor | None = None,
         epoch_key: object = None,
+        inputs: Sequence[Tensor] = (),
     ):
         self.outputs = tuple(outputs)
         self.epoch_key = epoch_key
@@ -125,7 +131,10 @@ class CapturedGraph:
         self.n_view_nodes = 0
         self._leaf_shapes: list[tuple[Tensor, tuple[int, ...]]] = []
         self._stamp: bytes | None = None
-        self._build()
+        #: Per schedule index: whether the kernel is constant.
+        self._constant: list[bool] = []
+        self._build({id(leaf) for leaf in inputs})
+        self._fold(stamp=True)
 
     # ------------------------------------------------------------------
     @property
@@ -133,14 +142,25 @@ class CapturedGraph:
         """Recomputed kernels per forward replay (views/aliases excluded)."""
         return len(self._schedule)
 
-    def _build(self) -> None:
+    @property
+    def n_constant(self) -> int:
+        """Kernels folded out of a replay while their leaves keep their bytes."""
+        return self.n_ops - len(self._moving)
+
+    def _build(self, declared: set[int]) -> None:
         order = _forward_order(self.outputs)
+        # Nodes every leaf ancestor of which is a non-grad, undeclared leaf.
+        constant: set[int] = set()
         for node in order:
             preds = node._parents + node._deps
             if not preds:
                 self.n_leaves += 1
                 self._leaf_shapes.append((node, node.data.shape))
+                if not node.requires_grad and id(node) not in declared:
+                    constant.add(id(node))
                 continue
+            if all(id(p) in constant for p in preds):
+                constant.add(id(node))
             fwd = node._fwd
             if fwd is None:
                 raise GraphCaptureError(
@@ -161,6 +181,30 @@ class CapturedGraph:
                     mode = _MODE_COPY
             self._schedule.append((mode, fwd, preds, node.data))
             self._kernel_names.append(kernel_name(fwd))
+            self._constant.append(id(node) in constant)
+
+    def _fold(self, stamp: bool) -> None:
+        """Collect the leaves this graph's constant kernels descend from.
+
+        ``stamp`` says the constant buffers hold the values of those leaves'
+        present bytes — true at capture, where the eager run just computed
+        them; otherwise the first replay re-runs them.
+        """
+        srcs = [
+            src for (_mode, _fwd, entry_srcs, _out), const in zip(self._schedule, self._constant)
+            if const for src in entry_srcs
+        ]
+        # Every ancestor of a constant kernel is constant: this walks only them.
+        self._const_leaves = [
+            node for node in _forward_order(srcs) if not (node._parents or node._deps)
+        ]
+        self._moving = (
+            [entry for entry, const in zip(self._schedule, self._constant) if not const]
+            if srcs else self._schedule
+        )
+        self._const_stamp = self._const_bytes() if stamp else None
+        self.const_reruns = 0
+        self._linked: list[weakref.ref[CapturedGraph]] = []
 
     def split(self, head_outputs: Sequence[Tensor]) -> tuple["CapturedGraph", "CapturedGraph"]:
         """Partition the forward schedule into ``(head, tail)``.
@@ -179,18 +223,30 @@ class CapturedGraph:
         head_ids = {id(leaf) for leaf in head_leaves}
         entries: tuple[list, list] = ([], [])
         names: tuple[list[str], list[str]] = ([], [])
-        for entry, name in zip(self._schedule, self._kernel_names):
+        flags: tuple[list[bool], list[bool]] = ([], [])
+        for entry, name, const in zip(self._schedule, self._kernel_names, self._constant):
             side = 0 if id(entry[3]) in head_buffers else 1
             entries[side].append(entry)
             names[side].append(name)
+            flags[side].append(const)
         tail_outputs = [t for t in self.outputs if id(t.data) not in head_buffers]
         tail_leaves = [leaf for leaf, _ in self._leaf_shapes if id(leaf) not in head_ids]
-        return (
-            self._part(head_outputs, entries[0], names[0], head_leaves),
-            self._part(tail_outputs, entries[1], names[1], tail_leaves),
+        # The parts inherit this graph's constant buffers only while they
+        # still match its stamp.
+        current = self._stale_constants() is None
+        parts = (
+            self._part(head_outputs, entries[0], names[0], head_leaves, flags[0], current),
+            self._part(tail_outputs, entries[1], names[1], tail_leaves, flags[1], current),
         )
+        # One writer re-running constants makes the other's stamp stale.
+        # Weak links: a cycle would keep every captured buffer alive until
+        # the cyclic garbage collector runs.
+        self._linked = [weakref.ref(part) for part in parts]
+        for part in parts:
+            part._linked = [weakref.ref(self)]
+        return parts
 
-    def _part(self, outputs, schedule, names, leaves) -> "CapturedGraph":
+    def _part(self, outputs, schedule, names, leaves, constant, current) -> "CapturedGraph":
         # Built without __init__: a part is a view of this capture, not a new one.
         part = object.__new__(CapturedGraph)
         part.outputs = tuple(outputs)
@@ -204,6 +260,8 @@ class CapturedGraph:
         part.n_view_nodes = 0
         part._leaf_shapes = [(leaf, leaf.data.shape) for leaf in leaves]
         part._stamp = None
+        part._constant = constant
+        part._fold(stamp=current)
         return part
 
     def stamp_leaves(self) -> None:
@@ -221,6 +279,24 @@ class CapturedGraph:
 
     def _leaf_bytes(self) -> bytes:
         return b"".join([leaf.data.tobytes() for leaf, _shape in self._leaf_shapes])
+
+    def _const_bytes(self) -> bytes:
+        return b"".join([leaf.data.tobytes() for leaf in self._const_leaves])
+
+    def _stale_constants(self) -> bytes | None:
+        """The new stamp when the constant kernels must re-run, else None."""
+        if not self._const_leaves:
+            return None
+        stamp = self._const_bytes()
+        return None if stamp == self._const_stamp else stamp
+
+    def _refolded(self, stamp: bytes) -> None:
+        self._const_stamp = stamp
+        self.const_reruns += 1
+        for ref in self._linked:
+            other = ref()
+            if other is not None:
+                other._const_stamp = None
 
     # ------------------------------------------------------------------
     def is_valid(self, epoch_key: object = None) -> bool:
@@ -259,28 +335,39 @@ class CapturedGraph:
         inter-reading interval is accumulated into ``timings[i]`` — the
         kernel's self time plus its share of loop overhead, so the totals
         account for essentially all of the replay wall time.  The kernel
-        execution itself is byte-identical to the untimed path.
+        execution itself is byte-identical to the untimed path.  Constant
+        kernels run only when their leaves' bytes left the stamp; a skipped
+        one's slot still takes its (near-zero) interval, and the stamp
+        check's time lands in the first slot.
         """
         if timings is None:
-            for mode, fwd, srcs, out in self._schedule:
+            stamp = self._stale_constants()
+            for mode, fwd, srcs, out in self._moving if stamp is None else self._schedule:
                 if mode == _MODE_UFUNC:
                     fwd(*[s.data for s in srcs], out=out)
                 else:
                     result = fwd(*[s.data for s in srcs])
                     if result is not out:
                         np.copyto(out, result, casting="unsafe")
+            if stamp is not None:
+                self._refolded(stamp)
             return
         t_prev = perf_counter()
-        for i, (mode, fwd, srcs, out) in enumerate(self._schedule):
-            if mode == _MODE_UFUNC:
-                fwd(*[s.data for s in srcs], out=out)
-            else:
-                result = fwd(*[s.data for s in srcs])
-                if result is not out:
-                    np.copyto(out, result, casting="unsafe")
+        stamp = self._stale_constants()
+        fold = stamp is None
+        for i, ((mode, fwd, srcs, out), const) in enumerate(zip(self._schedule, self._constant)):
+            if not (fold and const):
+                if mode == _MODE_UFUNC:
+                    fwd(*[s.data for s in srcs], out=out)
+                else:
+                    result = fwd(*[s.data for s in srcs])
+                    if result is not out:
+                        np.copyto(out, result, casting="unsafe")
             t_now = perf_counter()
             timings[i] += t_now - t_prev
             t_prev = t_now
+        if stamp is not None:
+            self._refolded(stamp)
 
     def replay_backward(self, timings: list[float] | None = None) -> None:
         """Re-run the captured backward pass along the cached topo order.
@@ -322,14 +409,16 @@ def capture_forward(fn: Callable[..., "Tensor | Sequence[Tensor]"], *leaves: Ten
     bookkeeping — and wraps the outputs in a :class:`CapturedGraph`.  Later
     calls overwrite the leaves' arrays in place (``np.copyto``) and invoke
     :meth:`CapturedGraph.replay_forward`; the output buffers then hold the
-    fresh values.  A bare capture with no recapture or fallback around it;
-    long-lived programs use :class:`Program`.
+    fresh values.  ``leaves`` are the graph's declared inputs: every kernel
+    that reads them replays, even over unchanged buffers.  A bare capture
+    with no recapture or fallback around it; long-lived programs use
+    :class:`Program`.
     """
     with no_grad(), graph_capture():
         outputs = fn(*leaves)
     if isinstance(outputs, Tensor):
         outputs = (outputs,)
-    return CapturedGraph(tuple(outputs))
+    return CapturedGraph(tuple(outputs), inputs=leaves)
 
 
 class Program:

@@ -365,11 +365,21 @@ class Tensor:
     def __rsub__(self, other) -> "Tensor":
         return Tensor(other) - self
 
+    # The binary ops below compute an operand's gradient only when that
+    # operand requires one (``_push_parent_grads`` would drop it anyway): a
+    # product with frozen surrogate weights pays for one side only.
     def __mul__(self, other) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data * other_t.data
         a, b = self.data, other_t.data
-        return Tensor._make(data, (self, other_t), lambda g: (g * b, g * a), fwd=np.multiply)
+
+        def backward(g: np.ndarray):
+            return (
+                g * b if self.requires_grad else None,
+                g * a if other_t.requires_grad else None,
+            )
+
+        return Tensor._make(data, (self, other_t), backward, fwd=np.multiply)
 
     __rmul__ = __mul__
 
@@ -377,9 +387,14 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self.data, other_t.data
         data = a / b
-        return Tensor._make(
-            data, (self, other_t), lambda g: (g / b, -g * a / (b * b)), fwd=np.true_divide
-        )
+
+        def backward(g: np.ndarray):
+            return (
+                g / b if self.requires_grad else None,
+                -g * a / (b * b) if other_t.requires_grad else None,
+            )
+
+        return Tensor._make(data, (self, other_t), backward, fwd=np.true_divide)
 
     def __rtruediv__(self, other) -> "Tensor":
         return Tensor(other) / self
@@ -402,16 +417,17 @@ class Tensor:
         data = a @ b
 
         def backward(g: np.ndarray):
+            need_a, need_b = self.requires_grad, other_t.requires_grad
             if a.ndim == 1 and b.ndim == 1:
-                return (g * b, g * a)
+                return (g * b if need_a else None, g * a if need_b else None)
             if a.ndim == 1:
                 # (k,) @ (k, n) -> (n,)
-                return (g @ b.T, np.outer(a, g))
+                return (g @ b.T if need_a else None, np.outer(a, g) if need_b else None)
             if b.ndim == 1:
                 # (m, k) @ (k,) -> (m,)
-                return (np.outer(g, b), a.T @ g)
-            ga = g @ np.swapaxes(b, -1, -2)
-            gb = np.swapaxes(a, -1, -2) @ g
+                return (np.outer(g, b) if need_a else None, a.T @ g if need_b else None)
+            ga = g @ np.swapaxes(b, -1, -2) if need_a else None
+            gb = np.swapaxes(a, -1, -2) @ g if need_b else None
             return (ga, gb)
 
         return Tensor._make(data, (self, other_t), backward, fwd=np.matmul)

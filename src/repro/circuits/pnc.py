@@ -327,8 +327,9 @@ class PrintedNeuralNetwork(Module):
 
         # Pass 2 — power assembly.  Crossbar power and activity coefficients
         # stay per layer; the surrogate MLP evaluations are stacked across
-        # layers into one call per surrogate (P^AF, P^N) instead of two calls
-        # per layer — row-wise identical numbers, a fraction of the op count.
+        # layers (P^AF in one call, P^N in two: the input layer's, then the
+        # rest) instead of two calls per layer — row-wise identical numbers,
+        # a fraction of the op count.
         row_activities: list[Tensor] = []
         col_activities: list[Tensor] = []
         for layer_in, v_z, (crossbar, activation, theta, _unit, _transfer) in per_layer:
@@ -375,7 +376,7 @@ class PrintedNeuralNetwork(Module):
         col_activities: list[Tensor],
         lead: tuple[int, ...],
     ) -> tuple[Tensor, Tensor]:
-        """Batched P^AF and P^N assembly over all layers (two MLP evals).
+        """Batched P^AF and P^N assembly over all layers (three MLP evals).
 
         Stacking is purely an op-count optimization: the surrogate MLPs act
         row-wise, so the per-layer slices of the stacked output are
@@ -384,14 +385,19 @@ class PrintedNeuralNetwork(Module):
         """
         limit = self.config.power_batch_limit
 
-        # P^N — every layer shares the nominal negation design.
+        # P^N — every layer shares the nominal negation design.  The input
+        # layer's group reads only ``x``, the fixed negation q and the frozen
+        # surrogate, so it gets a call of its own: a captured program folds
+        # it as a constant.  The deeper layers' groups stay stacked.
         neg_groups: list[tuple[list[Tensor], Tensor]] = []
         neg_shapes: list[tuple[int, int]] = []
         for layer_in, _v_z, (crossbar, *_rest) in per_layer:
             q, flat, batch, rows = self._negation_inputs(layer_in, crossbar, lead)
             neg_groups.append((q, flat))
             neg_shapes.append((batch, rows))
-        neg_outputs = self.neg_surrogate.predict_tensor_batched(neg_groups)
+        neg_outputs = [self.neg_surrogate.predict_tensor(*neg_groups[0])]
+        if len(neg_groups) > 1:
+            neg_outputs += self.neg_surrogate.predict_tensor_batched(neg_groups[1:])
         negation_power = Tensor(0.0)
         for (batch, rows), output, row_activity in zip(neg_shapes, neg_outputs, row_activities):
             per_row = output.reshape(*lead, batch, rows).mean(axis=-2)

@@ -27,7 +27,7 @@ across the layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -103,8 +103,14 @@ def _newton_solve_np(
     iterations: int = 60,
     step_limit: float = 0.4,
     tol: float = 1e-12,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Vectorized damped Newton on the scalar node equation.
+
+    Returns ``(V*, g'(V*))``.  When the loop stops because every element
+    converged, its last evaluation was taken at the returned ``V*``
+    (frozen elements never move), so that evaluation's ``g'`` is returned
+    with it; after the iteration cap the last evaluation preceded the last
+    step, and the second item is None.
 
     Convergence is tracked **per element**: an element freezes the moment
     its own residual drops below ``tol`` and never moves again.  A
@@ -140,8 +146,9 @@ def _newton_solve_np(
         v = np.where(active, v - step, v)
     else:
         _NEWTON_UNCONVERGED.inc(int(np.count_nonzero(active)))
+        gp = None
     _NEWTON_EVALS.inc(evals)
-    return v
+    return v, gp
 
 
 def _implicit_solve(
@@ -158,25 +165,33 @@ def _implicit_solve(
     currents, pinch-off voltages, the fixed terminal's ``f(x)``, ``1/R`` —
     and returns the closure ``g(V) -> (g, ∂g/∂V)`` that evaluates only the
     terms that move with ``V``.  The factory runs at the start of every
-    solve and of every ``1/g'`` evaluation, never once at build time: a
-    captured graph overwrites the input buffers in place between replays,
-    and terms hoisted when the graph was built would freeze the capture
-    epoch's values.
+    solve, never once at build time: a captured graph overwrites the input
+    buffers in place between replays, and terms hoisted when the graph was
+    built would freeze the capture epoch's values.  ``inputs`` must hold
+    every tensor whose buffer the factory reads — a captured graph skips a
+    kernel whose recorded inputs kept their bytes.
 
     Returns ``(v_star, inv_gprime)``: the detached solution and the detached
     ``1/g'(V*)`` factor.  Both are :func:`constant_of` nodes over ``inputs``,
     so a captured graph reruns the Newton iteration against the *current*
     input and parameter values on every replay instead of freezing the
-    solution from the capture epoch.
+    solution from the capture epoch.  The ``1/g'`` node takes the ``g'``
+    of the solve's converged last evaluation, which runs right before it
+    (same inputs: a replay runs both or neither), and evaluates the
+    residual at ``V*`` itself only after the iteration cap.
     """
+    last_gprime: list[np.ndarray | None] = [None]
 
     def solve(*_: np.ndarray) -> np.ndarray:
-        return _newton_solve_np(residual(), v0, iterations=iterations)
+        v, last_gprime[0] = _newton_solve_np(residual(), v0, iterations=iterations)
+        return v
 
     v_star = constant_of(solve, *inputs)
 
     def inv_gprime(v: np.ndarray, *_: np.ndarray) -> np.ndarray:
-        _, g_prime = residual()(v)
+        g_prime, last_gprime[0] = last_gprime[0], None
+        if g_prime is None:
+            _, g_prime = residual()(v)
         safe = np.where(np.abs(g_prime) < 1e-30, 1e-30, g_prime)
         return 1.0 / safe
 
@@ -229,6 +244,18 @@ class TransferModel:
         """The model card used in autograd (``ids_t``) expressions."""
         return self.model if self.tensor_card is None else self.tensor_card
 
+    def _solve_inputs(self, *tensors: Tensor) -> tuple[Tensor, ...]:
+        """A solve's recorded inputs: ``tensors`` plus the tensor card's leaves.
+
+        The Newton closures read the numpy card, whose arrays a tensor card
+        wraps and the Monte-Carlo engine rewrites in place between replays.
+        """
+        card = self.tensor_card
+        if card is None:
+            return tensors
+        values = [getattr(card, f.name) for f in fields(card)]
+        return tensors + tuple(v for v in values if isinstance(v, Tensor))
+
     # ------------------------------------------------------------------
     def output(self, v_in: Tensor, q: list[Tensor]) -> Tensor:
         return self.output_and_power(v_in, q)[0]
@@ -270,7 +297,7 @@ class TransferModel:
 
         v0 = np.full(np.broadcast_shapes(vin_np.shape, np.shape(rs_np)), 0.05)
         v_star_t, inv_gp = _implicit_solve(
-            residual, v0, self.newton_iterations, (v_in, r_s, w_1, l_1)
+            residual, v0, self.newton_iterations, self._solve_inputs(v_in, r_s, w_1, l_1)
         )
         g_t = ids_t(v_in, _const(vdd), v_star_t, w_1, l_1, model_t) - v_star_t / r_s
         v_out = _implicit_attach(v_star_t, g_t, inv_gp)
@@ -332,7 +359,8 @@ class TransferModel:
             np.broadcast_shapes(vin_np.shape, np.shape(rs_np), np.shape(rd_np)), 0.05
         )
         v_star_t, inv_gp = _implicit_solve(
-            residual, v0, self.newton_iterations, (v_in, r_d, r_s, w_1, l_1, w_c, l_c)
+            residual, v0, self.newton_iterations,
+            self._solve_inputs(v_in, r_d, r_s, w_1, l_1, w_c, l_c),
         )
         ic_t = ids_t(v_star_t, v_star_t, _const(0.0), w_c, l_c, model_t)
         i_total_t = v_star_t / r_s + ic_t
@@ -395,10 +423,10 @@ class TransferModel:
             return g_np
 
         v0 = np.full(np.broadcast_shapes(vg_np.shape, np.shape(r_np)), 0.5 * (vdd + vss))
-        inputs = (v_gate, r_load, width, length)
-        if r_shunt is not None:
-            inputs = inputs + (r_shunt,)
-        v_star_t, inv_gp = _implicit_solve(residual, v0, self.newton_iterations, inputs)
+        tensors = (v_gate, r_load, width, length) + (() if r_shunt is None else (r_shunt,))
+        v_star_t, inv_gp = _implicit_solve(
+            residual, v0, self.newton_iterations, self._solve_inputs(*tensors)
+        )
         i_t = ids_t(v_gate, v_star_t, _const(vss), width, length, model_t)
         g_t = (_const(vdd) - v_star_t) / r_load - i_t
         if r_shunt is not None:

@@ -9,7 +9,8 @@ MLP; ``paper_depth=True`` requests the paper's 15-layer configuration.
 
 Surrogates are differentiable end-to-end through :mod:`repro.autograd`, so
 the constrained training loop backpropagates power gradients into the
-learnable circuit parameters q.  Fitted surrogates are cached on disk
+learnable circuit parameters q.  A fitted or loaded surrogate is frozen: its
+weights carry no gradient.  Fitted surrogates are cached on disk
 (keyed by activation kind + sample budget) so repeated experiment runs skip
 refitting.
 """
@@ -305,7 +306,21 @@ def load_surrogate(path: Path, space: DesignSpace, label: str = "") -> Surrogate
         if "meta::report" in payload.files:
             r = payload["meta::report"]
             report = FitReport(float(r[0]), float(r[1]), float(r[2]), int(r[3]), int(r[4]))
+    _freeze(network)
     return SurrogatePowerModel(network, normalization, space, report, label)
+
+
+def _freeze(network: nn.Sequential) -> None:
+    """Mark a fitted network's parameters gradient-free.
+
+    Training reads a surrogate, never fits it (paper §III-A): its weights are
+    then non-grad leaves, so no backward computes or accumulates their
+    gradient and a captured program folds every kernel that reads only them
+    and fixed inputs (:class:`repro.autograd.graph.CapturedGraph`).
+    """
+    for param in network.parameters():
+        param.requires_grad = False
+        param.grad = None
 
 
 def fit_surrogate(
@@ -358,6 +373,7 @@ def fit_surrogate(
             loss = F.mse_loss(prediction, y_train[idx])
             loss.backward()
             optimizer.step()
+    _freeze(network)
 
     with no_grad():
         pred_train = network(Tensor(x_train)).data

@@ -624,21 +624,57 @@ class TestVectorizedPowerPath:
             af_surrogates[ActivationKind.TANH], neg_surrogate,
         )
 
-    def test_forward_with_power_call_counts(self, net, rng):
-        """One forward = 1 forward_call, 2 surrogate evals (stacked P^AF +
-        stacked P^N), and exactly n_layers effective-θ materializations."""
+    def test_forward_with_power_call_counts(self, af_surrogates, neg_surrogate, rng):
+        """At any depth >= 2, one forward = 1 forward_call, 3 surrogate evals
+        (stacked P^AF, the input layer's P^N alone, the deeper layers' P^N
+        stacked) and exactly n_layers effective-θ materializations; a
+        captured forward folds the input layer's P^N as a constant."""
+        from repro.autograd.graph import CapturedGraph
+        from repro.autograd.tensor import graph_capture
+
         registry = get_registry()
         surrogate_evals = registry.counter("surrogate_evals", "")
         theta_computes = registry.counter("effective_theta_computes", "")
         forward_calls = registry.counter("forward_calls", "")
         x = Tensor(rng.random((20, 4)))
 
-        with no_grad():
-            s0, t0, f0 = surrogate_evals.value, theta_computes.value, forward_calls.value
-            net.forward_with_power(x)
-            assert forward_calls.value - f0 == 1
-            assert surrogate_evals.value - s0 == 2
-            assert theta_computes.value - t0 == net.n_layers
+        for hidden in ((3,), (3, 3)):
+            net = PrintedNeuralNetwork(
+                4, 3, PNCConfig(kind=ActivationKind.TANH, hidden=hidden),
+                np.random.default_rng(0), af_surrogates[ActivationKind.TANH], neg_surrogate,
+            )
+            with no_grad():
+                s0, t0, f0 = surrogate_evals.value, theta_computes.value, forward_calls.value
+                net.forward_with_power(x)
+                assert forward_calls.value - f0 == 1
+                assert surrogate_evals.value - s0 == 3
+                assert theta_computes.value - t0 == net.n_layers
+
+            # The input layer's P^N reads only x, the fixed negation q and the
+            # frozen surrogate: every kernel of its call folds (its output is
+            # the first predict_tensor result), while the power it feeds moves.
+            first: list[Tensor] = []
+            surrogate = net.neg_surrogate
+            predict = surrogate.predict_tensor
+
+            def recording_predict(*args):
+                out = predict(*args)
+                first.append(out)
+                return out
+
+            surrogate.predict_tensor = recording_predict
+            try:
+                with no_grad(), graph_capture():
+                    logits, breakdown = net.forward_with_power(x)
+            finally:
+                del surrogate.predict_tensor
+            graph = CapturedGraph((logits, breakdown.total))
+            constant = {
+                id(out): const for (_m, _f, _s, out), const in zip(graph._schedule, graph._constant)
+            }
+            assert constant[id(first[0].data)]
+            assert not constant[id(breakdown.negation.data)]
+            assert 0 < graph.n_constant < graph.n_ops
 
     def test_device_count_materializes_theta_once_per_crossbar(self, net):
         theta_computes = get_registry().counter("effective_theta_computes", "")
