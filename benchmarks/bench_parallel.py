@@ -7,12 +7,12 @@
    overhead and the honest measured speedup is ~1×; on a 4-core host the
    same command line approaches 4×.
 2. **Vectorized power path** — a 40-epoch iris training run with
-   ``--profile --no-capture`` (the command of ``BENCH_observability.json``,
-   run eagerly, as that recorded baseline was: captured replays open no
-   ``surrogate.predict_tensor`` spans), comparing span call counts and wall
-   time against the baseline: the batched path issues 3 surrogate
-   evaluations per forward (stacked P^AF, the input layer's P^N, the deeper
-   layers' P^N stacked) instead of 4 per-layer ones.
+   ``--profile --no-capture`` (eager: captured replays open no
+   ``surrogate.predict_tensor`` spans) counts the surrogate evaluations per
+   forward: 3 (stacked P^AF, the input layer's P^N, the deeper layers' P^N
+   stacked) instead of 4 per-layer ones.  Its baseline is timed in the same
+   process: the per-layer calls against the batched grouping, forward and
+   backward, on one iris forward's power inputs.
 
 Run from the repo root:
 
@@ -33,6 +33,8 @@ REPO = Path(__file__).resolve().parent.parent
 GRID_DATASETS = ["iris", "seeds", "vertebral_2c", "acute_inflammation"]
 GRID_JOBS = 4
 TRAIN_EPOCHS = 40
+#: alternating per-layer / batched repetitions timed by bench_vectorized
+VECTORIZED_REPS = 200
 
 
 def _grid_config():
@@ -117,37 +119,102 @@ def _surrogate_totals(spans: list[dict]) -> dict:
             "forward_with_power_calls": forwards}
 
 
+def _power_groups(af, neg) -> tuple[list, list]:
+    """Per-layer ``(q_columns, v)`` surrogate inputs of one eager iris
+    forward, built as the pNC's power assembly builds them; every column is
+    a fresh grad leaf so a timed backward reaches it."""
+    import numpy as np
+
+    from repro.autograd.tensor import Tensor, no_grad
+    from repro.circuits import PNCConfig, PrintedNeuralNetwork
+    from repro.datasets import load_dataset, train_val_test_split
+    from repro.pdk.params import ActivationKind
+
+    data = load_dataset("iris")
+    split = train_val_test_split(data, seed=0)
+    net = PrintedNeuralNetwork(
+        data.n_features, data.n_classes,
+        PNCConfig(kind=ActivationKind.TANH), np.random.default_rng(0), af, neg,
+    )
+    limit = net.config.power_batch_limit
+
+    def leaf(t):
+        return Tensor(t.data.copy(), requires_grad=True)
+
+    af_groups, neg_groups = [], []
+    signal = Tensor(split.x_train)
+    with no_grad():
+        for crossbar, activation in zip(net.crossbars(), net.activations()):
+            v_z = crossbar.forward(signal)
+            q, flat, _batch, _rows = net._negation_inputs(signal, crossbar)
+            neg_groups.append(([leaf(c) for c in q], leaf(flat)))
+            q, flat, _batch, _n = activation.power_inputs(v_z, batch_limit=limit)
+            af_groups.append(([leaf(c) for c in q], leaf(flat)))
+            signal = activation(v_z)
+    return af_groups, neg_groups
+
+
 def bench_vectorized() -> dict:
+    import numpy as np
+
+    from repro.pdk.params import ActivationKind
+    from repro.power.surrogate import get_cached_surrogate
+
     with tempfile.TemporaryDirectory() as tmp:
         spans = _train_spans(Path(tmp) / "run.jsonl")
     now = _surrogate_totals(spans)
 
-    baseline_path = REPO / "BENCH_observability.json"
-    baseline = None
-    if baseline_path.exists():
-        baseline_spans = json.loads(baseline_path.read_text())["spans"]
-        baseline = _surrogate_totals(baseline_spans)
+    # The CLI's surrogates (cache hits after the training run above).
+    af = get_cached_surrogate(ActivationKind.TANH, n_q=800, epochs=60)
+    neg = get_cached_surrogate("negation", n_q=500, epochs=60)
+    af_groups, neg_groups = _power_groups(af, neg)
+
+    def per_layer():
+        total = 0.0
+        for af_group, neg_group in zip(af_groups, neg_groups):
+            total = total + af.predict_tensor(*af_group).sum() + neg.predict_tensor(*neg_group).sum()
+        total.backward()
+
+    def batched():
+        outputs = [neg.predict_tensor(*neg_groups[0])]
+        outputs += neg.predict_tensor_batched(neg_groups[1:])
+        outputs += af.predict_tensor_batched(af_groups)
+        total = 0.0
+        for output in outputs:
+            total = total + output.sum()
+        total.backward()
+
+    # Alternate the two so a slow host episode lands on both.
+    times: dict = {per_layer: [], batched: []}
+    for fn in times:
+        fn()  # warm
+    for _ in range(VECTORIZED_REPS):
+        for fn, samples in times.items():
+            t0 = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - t0)
+    per_layer_ms = float(np.median(times[per_layer])) * 1e3
+    batched_ms = float(np.median(times[batched])) * 1e3
 
     result = {
         "command": f"python -m repro.cli train iris --epochs {TRAIN_EPOCHS} --profile --no-capture",
         "vectorized": now,
+        "same_process": {
+            "inputs": (f"one iris forward's P^AF and P^N inputs ({len(af_groups)} layers), "
+                       f"fwd+bwd, median of {VECTORIZED_REPS} alternating reps"),
+            "per_layer_calls_ms": per_layer_ms,
+            "batched_calls_ms": batched_ms,
+            "batched_over_per_layer": batched_ms / per_layer_ms,
+        },
     }
-    if baseline:
-        result["baseline_pr1"] = baseline
-        if now["forward_with_power_calls"]:
-            result["calls_per_forward"] = now["predict_tensor_calls"] / now["forward_with_power_calls"]
-        if baseline["predict_tensor_total_s"]:
-            result["span_time_ratio"] = (
-                now["predict_tensor_total_s"] / baseline["predict_tensor_total_s"]
-            )
+    if now["forward_with_power_calls"]:
+        result["calls_per_forward"] = now["predict_tensor_calls"] / now["forward_with_power_calls"]
     return result
 
 
 def bench_batched_micro() -> dict:
     """Controlled same-process timing: 2 per-layer surrogate calls vs one
-    batched call on identical inputs (the cross-session span comparison in
-    :func:`bench_vectorized` is subject to machine-load noise; this is not).
-    """
+    batched call on identical synthetic inputs."""
     import numpy as np
 
     from repro.autograd.tensor import Tensor

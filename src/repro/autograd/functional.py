@@ -8,9 +8,11 @@ device-count terms of the power model.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.autograd.tensor import Tensor, constant_of
+from repro.autograd.tensor import Tensor, constant_of, is_grad_enabled
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -213,3 +215,88 @@ def row_max(x: Tensor) -> Tensor:
     length-``N`` vector.
     """
     return x.max(axis=0)
+
+
+# ----------------------------------------------------------------------
+# Frozen networks
+# ----------------------------------------------------------------------
+
+def frozen_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+    """A tanh MLP whose parameters are all frozen, as one graph node.
+
+    Computes ``h = tanh(h @ W + b)`` per layer, with no tanh after the last,
+    over ``(..., n, d)`` inputs: the value of ``nn.mlp(...,
+    activation=nn.TanhLayer)`` bit for bit.  Each instance slice of the
+    leading axes runs the whole layer chain in turn, in place, in buffers
+    the node owns, so one slice's activations stay in cache; the last layer
+    writes straight into the node's output array, so a captured replay
+    copies nothing.  Every slice's hidden activations are kept only when
+    the node has a backward.  Every matmul is one GEMM per slice with M
+    equal to the slice's row count, the calls numpy's stacked matmul makes
+    (BLAS bits may depend on M).
+
+    The backward computes only the input gradient, slice by slice, with the
+    operand order of ``Tensor.tanh`` (``g·(1−h·h)``) and ``Tensor.__matmul__``
+    (``g @ Wᵀ``).  Weights and biases are the node's non-grad parents, so
+    constant folding covers them; a parameter that requires a gradient is
+    refused.
+    """
+    if len(weights) != len(biases) or not weights:
+        raise ValueError("frozen_mlp needs one bias per weight and at least one layer")
+    params = [p for pair in zip(weights, biases) for p in pair]
+    if any(p.requires_grad for p in params):
+        raise ValueError("frozen_mlp parameters must not require gradients")
+    if x.ndim < 2:
+        raise ValueError("frozen_mlp expects (..., n, d) inputs")
+    lead, n = x.shape[:-2], x.shape[-2]
+    widths = [w.shape[1] for w in weights]
+    # Without a backward, one slice's worth per layer serves every slice.
+    keep = is_grad_enabled() and x.requires_grad
+    slices = int(np.prod(lead, dtype=np.int64))
+    hidden = [np.empty((slices if keep else 1, n, width)) for width in widths[:-1]]
+    output = np.empty((*lead, n, widths[-1]))
+    slabs = [*hidden, output.reshape(-1, n, widths[-1])]
+
+    def fwd(a: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
+        source = a.reshape(-1, n, a.shape[-1])
+        layers = list(zip(arrays[0::2], arrays[1::2], slabs))
+        for i in range(source.shape[0]):
+            h = source[i]
+            for depth, (w, b, slab) in enumerate(layers):
+                out = slab[i % len(slab)]
+                np.matmul(h, w, out=out)
+                np.add(out, b, out=out)
+                if depth < len(layers) - 1:
+                    np.tanh(out, out=out)
+                h = out
+        return output
+
+    mats = [w.data for w in weights]
+    # Slice-sized scratch, made on the first backward and reused across
+    # layers, slices and replays: two gradient buffers in turn and the tanh
+    # factor, small enough to stay in cache.
+    scratch: list[np.ndarray] = []
+
+    def backward(g: np.ndarray):
+        if not scratch:
+            size = n * max(widths[:-1], default=0)
+            scratch.extend(np.empty(size) for _ in range(3))
+        g_slabs = g.reshape(-1, n, widths[-1])
+        grad = np.empty(x.shape)
+        g_in = grad.reshape(-1, n, x.shape[-1])
+        for i in range(g_slabs.shape[0]):
+            g_i = g_slabs[i]
+            for depth in range(len(mats) - 1, 0, -1):
+                width = widths[depth - 1]
+                g_h = scratch[depth % 2][: n * width].reshape(n, width)
+                factor = scratch[2][: n * width].reshape(n, width)
+                np.matmul(g_i, mats[depth].T, out=g_h)
+                h = hidden[depth - 1][i]
+                np.multiply(h, h, out=factor)
+                np.subtract(1.0, factor, out=factor)
+                np.multiply(g_h, factor, out=g_h)
+                g_i = g_h
+            np.matmul(g_i, mats[0].T, out=g_in[i])
+        return (grad,)
+
+    return Tensor._make(fwd(x.data, *[p.data for p in params]), (x, *params), backward, fwd=fwd)

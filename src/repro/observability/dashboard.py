@@ -336,7 +336,6 @@ class DashboardServer(AppServer):
         _LATENCY.observe(duration)
         if status >= 400:
             _ERRORS.inc()
-        self._note_request()
 
     # ------------------------------------------------------------------
     def _get_warehouse(self) -> Warehouse | None:

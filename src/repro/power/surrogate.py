@@ -106,6 +106,13 @@ class SurrogatePowerModel:
 
     Use :meth:`predict_numpy` for evaluation and :meth:`predict_tensor`
     inside training graphs.  Powers are returned in watts.
+
+    A fitted or loaded surrogate is frozen, and every prediction then runs
+    its MLP as one :func:`~repro.autograd.functional.frozen_mlp` node: one
+    kernel per call in a captured replay instead of one per matmul, bias
+    add and tanh, evaluated one instance slice at a time, with a backward
+    that computes the input gradient only.  The values and gradients are
+    those of ``network`` run module by module, bit for bit.
     """
 
     network: nn.Sequential
@@ -128,7 +135,7 @@ class SurrogatePowerModel:
             q = np.repeat(q, v_in.size, axis=0)
         features = np.column_stack([q, v_in])
         with no_grad():
-            log_power = self.network(Tensor(self.normalization.apply_numpy(features))).data
+            log_power = self._log_power(Tensor(self.normalization.apply_numpy(features))).data
         return 10.0 ** log_power.reshape(-1)
 
     def predict_tensor(self, q_columns: list[Tensor], v_in: Tensor) -> Tensor:
@@ -181,7 +188,7 @@ class SurrogatePowerModel:
             ]
             normalized = self.normalization.apply_tensor_columns(stacked)
             features = concatenate(normalized, axis=-1)
-            power = (self.network(features) * LN10).exp()
+            power = (self._log_power(features) * LN10).exp()
             outputs: list[Tensor] = []
             offset = 0
             for size in sizes:
@@ -218,8 +225,30 @@ class SurrogatePowerModel:
         expanded = self._expand_columns(q_columns, v_in)
         normalized = self.normalization.apply_tensor_columns(expanded)
         features = concatenate(normalized, axis=-1)
-        log_power = self.network(features)
+        log_power = self._log_power(features)
         return (log_power * LN10).exp()
+
+    def _log_power(self, features: Tensor) -> Tensor:
+        """The network on normalized features: one fused node once frozen.
+
+        A frozen tanh MLP (every fitted or loaded surrogate, see
+        :func:`_freeze`) runs as :func:`repro.autograd.functional.frozen_mlp`;
+        a network with a trainable parameter runs module by module, the
+        composition the fused node reproduces bit for bit.
+        """
+        layers = self.network.layers
+        linears = layers[0::2]
+        frozen = (
+            all(isinstance(layer, nn.Linear) for layer in linears)
+            and all(isinstance(layer, nn.TanhLayer) for layer in layers[1::2])
+            and len(layers) % 2 == 1
+            and not any(param.requires_grad for param in self.network.parameters())
+        )
+        if not frozen:
+            return self.network(features)
+        return F.frozen_mlp(
+            features, [layer.weight for layer in linears], [layer.bias for layer in linears]
+        )
 
     # ------------------------------------------------------------------
     def save(self, path: Path) -> None:

@@ -13,7 +13,9 @@ a handler thread the server is joining on deadlocks).
 :attr:`~AppServer.handler_class` and override :meth:`~AppServer._account`
 to wire in their own metrics/telemetry.  :class:`JsonHandler` is the
 matching request-handler base: endpoints call :meth:`~JsonHandler._respond`
-/ :meth:`~JsonHandler._respond_text` and accounting happens on the way out.
+/ :meth:`~JsonHandler._respond_text`; a request is accounted before its
+body is written, so a client holding its reply also sees its event, and
+counted toward ``max_requests`` after the send.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ logger = logging.getLogger(__name__)
 
 
 class JsonHandler(BaseHTTPRequestHandler):
-    """Request-handler base: JSON/text responses + exit-path accounting."""
+    """Request-handler base: JSON/text responses, accounted before the send."""
 
     protocol_version = "HTTP/1.1"
 
@@ -44,8 +46,16 @@ class JsonHandler(BaseHTTPRequestHandler):
         status: int,
         body: bytes,
         content_type: str,
+        endpoint: str,
+        started: float,
+        rows: int,
+        error,
         headers: dict[str, str] | None = None,
     ) -> None:
+        # Account first: a client that reads events as soon as it has its
+        # reply must find this request's.  The max_requests countdown waits
+        # for the send, or a shutdown could cut the reply.
+        self.app._account(endpoint, status, time.monotonic() - started, rows, error)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -54,6 +64,7 @@ class JsonHandler(BaseHTTPRequestHandler):
                 self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+        self.app._note_request()
 
     def _respond(
         self,
@@ -64,9 +75,9 @@ class JsonHandler(BaseHTTPRequestHandler):
         rows: int = 0,
         headers: dict[str, str] | None = None,
     ) -> None:
-        self._send(status, json.dumps(payload).encode("utf-8"), "application/json", headers)
         error = payload.get("error") if isinstance(payload, dict) else None
-        self.app._account(endpoint, status, time.monotonic() - started, rows, error)
+        self._send(status, json.dumps(payload).encode("utf-8"), "application/json",
+                   endpoint, started, rows, error, headers)
 
     def _respond_text(
         self,
@@ -76,8 +87,7 @@ class JsonHandler(BaseHTTPRequestHandler):
         started: float,
         content_type: str = "text/plain; version=0.0.4",
     ) -> None:
-        self._send(status, text.encode("utf-8"), content_type)
-        self.app._account(endpoint, status, time.monotonic() - started, 0, None)
+        self._send(status, text.encode("utf-8"), content_type, endpoint, started, 0, None)
 
 
 class AppServer:
@@ -110,9 +120,8 @@ class AppServer:
 
     # ------------------------------------------------------------------
     def _account(self, endpoint: str, status: int, duration: float, rows: int, error) -> None:
-        """Per-request hook (metrics, telemetry).  Call super() last —
-        the ``max_requests`` countdown lives here."""
-        self._note_request()
+        """Per-request hook (metrics, telemetry), run before the response is
+        written; the ``max_requests`` countdown runs after it is sent."""
 
     def _note_request(self) -> None:
         if self.max_requests is None:

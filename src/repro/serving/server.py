@@ -211,7 +211,6 @@ class ServingServer(AppServer):
         if rows:
             _ROWS.inc(rows)
         self._emit_serve(endpoint, status, rows, duration, error)
-        self._note_request()
 
     def _emit_serve(self, endpoint: str, status: int, rows: int, duration: float, error) -> None:
         if self.run_logger is None:
