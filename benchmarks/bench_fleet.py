@@ -130,7 +130,7 @@ def measure() -> dict:
 
     return {
         "benchmark": "fleet",
-        "command": "python -m repro.cli sweep <dataset> --vectorized",
+        "command": "python -m repro.cli sweep <dataset>",
         "dataset": DATASET,
         "n_instances": N_INSTANCES,
         "alpha": ALPHA,

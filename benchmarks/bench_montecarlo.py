@@ -6,7 +6,7 @@ two ways in one process:
 
 - **serial**: :func:`~repro.evaluation.montecarlo.evaluate_instances` — one
   eager forward per instance, perturbing the network in place (the
-  pre-vectorization path, still the bit-identity reference);
+  reference oracle of the stacked path);
 - **vectorized**: :func:`~repro.evaluation.montecarlo.evaluate_instances_vectorized`
   — instances stacked 64 per chunk and replayed through the captured-graph
   :class:`~repro.circuits.ensemble.EnsembleProgram`.
@@ -123,7 +123,7 @@ def measure() -> dict:
 
     return {
         "benchmark": "montecarlo",
-        "command": "python -m repro.cli montecarlo <dataset> --vectorized",
+        "command": "python -m repro.cli montecarlo <dataset>",
         "net": {"in_features": IN_FEATURES, "n_classes": N_CLASSES, "seed": SEED},
         "n_instances": N_INSTANCES,
         "instance_chunk": INSTANCE_CHUNK,

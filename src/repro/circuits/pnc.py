@@ -356,7 +356,7 @@ class PrintedNeuralNetwork(Module):
             ):
                 crossbar, activation, _theta, unit, transfer = leaves
                 negation_power = negation_power + self._negation_power(
-                    layer_in, crossbar, row_activity, lead
+                    layer_in, crossbar, row_activity
                 )
                 per_circuit = activation.power_per_circuit(
                     v_z, batch_limit=self.config.power_batch_limit, units=unit, transfer=transfer
@@ -388,11 +388,12 @@ class PrintedNeuralNetwork(Module):
         # P^N — every layer shares the nominal negation design.  The input
         # layer's group reads only ``x``, the fixed negation q and the frozen
         # surrogate, so it gets a call of its own: a captured program folds
-        # it as a constant.  The deeper layers' groups stay stacked.
+        # it as a constant, and a 2-D ``x`` shared by a stack is evaluated
+        # once, not once per instance.  The deeper layers' groups stay stacked.
         neg_groups: list[tuple[list[Tensor], Tensor]] = []
         neg_shapes: list[tuple[int, int]] = []
         for layer_in, _v_z, (crossbar, *_rest) in per_layer:
-            q, flat, batch, rows = self._negation_inputs(layer_in, crossbar, lead)
+            q, flat, batch, rows = self._negation_inputs(layer_in, crossbar)
             neg_groups.append((q, flat))
             neg_shapes.append((batch, rows))
         neg_outputs = [self.neg_surrogate.predict_tensor(*neg_groups[0])]
@@ -400,7 +401,7 @@ class PrintedNeuralNetwork(Module):
             neg_outputs += self.neg_surrogate.predict_tensor_batched(neg_groups[1:])
         negation_power = Tensor(0.0)
         for (batch, rows), output, row_activity in zip(neg_shapes, neg_outputs, row_activities):
-            per_row = output.reshape(*lead, batch, rows).mean(axis=-2)
+            per_row = output.reshape(*output.shape[:-2], batch, rows).mean(axis=-2)
             negation_power = negation_power + (row_activity * per_row).sum(axis=-1)
 
         # P^AF — batched when all layers share one fitted surrogate (the
@@ -467,48 +468,43 @@ class PrintedNeuralNetwork(Module):
         shortfall = (Tensor(np.full(std.shape, floor)) - std).relu()
         return (shortfall * shortfall).mean(axis=-1)
 
-    def _subsampled_extended_inputs(
-        self, signal: Tensor, crossbar: CrossbarLayer, lead: tuple[int, ...] = ()
-    ) -> Tensor:
-        """The crossbar's extended inputs, stride-subsampled to the batch limit.
-
-        ``lead`` is the instance shape of a stacked forward.  An input shared
-        by every instance (2-D under stacked θ) is broadcast onto it as a
-        read-only view (no kernel under replay): the batched surrogate call
-        needs every group on the same lead.
-        """
-        v_ext = subsample_rows(crossbar.extend_inputs(signal), self.config.power_batch_limit)
-        if lead and v_ext.ndim == 2:
-            v_ext = v_ext.broadcast_to((*lead, *v_ext.shape))
-        return v_ext
+    def _subsampled_extended_inputs(self, signal: Tensor, crossbar: CrossbarLayer) -> Tensor:
+        """The crossbar's extended inputs, stride-subsampled to the batch limit."""
+        return subsample_rows(crossbar.extend_inputs(signal), self.config.power_batch_limit)
 
     def _negation_inputs(
-        self, signal: Tensor, crossbar: CrossbarLayer, lead: tuple[int, ...] = ()
+        self, signal: Tensor, crossbar: CrossbarLayer
     ) -> tuple[list[Tensor], Tensor, int, int]:
-        """Surrogate-ready ``(q, flat_v, batch, rows)`` for one layer's P^N."""
-        v_ext = self._subsampled_extended_inputs(signal, crossbar, lead)
-        batch, rows = v_ext.shape[-2:]
+        """Surrogate-ready ``(q, flat_v, batch, rows)`` for one layer's P^N.
+
+        ``flat_v`` keeps the signal's own instance axes: an input shared by
+        every instance of a stacked forward (2-D ``x`` under stacked θ)
+        stays 2-D, so its P^N is evaluated once and broadcasts against the
+        per-instance row activities.
+        """
+        v_ext = self._subsampled_extended_inputs(signal, crossbar)
+        *lead, batch, rows = v_ext.shape
         q = [Tensor(v) for v in self.neg_q]
         return q, v_ext.reshape(*lead, batch * rows, 1), batch, rows
 
     def _negation_power(
-        self,
-        signal: Tensor,
-        crossbar: CrossbarLayer,
-        row_activity: Tensor,
-        lead: tuple[int, ...] = (),
+        self, signal: Tensor, crossbar: CrossbarLayer, row_activity: Tensor
     ) -> Tensor:
-        """Σ_i a_i · P^N(neg_q, V_i) over the crossbar's extended input rows."""
+        """Σ_i a_i · P^N(neg_q, V_i) over the crossbar's extended input rows.
+
+        P^N is computed on ``signal``'s own shape (once for a 2-D input
+        shared by a stack) and broadcast against ``row_activity``.
+        """
         if self.config.power_mode == "analytic":
-            v_ext = self._subsampled_extended_inputs(signal, crossbar, lead)
+            v_ext = self._subsampled_extended_inputs(signal, crossbar)
             model = NegationModel(pdk=self.config.pdk)
             q = [Tensor(v) for v in self.neg_q]
             _, per_sample = model.output_and_power(v_ext, q)
             per_row = per_sample.mean(axis=-2)
         else:
-            q, flat, batch, rows = self._negation_inputs(signal, crossbar, lead)
+            q, flat, batch, rows = self._negation_inputs(signal, crossbar)
             per_sample = self.neg_surrogate.predict_tensor(q, flat)
-            per_row = per_sample.reshape(*lead, batch, rows).mean(axis=-2)
+            per_row = per_sample.reshape(*per_sample.shape[:-2], batch, rows).mean(axis=-2)
         return (row_activity * per_row).sum(axis=-1)
 
     # ------------------------------------------------------------------

@@ -90,12 +90,21 @@ def _add_abort_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _epoch_count(value: str) -> int:
-    # Every command derives its budget or report from the trained epochs.
-    epochs = int(value)
-    if epochs < 1:
-        raise argparse.ArgumentTypeError("epochs must be >= 1")
-    return epochs
+def _positive(what: str):
+    """An argparse ``type`` parsing an int >= 1 (``what`` names it in errors)."""
+
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be >= 1")
+        return number
+
+    parse.__name__ = what
+    return parse
+
+
+# Every command derives its budget or report from the trained epochs.
+_epoch_count = _positive("epochs")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -130,16 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="penalty-baseline Pareto sweep vs AL points (Fig. 5)")
     sweep.add_argument("dataset")
-    sweep.add_argument("--n-alphas", type=int, default=6)
-    sweep.add_argument("--n-seeds", type=int, default=2)
+    sweep.add_argument("--n-alphas", type=_positive("n-alphas"), default=6)
+    sweep.add_argument("--n-seeds", type=_positive("n-seeds"), default=2)
     sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for the sweep runs (results identical to --jobs 1)")
-    sweep.add_argument("--vectorized", action="store_true",
-                       help="train the sweep as instance-stacked fleets — one captured "
-                            "graph steps a whole chunk of (α, seed) points per epoch "
-                            "(bit-identical per-point results)")
-    sweep.add_argument("--instance-chunk", type=int, default=64, metavar="N",
-                       help="sweep points per stacked fleet when --vectorized (default 64)")
+                       help="worker processes for the sweep chunks (results identical to --jobs 1)")
+    sweep.add_argument("--instance-chunk", type=_positive("instance-chunk"), default=64,
+                       metavar="N",
+                       help="(α, seed) points per instance-stacked fleet: one captured graph "
+                            "steps a whole chunk per epoch (default 64)")
     sweep.add_argument("--json-out", default=None, metavar="FILE",
                        help="also write the per-point sweep results as JSON "
                             "(atomic temp-file + rename)")
@@ -164,17 +171,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = sub.add_parser("montecarlo", help="process-variation robustness of a trained circuit")
     mc.add_argument("dataset")
-    mc.add_argument("--samples", type=int, default=50)
+    mc.add_argument("--samples", type=_positive("samples"), default=50)
     mc.add_argument("--sigma-scale", type=float, default=1.0,
                     help="scale all variation sigmas by this factor")
     mc.add_argument("--budget-fraction", type=float, default=0.6)
     mc.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="worker processes for the Monte-Carlo instances (results identical to --jobs 1)")
-    mc.add_argument("--vectorized", action="store_true",
-                    help="evaluate instances as stacked chunks through the captured-graph "
-                         "ensemble engine (bit-identical to the serial loop)")
-    mc.add_argument("--instance-chunk", type=int, default=64, metavar="K",
-                    help="instances per stacked chunk when --vectorized (default 64)")
+    mc.add_argument("--instance-chunk", type=_positive("instance-chunk"), default=64,
+                    metavar="K",
+                    help="instances per stacked chunk of the captured-graph ensemble "
+                         "engine (default 64)")
     mc.add_argument("--json-out", default=None, metavar="FILE",
                     help="write the per-instance accuracies/powers and summary to FILE as JSON")
     _add_abort_flag(mc)
@@ -498,8 +504,7 @@ def cmd_sweep(args, run_logger=None) -> int:
         args.dataset, kind=ActivationKind.from_name(args.af),
         n_alphas=args.n_alphas, n_seeds=args.n_seeds, config=config,
         n_jobs=args.jobs, progress=_task_progress(run_logger),
-        on_error=args.on_task_error,
-        vectorized=args.vectorized, instance_chunk=args.instance_chunk,
+        on_error=args.on_task_error, instance_chunk=args.instance_chunk,
     )
     print(render_fig5_rows(comparison))
     budgets_mw = [r.budget_w * 1e3 for r in comparison.al_records]
@@ -514,7 +519,6 @@ def cmd_sweep(args, run_logger=None) -> int:
         payload = {
             "dataset": args.dataset,
             "seed": args.seed,
-            "vectorized": bool(args.vectorized),
             "n_alphas": args.n_alphas,
             "n_seeds": args.n_seeds,
             "n_runs": sweep_result.n_runs,
@@ -621,8 +625,7 @@ def cmd_montecarlo(args, run_logger=None) -> int:
         net, split.x_test, split.y_test, spec, n_samples=args.samples,
         seed=args.seed, power_budget=budget, accuracy_floor=0.5,
         n_jobs=args.jobs, progress=_task_progress(run_logger),
-        on_error=args.on_task_error,
-        vectorized=args.vectorized, instance_chunk=args.instance_chunk,
+        on_error=args.on_task_error, instance_chunk=args.instance_chunk,
         run_logger=run_logger,
     )
     print(report.summary())
@@ -630,7 +633,6 @@ def cmd_montecarlo(args, run_logger=None) -> int:
         payload = {
             "dataset": args.dataset,
             "seed": args.seed,
-            "vectorized": bool(args.vectorized),
             "n_samples": report.n_samples,
             "nominal_accuracy": report.nominal_accuracy,
             "nominal_power": report.nominal_power,

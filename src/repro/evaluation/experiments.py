@@ -322,25 +322,22 @@ def run_pareto_comparison(
     n_jobs: int = 1,
     progress=None,
     on_error: str = "continue",
-    vectorized: bool = False,
     instance_chunk: int = 64,
 ) -> ParetoComparison:
     """Fig. 5: penalty sweep Pareto front vs single-run AL optima.
 
     Paper scale is ``n_alphas=50, n_seeds=10`` (500 runs); defaults are
-    reduced.  The AL side runs exactly one training per budget.  Both the
-    sweep and the AL runs shard over ``n_jobs`` worker processes.
-    ``vectorized=True`` trains the sweep as instance-stacked fleets of up
-    to ``instance_chunk`` (α, seed) points per captured program (see
-    :func:`repro.training.penalty.penalty_pareto_sweep`).
+    reduced.  The AL side runs exactly one training per budget.  The sweep
+    trains as instance-stacked fleets of up to ``instance_chunk`` (α, seed)
+    points per captured program (see
+    :func:`repro.training.penalty.penalty_pareto_sweep`); both the sweep
+    chunks and the AL runs shard over ``n_jobs`` worker processes.
     """
     config = config or ExperimentConfig()
     split = dataset_split(dataset_name, seed=config.seed)
     spec = network_spec(dataset_name, kind, config)
 
     sweep = penalty_pareto_sweep(
-        spec.build,
-        split,
         n_alphas=n_alphas,
         n_seeds=n_seeds,
         settings=config.trainer_settings(),
@@ -348,7 +345,6 @@ def run_pareto_comparison(
         net_spec=spec,
         progress=progress,
         on_error=on_error,
-        vectorized=vectorized,
         instance_chunk=instance_chunk,
     )
     front = pareto_front(sweep.points())

@@ -7,18 +7,17 @@ re-evaluates accuracy and power per instance, and reports distributional
 statistics plus *parametric yield*: the fraction of instances that both stay
 within the power budget and clear an accuracy floor.
 
-Two execution paths produce bit-identical per-instance results:
+Instances are always evaluated stacked: :func:`evaluate_instances_vectorized`
+puts them on a leading axis and streams them in fixed-shape chunks through
+the captured-graph :class:`~repro.circuits.ensemble.EnsembleProgram`.  With
+``n_jobs > 1`` the process pool shards contiguous runs of instances
+(:class:`~repro.parallel.MonteCarloChunkTask`), each worker streaming its
+shard the same way.  Every instance draws from its own pre-spawned
+``SeedSequence``, so the report does not depend on chunking or job count.
 
-- the serial loop (:func:`evaluate_instances`) — one eager forward per
-  instance, perturbing the network in place;
-- the vectorized engine (:func:`evaluate_instances_vectorized`) — instances
-  stacked on a leading axis and evaluated in fixed-shape chunks by the
-  captured-graph :class:`~repro.circuits.ensemble.EnsembleProgram`.
-
-Both compose with the process pool (``n_jobs``): workers shard *chunks of
-instances*, and because every instance draws from its own pre-spawned
-``SeedSequence``, the report does not depend on chunking, job count, or
-which path evaluated an instance.
+:func:`evaluate_instances` — one eager forward per instance, perturbing the
+network in place — is the reference oracle the stacked path is tested
+against bit for bit; no run path calls it.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ def _record_chunk(
     run_logger,
     instances: int,
     duration_s: float,
-    vectorized: bool,
     chunk_index: int,
     start: int,
 ) -> None:
@@ -63,7 +61,6 @@ def _record_chunk(
             "montecarlo",
             instances=int(instances),
             duration_s=float(duration_s),
-            vectorized=bool(vectorized),
             chunk_index=int(chunk_index),
             start=int(start),
         )
@@ -145,7 +142,7 @@ class MonteCarloReport:
 
 #: Single-slot cache of the last (fingerprint, EnsembleProgram) built by
 #: :func:`evaluate_instances_vectorized`.  Capturing the stacked graph is the
-#: dominant one-time cost of the vectorized path (the eager capture forward
+#: dominant one-time cost of a Monte-Carlo run (the eager capture forward
 #: allocates every intermediate it records), so repeated runs against the same
 #: network state — the CLI's single-net loop, warm benchmark iterations, pool
 #: workers evaluating several chunk tasks — must not pay it again.  Matching
@@ -226,7 +223,9 @@ def evaluate_instances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate one printed instance of ``net`` per generator in ``rngs``.
 
-    The worker-side core of the Monte-Carlo loop: each instance perturbs
+    The reference oracle of :func:`evaluate_instances_vectorized`: one eager
+    forward per instance, kept for the tests and benchmarks that check the
+    stacked path against it bit for bit.  Each instance perturbs
     crossbar conductances, activation-circuit parameters and the shared EGT
     model card with *its own* generator, so results depend only on the
     per-instance seed — not on which process or chunk evaluates it.  The
@@ -284,14 +283,14 @@ def evaluate_instances_vectorized(
     run_logger=None,
     start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Instance-stacked twin of :func:`evaluate_instances`.
+    """Evaluate one printed instance of ``net`` per generator, stacked.
 
     Builds one fixed-shape :class:`~repro.circuits.ensemble.EnsembleProgram`
     of ``min(instance_chunk, n)`` instances and streams the generators
     through it chunk by chunk; a short tail chunk is padded with the nominal
     base instance and only its real slots are read back.  Per-instance
-    accuracies and powers are bit-identical to the serial loop for any
-    chunk size (grouping invariance, like the serving engine).
+    accuracies and powers are bit-identical to the :func:`evaluate_instances`
+    oracle for any chunk size (grouping invariance, like the serving engine).
 
     The program is reused across calls through a fingerprint-keyed cache
     (see :data:`_PROGRAM_CACHE`): building it replays an eager capture
@@ -330,7 +329,6 @@ def evaluate_instances_vectorized(
             run_logger,
             instances=k,
             duration_s=time.perf_counter() - t0,
-            vectorized=True,
             chunk_index=chunk_index,
             start=start + chunk_start,
         )
@@ -349,28 +347,36 @@ def run_monte_carlo(
     n_jobs: int = 1,
     progress=None,
     on_error: str = "continue",
-    vectorized: bool = False,
+    vectorized: bool = True,
     instance_chunk: int = 64,
     run_logger=None,
 ) -> MonteCarloReport:
     """Sample ``n_samples`` printed instances of ``net`` and evaluate each.
 
-    The network's parameters are perturbed in place per instance and restored
-    afterwards; the caller's ``net`` is untouched on return.  Each instance
-    perturbs crossbar conductances, activation-circuit parameters, and the
-    shared EGT model card.
-
+    Each instance perturbs crossbar conductances, activation-circuit
+    parameters, and the shared EGT model card; the caller's ``net`` is
+    untouched on return.  Instances are evaluated ``instance_chunk`` at a
+    time by :func:`evaluate_instances_vectorized`, inline for ``n_jobs=1``
+    and as :class:`~repro.parallel.MonteCarloChunkTask` shards otherwise.
     Each instance draws from its own generator spawned from one
-    ``SeedSequence(seed)``, so the report is identical for any ``n_jobs``,
-    any chunking of instances across worker processes, and either execution
-    path (``vectorized=True`` stacks ``instance_chunk`` instances per
-    captured-graph replay; the default loops them serially).
+    ``SeedSequence(seed)``, so the report is identical for any ``n_jobs``
+    and any chunking.
+
+    ``vectorized`` is kept only for the ``perfbench`` caller, which passes
+    ``vectorized=True``; ``False`` raises, because the serial loop is now
+    the test oracle :func:`evaluate_instances`.
     """
+    if not vectorized:
+        raise ValueError(
+            "run_monte_carlo always evaluates instances stacked; the serial loop "
+            "is the reference oracle repro.evaluation.montecarlo.evaluate_instances"
+        )
+    if instance_chunk < 1:
+        raise ValueError("instance_chunk must be >= 1")
+    if n_samples < 0:
+        raise ValueError("n_samples must be >= 0")
     x_t = Tensor(x)
-    logger.info(
-        "monte carlo: %d printed instances, seed %d, %d jobs%s",
-        n_samples, seed, n_jobs, ", vectorized" if vectorized else "",
-    )
+    logger.info("monte carlo: %d printed instances, seed %d, %d jobs", n_samples, seed, n_jobs)
 
     with no_grad():
         logits, breakdown = net.forward_with_power(x_t)
@@ -378,42 +384,27 @@ def run_monte_carlo(
     nominal_power = float(breakdown.total.data)
 
     seed_seqs = np.random.SeedSequence(seed).spawn(n_samples)
-    if n_jobs <= 1:
+    if n_jobs <= 1 or n_samples == 0:
         rngs = [np.random.default_rng(ss) for ss in seed_seqs]
-        if vectorized:
-            accuracies, powers = evaluate_instances_vectorized(
-                net, x, y, spec, rngs,
-                instance_chunk=instance_chunk, run_logger=run_logger,
-            )
-        else:
-            t0 = time.perf_counter()
-            with trace_span("montecarlo.serial", "montecarlo", args={"instances": len(rngs)}):
-                accuracies, powers = evaluate_instances(net, x, y, spec, rngs)
-            _record_chunk(
-                run_logger,
-                instances=len(rngs),
-                duration_s=time.perf_counter() - t0,
-                vectorized=False,
-                chunk_index=0,
-                start=0,
-            )
+        accuracies, powers = evaluate_instances_vectorized(
+            net, x, y, spec, rngs, instance_chunk=instance_chunk, run_logger=run_logger,
+        )
     else:
         from repro.parallel import MonteCarloChunkTask, collect_values, map_tasks
 
         payload = picklable_network(net)
-        chunk = max(1, -(-n_samples // n_jobs))  # ceil division
+        shard = -(-n_samples // n_jobs)  # ceil division
         tasks = [
             MonteCarloChunkTask(
                 net=payload,
                 x=x,
                 y=y,
                 variation=spec,
-                seed_seqs=tuple(seed_seqs[start:start + chunk]),
+                seed_seqs=tuple(seed_seqs[start:start + shard]),
                 start=start,
-                vectorized=vectorized,
                 instance_chunk=instance_chunk,
             )
-            for start in range(0, n_samples, chunk)
+            for start in range(0, n_samples, shard)
         ]
         chunks = collect_values(
             map_tasks(tasks, n_jobs=n_jobs, progress=progress, on_error=on_error)

@@ -91,19 +91,17 @@ EVENT_SCHEMAS: dict[str, dict[str, tuple[type, ...]]] = {
         "message": (str,),
         "phase": (str,),
     },
-    # One evaluated chunk of Monte-Carlo instances (repro.evaluation
-    # .montecarlo): how many printed instances it held, its wall time, and
-    # whether the instance-stacked (vectorized) engine ran it.  Emitted by
-    # the in-process path and by pool workers alike, so a yield run's
+    # One evaluated stacked chunk of Monte-Carlo instances (repro.evaluation
+    # .montecarlo): how many printed instances it held and its wall time.
+    # Emitted in process and by pool workers alike, so a yield run's
     # throughput shows up in the warehouse/dashboard like training epochs.
     "montecarlo": {
         "instances": (int,),
         "duration_s": (float, int),
-        "vectorized": (bool,),
     },
     # One trained fleet chunk (repro.training.fleet): how many real
     # instances it trained, how many epochs the fleet loop executed, and
-    # its wall time.  The vectorized-sweep twin of "montecarlo".
+    # its wall time.  The sweep's counterpart of "montecarlo".
     "fleet": {
         "instances": (int,),
         "epoch": (int,),
@@ -142,7 +140,9 @@ OPTIONAL_FIELDS: dict[str, dict[str, tuple[type, ...]]] = {
     },
     "task": {"error": (str,), "worker_pid": (int,)},
     "task_end": {"error": (str,)},
-    "montecarlo": {"chunk_index": (int,), "start": (int,)},
+    # ``vectorized`` is no longer emitted (every chunk is stacked); run logs
+    # written while a serial path existed carry it and must stay valid.
+    "montecarlo": {"chunk_index": (int,), "start": (int,), "vectorized": (bool,)},
     "fleet": {"chunk_index": (int,)},
     "serve": {"error": (str,), "batch_rows": (int,)},
     "compile": {"layers": (int,), "vectors": (int,), "out": (str,), "error": (str,)},

@@ -60,6 +60,8 @@ __all__ = [
     "TRACE_SHARDS",
     "Tracer",
     "get_tracer",
+    "current_span_path",
+    "profile_delta",
     "enable_tracing",
     "disable_tracing",
     "trace_span",
@@ -274,14 +276,34 @@ class Tracer:
             self._count = 0
         return out
 
+    def profile_totals(self) -> dict[tuple[str, ...], tuple[int, float]]:
+        """A copy of the span profile as ``{path: (count, total_s)}``."""
+        with self._lock:
+            return {path: (count, total) for path, (count, total) in self._profile.items()}
+
+    def merge_profile(
+        self, delta: dict[tuple[str, ...], tuple[int, float]], prefix: tuple[str, ...] = ()
+    ) -> None:
+        """Add another process's span-profile delta, its paths under ``prefix``.
+
+        Pool workers return the profile of each task they ran (see
+        :func:`profile_delta`); the coordinating process folds it in here,
+        under the spans that were open around the mapping call, so a
+        ``--jobs N`` profile has the shape of the ``--jobs 1`` one.
+        """
+        with self._lock:
+            for path, (count, total) in delta.items():
+                entry = self._profile.setdefault(prefix + tuple(path), [0, 0.0])
+                entry[0] += count
+                entry[1] += total
+
     def profile(self) -> list[dict]:
         """The span profile: the ``profile`` event payload and ``profile.json``.
 
         ``[{"path": "a/b", "count": n, "total_s": s}, ...]`` per span-name
         path, depth-first with each node's children by total, descending.
         """
-        with self._lock:
-            totals = {path: (count, total) for path, (count, total) in self._profile.items()}
+        totals = self.profile_totals()
         children: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         for path in totals:
             children.setdefault(path[:-1], []).append(path)
@@ -303,6 +325,24 @@ os.register_at_fork(after_in_child=_TRACER._forked)
 
 def get_tracer() -> Tracer:
     return _TRACER
+
+
+def current_span_path() -> tuple[str, ...]:
+    """Names of the spans open in this context, outermost first."""
+    return _SPAN_PATH.get()
+
+
+def profile_delta(
+    before: dict[tuple[str, ...], tuple[int, float]],
+    after: dict[tuple[str, ...], tuple[int, float]],
+) -> dict[tuple[str, ...], tuple[int, float]]:
+    """The span-profile entries ``after`` added to ``before`` (changed paths only)."""
+    delta = {}
+    for path, (count, total) in after.items():
+        base_count, base_total = before.get(path, (0, 0.0))
+        if count != base_count:
+            delta[path] = (count - base_count, total - base_total)
+    return delta
 
 
 def render_profile(spans: list[dict]) -> str:

@@ -3,7 +3,8 @@
 Public surface::
 
     from repro.parallel import map_tasks, TaskOutcome, TaskError
-    from repro.parallel import MaxPowerTask, BudgetTask, PenaltyTask, NetworkSpec
+    from repro.parallel import MaxPowerTask, BudgetTask, NetworkSpec
+    from repro.parallel import FleetSweepChunkTask, MonteCarloChunkTask
     from repro.parallel import TaskProgressReporter
     from repro.parallel import WorkerTelemetry, set_default_telemetry, worker_callbacks
 """
@@ -29,7 +30,6 @@ from repro.parallel.tasks import (
     MaxPowerTask,
     MonteCarloChunkTask,
     NetworkSpec,
-    PenaltyTask,
 )
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "MaxPowerTask",
     "MonteCarloChunkTask",
     "NetworkSpec",
-    "PenaltyTask",
     "WorkerTelemetry",
     "set_default_telemetry",
     "worker_callbacks",

@@ -41,6 +41,7 @@ from time import perf_counter
 from typing import Any, Callable, Protocol, Sequence
 
 from repro.observability.metrics import get_registry, snapshot_delta
+from repro.observability.tracing import current_span_path, get_tracer, profile_delta
 from repro.parallel.telemetry import (
     WorkerTelemetry,
     bind_task,
@@ -155,6 +156,9 @@ class TaskOutcome:
     worker_pid: int = 0
     #: metrics-registry delta of this task's execution (telemetry runs only)
     metrics: dict | None = None
+    #: span-profile delta ``{path: (count, total_s)}`` of this task's
+    #: execution (pool runs of a profiling parent only)
+    spans: dict | None = None
 
 
 class TaskFailedError(RuntimeError):
@@ -168,7 +172,10 @@ class TaskFailedError(RuntimeError):
 
 
 def _execute(
-    index: int, task: ExperimentTask, telemetry: WorkerTelemetry | None = None
+    index: int,
+    task: ExperimentTask,
+    telemetry: WorkerTelemetry | None = None,
+    profile: bool = False,
 ) -> TaskOutcome:
     """Run one task, capturing any exception as a :class:`TaskError`.
 
@@ -180,10 +187,22 @@ def _execute(
     :class:`~repro.parallel.telemetry.WorkerRunLogger` (``task_start`` /
     ``task_end`` shard events, worker-attributed training events via
     :func:`~repro.parallel.telemetry.worker_callbacks`) and the outcome
-    carries the metrics-registry delta of the execution.
+    carries the metrics-registry delta of the execution.  With ``profile``
+    set (a pool worker of a profiling parent), the span tracer records the
+    task and the outcome carries its span-profile delta.
     """
     label = getattr(task, "label", repr(task))
     started = perf_counter()
+    tracer = get_tracer()
+    spans_before = None
+    if profile:
+        # A forked worker inherits the names of the spans open where the
+        # pool forked; the delta is made relative to them, and the parent
+        # re-roots it.
+        span_root = current_span_path()
+        if not tracer.enabled:
+            tracer.enable()
+        spans_before = tracer.profile_totals()
     worker_log = None
     metrics_before: dict | None = None
     if telemetry is not None:
@@ -226,6 +245,12 @@ def _execute(
             except Exception:
                 logger.exception("worker telemetry teardown failed for %s", label)
             unbind_task()
+        spans = None
+        if spans_before is not None:
+            delta = profile_delta(spans_before, tracer.profile_totals())
+            spans = {path[len(span_root):]: entry for path, entry in delta.items()}
+            if telemetry is None or not telemetry.trace:
+                tracer.drain()  # profile only: no shard exports the records
 
     return TaskOutcome(
         index=index,
@@ -236,6 +261,7 @@ def _execute(
         duration_s=duration_s,
         worker_pid=os.getpid(),
         metrics=metrics,
+        spans=spans,
     )
 
 
@@ -284,7 +310,11 @@ def map_tasks(
         ``set_default_telemetry``), every task executes under a worker
         shard logger and ships its metrics delta back with the outcome;
         pool runs fold those deltas into the parent registry so aggregate
-        counters match the serial execution.
+        counters match the serial execution.  Independently, when the
+        caller's span tracer is enabled (``--profile`` / ``--trace``),
+        pool workers record spans too and each outcome carries its task's
+        span-profile delta, folded into the caller's profile under the
+        spans open around this call.
     on_error:
         ``"continue"`` (default) drains the whole queue regardless of
         failures — every task gets its real outcome.  ``"cancel"`` is the
@@ -342,6 +372,10 @@ def map_tasks(
 
     logger.info("mapping %d tasks over %d worker processes", total, n_jobs)
     registry = get_registry()
+    # A profiling parent gets its workers' spans, nested under the spans
+    # open around this call — where inline execution would record them.
+    profile = get_tracer().enabled
+    span_prefix = current_span_path()
     first_failure: str | None = None
     with ProcessPoolExecutor(
         max_workers=n_jobs,
@@ -350,7 +384,8 @@ def map_tasks(
         initargs=(max(1, (os.cpu_count() or 1) // n_jobs),),
     ) as pool:
         futures = [
-            pool.submit(_execute, index, task, telemetry) for index, task in enumerate(tasks)
+            pool.submit(_execute, index, task, telemetry, profile)
+            for index, task in enumerate(tasks)
         ]
         for index, future in enumerate(futures):
             if future.cancelled():
@@ -382,6 +417,8 @@ def map_tasks(
                     )
             if outcome.metrics:
                 registry.merge_snapshot(outcome.metrics)
+            if outcome.spans:
+                get_tracer().merge_profile(outcome.spans, span_prefix)
             if (
                 on_error == "cancel"
                 and not outcome.ok

@@ -1,5 +1,14 @@
 """Picklable task specs for the experiment populations of §IV.
 
+Four task kinds cover the populations the process pool shards:
+
+- :class:`MaxPowerTask` and :class:`BudgetTask` — Table-I grid cells, one
+  training each;
+- :class:`FleetSweepChunkTask` — a chunk of penalty-sweep points trained
+  as one instance-stacked fleet (the sweep has no per-point task);
+- :class:`MonteCarloChunkTask` — a shard of Monte-Carlo instances,
+  evaluated as stacked sub-chunks.
+
 Each task is a frozen dataclass holding only plain values (dataset name,
 :class:`~repro.pdk.params.ActivationKind`, seeds, config dataclasses) so it
 pickles cheaply into workers; ``run()`` lazily imports the heavy modules
@@ -7,8 +16,8 @@ pickles cheaply into workers; ``run()`` lazily imports the heavy modules
 import cycles and to let ``spawn``-started workers import on first use.
 
 Workers rebuild *everything* — dataset, split, network, surrogates — from
-the task fields with the same seeded constructors the serial code uses, so
-a task's result is bit-identical no matter which process runs it.
+the task fields with the same seeded constructors an in-process run uses,
+so a task's result is bit-identical no matter which process runs it.
 Surrogates come from :func:`repro.power.surrogate.get_cached_surrogate`,
 whose on-disk cache is shared across workers (atomic write + lock, see
 that module).
@@ -135,46 +144,16 @@ class BudgetTask:
 
 
 @dataclass(frozen=True)
-class PenaltyTask:
-    """One penalty-baseline run (α, seed) of the Fig. 5 sweep."""
-
-    spec: NetworkSpec
-    alpha: float
-    seed: int
-    reference_power: float = 1.0e-3
-    settings: "TrainerSettings | None" = None
-
-    @property
-    def label(self) -> str:
-        return f"penalty:{self.spec.dataset}:a{self.alpha:.4f}:s{self.seed}"
-
-    def run(self) -> "TrainResult":
-        from repro.parallel.telemetry import worker_callbacks
-        from repro.training.penalty import train_penalty
-
-        net = self.spec.build(self.seed)
-        split = self.spec.split()
-        return train_penalty(
-            net,
-            split,
-            alpha=float(self.alpha),
-            reference_power=self.reference_power,
-            settings=self.settings,
-            callbacks=worker_callbacks(phase="penalty"),
-        )
-
-
-@dataclass(frozen=True)
 class FleetSweepChunkTask:
-    """One vectorized chunk of a penalty Pareto sweep.
+    """One stacked chunk of a penalty Pareto sweep.
 
     Holds a contiguous group of ``(α, seed)`` points sharing one fleet
     structure key, trained together through
     :func:`repro.training.fleet.train_fleet` as a single instance-stacked
-    program.  ``indices`` are the points' positions in the serial sweep
-    order, so the caller can reassemble results in the exact order the
-    per-point task list produces.  ``instances`` fixes the program width
-    (tail chunks are padded inside ``train_fleet``).
+    program.  ``indices`` are the points' positions in the sweep's
+    α-major order, so the caller can put results back in that order.
+    ``instances`` fixes the program width (tail chunks are padded inside
+    ``train_fleet``).
     """
 
     spec: NetworkSpec
@@ -225,18 +204,15 @@ class FleetSweepChunkTask:
 
 @dataclass(frozen=True)
 class MonteCarloChunkTask:
-    """A contiguous chunk of Monte-Carlo instances of one trained net.
+    """A contiguous shard of Monte-Carlo instances of one trained net.
 
     The network travels by pickle (prepared via
     :func:`repro.evaluation.montecarlo.picklable_network`); each instance
     gets its own pre-spawned :class:`numpy.random.SeedSequence`, so results
-    do not depend on how instances are chunked across workers.
-
-    With ``vectorized=True`` the worker evaluates its shard as stacked
-    sub-chunks of ``instance_chunk`` instances through the captured-graph
-    ensemble engine — the process pool shards chunks of *stacks*, composing
-    process-level and tensor-level parallelism.  Per-instance results stay
-    bit-identical to the serial path either way.
+    do not depend on how instances are sharded across workers.  The worker
+    evaluates its shard as stacked sub-chunks of ``instance_chunk``
+    instances through the captured-graph ensemble engine — the process pool
+    shards chunks of *stacks*.
     """
 
     net: Any  # PrintedNeuralNetwork (Any keeps the dataclass pickle-simple)
@@ -245,41 +221,20 @@ class MonteCarloChunkTask:
     variation: "VariationSpec"
     seed_seqs: tuple
     start: int
-    vectorized: bool = False
     instance_chunk: int = 64
 
     @property
     def label(self) -> str:
-        mode = "vec" if self.vectorized else "loop"
-        return f"montecarlo:{self.start}+{len(self.seed_seqs)}:{mode}"
+        return f"montecarlo:{self.start}+{len(self.seed_seqs)}"
 
     def run(self) -> tuple[np.ndarray, np.ndarray]:
-        import time
-
-        from repro.evaluation.montecarlo import (
-            _record_chunk,
-            evaluate_instances,
-            evaluate_instances_vectorized,
-        )
+        from repro.evaluation.montecarlo import evaluate_instances_vectorized
         from repro.parallel.telemetry import worker_run_logger
 
         rngs = [np.random.default_rng(ss) for ss in self.seed_seqs]
-        run_logger = worker_run_logger()
-        if self.vectorized:
-            return evaluate_instances_vectorized(
-                self.net, self.x, self.y, self.variation, rngs,
-                instance_chunk=self.instance_chunk,
-                run_logger=run_logger,
-                start=self.start,
-            )
-        t0 = time.perf_counter()
-        result = evaluate_instances(self.net, self.x, self.y, self.variation, rngs)
-        _record_chunk(
-            run_logger,
-            instances=len(rngs),
-            duration_s=time.perf_counter() - t0,
-            vectorized=False,
-            chunk_index=0,
+        return evaluate_instances_vectorized(
+            self.net, self.x, self.y, self.variation, rngs,
+            instance_chunk=self.instance_chunk,
+            run_logger=worker_run_logger(),
             start=self.start,
         )
-        return result

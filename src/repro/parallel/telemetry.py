@@ -25,7 +25,10 @@ black box.  The contract:
 - The engine snapshots the worker's metrics registry around each task and
   ships the delta back with the :class:`TaskOutcome`; the parent folds it
   into its own registry, so parallel runs report the same aggregate
-  counters as their serial twins.
+  counters as their serial twins.  Span profiles travel the same way,
+  independent of a run dir: when the parent's tracer is enabled, each
+  outcome carries its task's span-profile delta (see
+  :func:`repro.parallel.engine.map_tasks`).
 
 Shard files are opened in append mode and cached per (process, run dir):
 one worker process serves many tasks, and pool workers outlive a single

@@ -12,6 +12,11 @@ Table I reports α ∈ {0.25, 0.5, 0.75, 1}).  One run yields one point in the
 power/accuracy plane; tracing the Pareto front requires a sweep over α and
 seeds — the paper uses 50 α values × 10 seeds (up to 500 runs) per dataset,
 which is precisely the cost the augmented Lagrangian method eliminates.
+
+:func:`penalty_pareto_sweep` runs that sweep one way only: the points are
+trained as instance-stacked fleets (:func:`repro.training.fleet.train_fleet`),
+chunk by chunk, in process or across the pool.  The per-point loop — one
+training per (α, seed) — is the test oracle the fleets are checked against.
 """
 
 from __future__ import annotations
@@ -109,8 +114,8 @@ class ParetoSweepResult:
     alphas: list[float]
     seeds: list[int]
     results: list[TrainResult] = field(default_factory=list)
-    #: structured records of runs that failed (parallel sweeps only; a
-    #: crashed (α, seed) point is isolated instead of killing the sweep)
+    #: structured records of fleet chunks that failed (a crashed chunk is
+    #: isolated instead of killing the sweep; its points are missing)
     errors: list = field(default_factory=list)
 
     def points(self) -> np.ndarray:
@@ -123,8 +128,8 @@ class ParetoSweepResult:
 
 
 def penalty_pareto_sweep(
-    make_net: Callable[[int], PrintedNeuralNetwork],
-    split: DataSplit,
+    make_net: Callable[[int], PrintedNeuralNetwork] | None = None,
+    split: DataSplit | None = None,
     n_alphas: int = 50,
     n_seeds: int = 10,
     alpha_range: tuple[float, float] = (0.0, 1.0),
@@ -134,119 +139,80 @@ def penalty_pareto_sweep(
     net_spec=None,
     progress=None,
     on_error: str = "continue",
-    vectorized: bool = False,
+    vectorized: bool = True,
     instance_chunk: int = 64,
 ) -> ParetoSweepResult:
     """The baseline's multi-run sweep: ``n_alphas × n_seeds`` trainings.
 
-    ``make_net`` receives a seed and returns a freshly initialized network,
-    mirroring the paper's "10 different seeds" protocol.  Paper scale is
-    50 × 10 = 500 runs; callers shrink both for tractable benchmarks.
+    Seeds ``0 .. n_seeds-1`` initialize fresh networks, mirroring the
+    paper's "10 different seeds" protocol.  Paper scale is 50 × 10 = 500
+    runs; callers shrink both for tractable benchmarks.
 
-    Sharding the sweep over processes needs a picklable substitute for the
-    ``make_net`` closure: pass a :class:`repro.parallel.NetworkSpec` as
-    ``net_spec`` (whose ``build``/``split`` must describe the same network
-    and split).  With ``net_spec`` set, every (α, seed) point runs as a
-    mapped task — the ``n_jobs=1`` case included, so serial and parallel
-    sweeps execute identical code paths.  A failed point lands in
-    ``result.errors`` instead of aborting the sweep.  ``progress`` and
-    ``on_error`` are forwarded to :func:`repro.parallel.map_tasks` —
-    ``on_error="cancel"`` fail-fasts the sweep, recording the skipped
-    points as ``TaskError(kind="cancelled")`` entries in ``errors``.
+    ``net_spec`` (a :class:`repro.parallel.NetworkSpec`) describes the
+    network and split; it is required.  The (α, seed) points are grouped by
+    fleet structure key (``α == 0`` points apart from ``α > 0``), chunked to
+    at most ``instance_chunk`` instances, and each chunk trains as one
+    :class:`repro.parallel.FleetSweepChunkTask` through
+    :func:`repro.parallel.map_tasks` — inline for ``n_jobs=1``, sharded
+    across the pool otherwise.  Results land in ``results`` in α-major
+    order, bit-identical to training each point alone.  A failed chunk
+    records one error entry for the whole chunk in ``errors``;
+    ``progress`` and ``on_error`` are forwarded to ``map_tasks``
+    (``on_error="cancel"`` records the skipped chunks as
+    ``TaskError(kind="cancelled")`` entries).
 
-    ``vectorized=True`` trains the sweep as instance-stacked fleets
-    (:func:`repro.training.fleet.train_fleet`): the (α, seed) points are
-    grouped by fleet structure key (``α == 0`` points separately from
-    ``α > 0``), chunked to at most ``instance_chunk`` instances, and each
-    chunk runs as one :class:`repro.parallel.FleetSweepChunkTask` — shardable
-    across the pool like any other task.  Per-point results are bit-identical
-    to the serial per-run path and land in ``results`` in the same order; a
-    failed chunk records one error entry for the whole chunk.  Requires
-    ``net_spec``.
+    ``make_net``, ``split`` and ``vectorized`` are ignored and kept only
+    for the ``perfbench`` caller, which passes ``spec.build, split`` and
+    ``vectorized=True``; ``vectorized=False`` raises, because the
+    per-point loop is now a test oracle (``tests/serial_oracle.py``).
     """
+    if not vectorized:
+        raise ValueError(
+            "penalty_pareto_sweep always trains stacked fleets; the per-point loop "
+            "is the test oracle penalty_sweep_oracle in tests/serial_oracle.py"
+        )
+    if net_spec is None:
+        raise ValueError("penalty_pareto_sweep requires net_spec (a repro.parallel.NetworkSpec)")
+    if instance_chunk < 1:
+        raise ValueError("instance_chunk must be >= 1")
+    from repro.parallel import FleetSweepChunkTask, map_tasks
+    from repro.training.fleet import fleet_structure_key
+
     alphas = list(np.linspace(alpha_range[0], alpha_range[1], n_alphas))
     seeds = list(range(n_seeds))
     sweep = ParetoSweepResult(alphas=alphas, seeds=seeds)
     logger.info("penalty Pareto sweep: %d α values × %d seeds = %d runs", n_alphas, n_seeds, n_alphas * n_seeds)
 
-    if vectorized:
-        if net_spec is None:
-            raise ValueError("vectorized sweeps require net_spec")
-        if instance_chunk < 1:
-            raise ValueError("instance_chunk must be >= 1")
-        from repro.parallel import FleetSweepChunkTask, map_tasks
-        from repro.training.fleet import fleet_structure_key
-
-        points = [
-            (index, float(alpha), seed)
-            for index, (alpha, seed) in enumerate(
-                (alpha, seed) for alpha in alphas for seed in seeds
-            )
-        ]
-        # Group by structure key preserving sweep order within each group,
-        # then chunk; every chunk's fleet shares one captured program shape.
-        groups: dict = {}
-        for index, alpha, seed in points:
-            key = fleet_structure_key(
-                PenaltyObjective(alpha=alpha, reference_power=reference_power)
-            )
-            groups.setdefault(key, []).append((index, alpha, seed))
-        tasks = []
-        for group in groups.values():
-            for offset in range(0, len(group), instance_chunk):
-                chunk = group[offset : offset + instance_chunk]
-                tasks.append(
-                    FleetSweepChunkTask(
-                        spec=net_spec,
-                        pairs=tuple((alpha, seed) for _i, alpha, seed in chunk),
-                        indices=tuple(i for i, _alpha, _seed in chunk),
-                        reference_power=reference_power,
-                        settings=settings,
-                        instances=min(instance_chunk, len(group)),
-                        chunk_index=len(tasks),
-                    )
+    # Group by structure key preserving sweep order within each group, then
+    # chunk; every chunk's fleet shares one captured program shape.
+    groups: dict = {}
+    points = [(float(alpha), seed) for alpha in alphas for seed in seeds]
+    for index, (alpha, seed) in enumerate(points):
+        key = fleet_structure_key(PenaltyObjective(alpha=alpha, reference_power=reference_power))
+        groups.setdefault(key, []).append((index, alpha, seed))
+    tasks = []
+    for group in groups.values():
+        for offset in range(0, len(group), instance_chunk):
+            chunk = group[offset : offset + instance_chunk]
+            tasks.append(
+                FleetSweepChunkTask(
+                    spec=net_spec,
+                    pairs=tuple((alpha, seed) for _i, alpha, seed in chunk),
+                    indices=tuple(i for i, _alpha, _seed in chunk),
+                    reference_power=reference_power,
+                    settings=settings,
+                    instances=min(instance_chunk, len(group)),
+                    chunk_index=len(tasks),
                 )
-        placed: list = [None] * len(points)
-        for task, outcome in zip(
-            tasks, map_tasks(tasks, n_jobs=n_jobs, progress=progress, on_error=on_error)
-        ):
-            if outcome.ok:
-                for index, result in zip(task.indices, outcome.value):
-                    placed[index] = result
-            else:
-                sweep.errors.append(outcome.error)
-        sweep.results.extend(result for result in placed if result is not None)
-        return sweep
-
-    if net_spec is not None:
-        from repro.parallel import PenaltyTask, map_tasks
-
-        tasks = [
-            PenaltyTask(
-                spec=net_spec,
-                alpha=float(alpha),
-                seed=seed,
-                reference_power=reference_power,
-                settings=settings,
             )
-            for alpha in alphas
-            for seed in seeds
-        ]
-        for outcome in map_tasks(tasks, n_jobs=n_jobs, progress=progress, on_error=on_error):
-            if outcome.ok:
-                sweep.results.append(outcome.value)
-            else:
-                sweep.errors.append(outcome.error)
-        return sweep
-
-    if n_jobs != 1:
-        raise ValueError("n_jobs > 1 requires net_spec (make_net closures cannot be pickled)")
-    for alpha in alphas:
-        for seed in seeds:
-            logger.debug("penalty run α=%.4f seed=%d", alpha, seed)
-            net = make_net(seed)
-            result = train_penalty(
-                net, split, alpha=float(alpha), reference_power=reference_power, settings=settings
-            )
-            sweep.results.append(result)
+    placed: list = [None] * len(points)
+    for task, outcome in zip(
+        tasks, map_tasks(tasks, n_jobs=n_jobs, progress=progress, on_error=on_error)
+    ):
+        if outcome.ok:
+            for index, result in zip(task.indices, outcome.value):
+                placed[index] = result
+        else:
+            sweep.errors.append(outcome.error)
+    sweep.results.extend(result for result in placed if result is not None)
     return sweep

@@ -1,4 +1,4 @@
-"""The serial training loop, kept as a test oracle.
+"""The serial training loop and the per-point penalty sweep, kept as test oracles.
 
 ``repro.training`` has one epoch loop: :func:`repro.training.train_model`
 runs the fleet loop with one instance.  This module keeps the serial loop
@@ -13,6 +13,11 @@ Only the reference losses are new code here; they replace an objective's
 ``training_loss`` and leave its state and hooks (``on_epoch_end``,
 ``is_feasible``, λ, μ) to the wrapped objective.  One known difference:
 this loop reports ``epochs_run=1`` when no epoch ran.
+
+:func:`penalty_sweep_oracle` is the penalty sweep as it ran before every
+sweep became a stacked fleet: one serial training per (α, seed) point, in
+α-major order.  :func:`repro.training.penalty_pareto_sweep` must reproduce
+it point for point.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from repro.training.fleet import (
     _POWER_VIOLATION,
 )
 from repro.training.multi_constraint import PowerAreaObjective
-from repro.training.penalty import PenaltyObjective
+from repro.training.penalty import ParetoSweepResult, PenaltyObjective
 from repro.training.trainer import (
     Objective,
     TrainResult,
@@ -312,3 +317,23 @@ def _serial_train_model(
 def _objective_multiplier(objective: Objective) -> float | None:
     multiplier = getattr(objective, "multiplier", None)
     return None if multiplier is None else float(multiplier)
+
+
+def penalty_sweep_oracle(
+    make_net,
+    split: DataSplit,
+    n_alphas: int,
+    n_seeds: int,
+    alpha_range: tuple[float, float] = (0.0, 1.0),
+    reference_power: float = 1.0e-3,
+    settings: TrainerSettings | None = None,
+) -> ParetoSweepResult:
+    """One serial penalty training per (α, seed), α-major, nets from ``make_net(seed)``."""
+    alphas = list(np.linspace(alpha_range[0], alpha_range[1], n_alphas))
+    seeds = list(range(n_seeds))
+    sweep = ParetoSweepResult(alphas=alphas, seeds=seeds)
+    for alpha in alphas:
+        for seed in seeds:
+            objective = PenaltyObjective(alpha=float(alpha), reference_power=reference_power)
+            sweep.results.append(train_model(make_net(seed), split, objective, settings=settings))
+    return sweep

@@ -32,22 +32,47 @@ class TestParser:
     def test_sweep_args(self):
         args = build_parser().parse_args(["sweep", "seeds", "--n-alphas", "3"])
         assert args.n_alphas == 3
+        args = build_parser().parse_args(
+            ["sweep", "seeds", "--n-seeds", "1", "--instance-chunk", "1"]
+        )
+        assert (args.n_seeds, args.instance_chunk) == (1, 1)
 
     def test_montecarlo_args(self):
         args = build_parser().parse_args(["montecarlo", "iris", "--sigma-scale", "2.0"])
         assert args.sigma_scale == 2.0
-        assert args.vectorized is False
         assert args.instance_chunk == 64
         assert args.json_out is None
+        assert not hasattr(args, "vectorized")
 
-    def test_montecarlo_vectorized_args(self):
+    def test_montecarlo_chunk_and_json_args(self):
         args = build_parser().parse_args(
-            ["montecarlo", "iris", "--vectorized", "--instance-chunk", "16",
-             "--json-out", "mc.json"]
+            ["montecarlo", "iris", "--instance-chunk", "16", "--json-out", "mc.json"]
         )
-        assert args.vectorized is True
         assert args.instance_chunk == 16
         assert args.json_out == "mc.json"
+
+    @pytest.mark.parametrize("command", ["sweep", "montecarlo"])
+    def test_vectorized_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "iris", "--vectorized"])
+        assert exc.value.code == 2
+        assert "--vectorized" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["montecarlo", "iris", "--samples", "0"], "samples"),
+            (["montecarlo", "iris", "--instance-chunk", "0"], "instance-chunk"),
+            (["sweep", "iris", "--instance-chunk", "-3"], "instance-chunk"),
+            (["sweep", "iris", "--n-alphas", "0"], "n-alphas"),
+            (["sweep", "iris", "--n-seeds", "0"], "n-seeds"),
+        ],
+    )
+    def test_population_sizes_must_be_positive(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
 
 
 class TestFastCommands:

@@ -2,10 +2,10 @@
 
 The contract under test is *bit-identity*: stacking printed instances on a
 leading tensor axis and replaying them through the captured graph must
-reproduce the serial per-instance loop exactly — same accuracies, same
-powers, for any chunk size, any job count, and both power modes.  These
-tests are the license for routing yield analysis through
-:class:`repro.circuits.ensemble.EnsembleProgram`.
+reproduce the per-instance oracle loop (:func:`evaluate_instances`) exactly —
+same accuracies, same powers, for any chunk size, any job count, and both
+power modes.  These tests are the license for running every yield analysis
+through :class:`repro.circuits.ensemble.EnsembleProgram`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.evaluation.montecarlo import (
     evaluate_instances_vectorized,
     run_monte_carlo,
 )
-from repro.observability.events import ListSink, RunLogger
+from repro.observability.events import ListSink, RunLogger, validate_event
 from repro.observability.metrics import get_registry
 from repro.pdk.params import ActivationKind
 from repro.pdk.variation import NOMINAL, VariationSpec
@@ -128,34 +128,36 @@ class TestBitIdentity:
     def test_nominal_spec_matches_nominal_forward(self, af_surrogates, neg_surrogate, xy):
         x, y = xy
         net = _make_net(ActivationKind.RELU, af_surrogates, neg_surrogate)
-        report = run_monte_carlo(net, x, y, NOMINAL, n_samples=4, vectorized=True,
-                                 instance_chunk=4)
+        report = run_monte_carlo(net, x, y, NOMINAL, n_samples=4, instance_chunk=4)
         np.testing.assert_allclose(report.accuracies, report.nominal_accuracy)
         np.testing.assert_allclose(report.powers, report.nominal_power, rtol=1e-12)
 
     def test_run_monte_carlo_vectorized_flag(self, af_surrogates, neg_surrogate, xy):
+        """run_monte_carlo is the stacked path: it equals the oracle over the
+        same per-instance seeds, and asking for the serial loop is refused."""
         x, y = xy
         net = _make_net(ActivationKind.TANH, af_surrogates, neg_surrogate)
         spec = VariationSpec()
         kwargs = dict(n_samples=6, seed=9, power_budget=1e-3, accuracy_floor=0.3)
-        serial = run_monte_carlo(net, x, y, spec, **kwargs)
-        vector = run_monte_carlo(net, x, y, spec, vectorized=True, instance_chunk=4,
-                                 **kwargs)
-        np.testing.assert_array_equal(serial.accuracies, vector.accuracies)
-        np.testing.assert_array_equal(serial.powers, vector.powers)
-        assert serial.parametric_yield == vector.parametric_yield
+        report = run_monte_carlo(net, x, y, spec, instance_chunk=4, **kwargs)
+        pinned = run_monte_carlo(net, x, y, spec, vectorized=True, instance_chunk=4, **kwargs)
+        np.testing.assert_array_equal(pinned.powers, report.powers)
+        acc_s, pow_s = evaluate_instances(net, x, y, spec, _rngs(9, 6))
+        np.testing.assert_array_equal(acc_s, report.accuracies)
+        np.testing.assert_array_equal(pow_s, report.powers)
+        with pytest.raises(ValueError, match="evaluate_instances"):
+            run_monte_carlo(net, x, y, spec, vectorized=False, **kwargs)
 
     def test_vectorized_with_process_pool(self, af_surrogates, neg_surrogate, xy):
-        """Workers shard chunks of stacks; results equal the serial loop."""
+        """Workers shard chunks of stacks; results equal the oracle loop."""
         x, y = xy
         net = _make_net(ActivationKind.TANH, af_surrogates, neg_surrogate)
         spec = VariationSpec()
         kwargs = dict(n_samples=6, seed=4, power_budget=1e-3, accuracy_floor=0.3)
-        serial = run_monte_carlo(net, x, y, spec, n_jobs=1, **kwargs)
-        pooled = run_monte_carlo(net, x, y, spec, n_jobs=2, vectorized=True,
-                                 instance_chunk=2, **kwargs)
-        np.testing.assert_array_equal(serial.accuracies, pooled.accuracies)
-        np.testing.assert_array_equal(serial.powers, pooled.powers)
+        pooled = run_monte_carlo(net, x, y, spec, n_jobs=2, instance_chunk=2, **kwargs)
+        acc_s, pow_s = evaluate_instances(net, x, y, spec, _rngs(4, 6))
+        np.testing.assert_array_equal(acc_s, pooled.accuracies)
+        np.testing.assert_array_equal(pow_s, pooled.powers)
 
     def test_net_restored_after_vectorized_run(self, af_surrogates, neg_surrogate, xy):
         x, y = xy
@@ -215,6 +217,50 @@ class TestEnsembleProgram:
         net = _make_net(ActivationKind.RELU, af_surrogates, neg_surrogate)
         acc, pw = evaluate_instances_vectorized(net, x, y, NOMINAL, [])
         assert acc.shape == (0,) and pw.shape == (0,)
+
+
+# ----------------------------------------------------------------------
+class TestSharedInputNegationPower:
+    """The input layer's P^N reads only the shared 2-D ``x``: a stacked
+    forward evaluates it once, not once per instance, and broadcasts it
+    against the per-instance row activities (bits: TestBitIdentity)."""
+
+    def test_surrogate_mode_evaluates_input_layer_once(
+        self, af_surrogates, neg_surrogate, xy, monkeypatch
+    ):
+        x, _ = xy
+        net = _make_net(ActivationKind.TANH, af_surrogates, neg_surrogate)
+        shapes = []
+        predict = net.neg_surrogate.predict_tensor
+
+        def spy(q, v_in):
+            shapes.append(v_in.shape)
+            return predict(q, v_in)
+
+        monkeypatch.setattr(net.neg_surrogate, "predict_tensor", spy)
+        EnsembleProgram(net, x, 5)
+        assert shapes[0] == (x.shape[0] * (x.shape[1] + 2), 1)
+        assert all(len(shape) == 3 and shape[0] == 5 for shape in shapes[1:])
+
+    def test_analytic_mode_solves_input_layer_once(
+        self, af_surrogates, neg_surrogate, xy, monkeypatch
+    ):
+        import repro.circuits.pnc as pnc
+
+        x, _ = xy
+        net = _make_net(ActivationKind.TANH, af_surrogates, neg_surrogate,
+                        power_mode="analytic")
+        shapes = []
+        solve = pnc.NegationModel.output_and_power
+
+        def spy(self, v_in, q):
+            shapes.append(v_in.shape)
+            return solve(self, v_in, q)
+
+        monkeypatch.setattr(pnc.NegationModel, "output_and_power", spy)
+        EnsembleProgram(net, x, 5)
+        assert shapes[0] == (x.shape[0], x.shape[1] + 2)
+        assert all(len(shape) == 3 and shape[0] == 5 for shape in shapes[1:])
 
 
 # ----------------------------------------------------------------------
@@ -292,19 +338,58 @@ class TestChunkTelemetry:
         events = [e for e in sink.events if e["type"] == "montecarlo"]
         assert [e["instances"] for e in events] == [2, 2, 1]
         assert [e["start"] for e in events] == [10, 12, 14]
-        assert all(e["vectorized"] is True for e in events)
+        assert all("vectorized" not in e for e in events)
+        for event in events:
+            validate_event(event)
         assert all(e["duration_s"] >= 0 for e in events)
         assert instances.value - i0 == 5
 
-    def test_serial_run_emits_one_event(self, af_surrogates, neg_surrogate, xy):
+    def test_run_monte_carlo_emits_one_event_per_chunk(self, af_surrogates, neg_surrogate, xy):
         x, y = xy
         net = _make_net(ActivationKind.RELU, af_surrogates, neg_surrogate)
         sink = ListSink()
         seconds = get_registry().histogram("montecarlo_chunk_seconds", "")
         c0 = seconds.count
-        run_monte_carlo(net, x, y, NOMINAL, n_samples=3, run_logger=RunLogger(sink))
+        run_monte_carlo(net, x, y, NOMINAL, n_samples=3, instance_chunk=2,
+                        run_logger=RunLogger(sink))
         events = [e for e in sink.events if e["type"] == "montecarlo"]
-        assert len(events) == 1
-        assert events[0]["instances"] == 3
-        assert events[0]["vectorized"] is False
-        assert seconds.count - c0 == 1
+        assert [e["instances"] for e in events] == [2, 1]
+        assert [e["chunk_index"] for e in events] == [0, 1]
+        assert seconds.count - c0 == 2
+
+
+# ----------------------------------------------------------------------
+class TestPopulationSizes:
+    """Bad population sizes fail before any work; empty ones return empty."""
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_zero_samples_returns_empty_report(self, n_jobs, af_surrogates, neg_surrogate, xy):
+        x, y = xy
+        net = _make_net(ActivationKind.RELU, af_surrogates, neg_surrogate)
+        report = run_monte_carlo(net, x, y, VariationSpec(), n_samples=0, n_jobs=n_jobs,
+                                 power_budget=1e-3)
+        assert report.n_samples == 0
+        assert report.accuracies.shape == (0,) and report.powers.shape == (0,)
+        assert report.parametric_yield == 0.0
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_instance_chunk_rejected_up_front(
+        self, n_jobs, af_surrogates, neg_surrogate, xy, monkeypatch
+    ):
+        import repro.parallel
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("work was mapped before the chunk width was checked")
+
+        monkeypatch.setattr(repro.parallel, "map_tasks", no_pool)
+        x, y = xy
+        net = _make_net(ActivationKind.RELU, af_surrogates, neg_surrogate)
+        with pytest.raises(ValueError, match="instance_chunk"):
+            run_monte_carlo(net, x, y, VariationSpec(), n_samples=4, n_jobs=n_jobs,
+                            instance_chunk=0)
+
+    def test_negative_samples_rejected(self, af_surrogates, neg_surrogate, xy):
+        x, y = xy
+        net = _make_net(ActivationKind.RELU, af_surrogates, neg_surrogate)
+        with pytest.raises(ValueError, match="n_samples"):
+            run_monte_carlo(net, x, y, VariationSpec(), n_samples=-1)

@@ -220,35 +220,31 @@ class TestFleetStructure:
 
 
 class TestVectorizedSweep:
-    """`penalty_pareto_sweep(vectorized=True)` == the per-point serial sweep."""
+    """`penalty_pareto_sweep` (stacked fleets) == the per-point serial oracle."""
 
-    def _sweep(self, **kwargs):
+    @staticmethod
+    def _spec():
         from repro.parallel import NetworkSpec
-        from repro.training.penalty import penalty_pareto_sweep
         from tests.conftest import TEST_SURROGATE_EPOCHS, TEST_SURROGATE_NQ
 
-        spec = NetworkSpec("iris", ActivationKind.TANH,
+        return NetworkSpec("iris", ActivationKind.TANH,
                            surrogate_n_q=TEST_SURROGATE_NQ,
                            surrogate_epochs=TEST_SURROGATE_EPOCHS)
-        return penalty_pareto_sweep(
-            None, spec.split(), n_alphas=4, n_seeds=1,
-            settings=_settings(epochs=5), net_spec=spec, **kwargs,
-        )
 
     def test_vectorized_matches_serial_with_padded_tail_and_sharding(
-        self, af_surrogates, neg_surrogate, monkeypatch
+        self, af_surrogates, neg_surrogate
     ):
-        import repro.training.penalty as penalty_module
+        from repro.training.penalty import penalty_pareto_sweep
+        from tests.serial_oracle import penalty_sweep_oracle
 
-        # the serial side runs each point through the serial oracle in-process
-        with monkeypatch.context() as patch:
-            patch.setattr(penalty_module, "train_model", train_model)
-            serial = self._sweep(n_jobs=1)
+        spec = self._spec()
+        kwargs = dict(n_alphas=4, n_seeds=1, settings=_settings(epochs=5))
+        serial = penalty_sweep_oracle(spec.build, spec.split(), **kwargs)
         # chunk=2 over the α>0 group of 3 → one full chunk + a tail padded
         # to the fixed width; α=0 trains as its own single-instance fleet
-        vectorized = self._sweep(n_jobs=1, vectorized=True, instance_chunk=2)
-        sharded = self._sweep(n_jobs=2, vectorized=True, instance_chunk=2)
-        assert not serial.errors and not vectorized.errors and not sharded.errors
+        vectorized = penalty_pareto_sweep(net_spec=spec, n_jobs=1, instance_chunk=2, **kwargs)
+        sharded = penalty_pareto_sweep(net_spec=spec, n_jobs=2, instance_chunk=2, **kwargs)
+        assert not vectorized.errors and not sharded.errors
         _assert_result_pairs_identical(serial.results, vectorized.results)
         _assert_result_pairs_identical(serial.results, sharded.results)
 
@@ -256,8 +252,14 @@ class TestVectorizedSweep:
         from repro.training.penalty import penalty_pareto_sweep
 
         with pytest.raises(ValueError, match="net_spec"):
+            penalty_pareto_sweep(None, iris_split, n_alphas=2, n_seeds=1)
+
+    def test_serial_path_is_refused_and_names_the_oracle(self, iris_split):
+        from repro.training.penalty import penalty_pareto_sweep
+
+        with pytest.raises(ValueError, match="penalty_sweep_oracle"):
             penalty_pareto_sweep(None, iris_split, n_alphas=2, n_seeds=1,
-                                 vectorized=True)
+                                 net_spec=self._spec(), vectorized=False)
 
 
 class TestSweepChunkBuild:
@@ -314,8 +316,7 @@ class TestSweepChunkBuild:
         def sweep():
             return penalty_pareto_sweep(
                 None, spec.split(), n_alphas=2, n_seeds=2, alpha_range=(0.2, 0.6),
-                settings=_settings(epochs=3), net_spec=spec,
-                vectorized=True, instance_chunk=4,
+                settings=_settings(epochs=3), net_spec=spec, instance_chunk=4,
             )
 
         untraced = sweep()

@@ -79,8 +79,7 @@ class TestEventSchema:
                 "endpoint": "predict", "status": 200, "rows": 8, "duration_s": 0.004,
             },
             "montecarlo": {
-                "instances": 64, "duration_s": 0.12, "vectorized": True,
-                "chunk_index": 2, "start": 128,
+                "instances": 64, "duration_s": 0.12, "chunk_index": 2, "start": 128,
             },
             "fleet": {
                 "instances": 16, "epoch": 7, "duration_s": 0.8, "chunk_index": 1,
@@ -96,6 +95,18 @@ class TestEventSchema:
     def test_every_event_type_has_a_valid_sample(self):
         for event_type in EVENT_SCHEMAS:
             validate_event(self._sample(event_type))
+
+    def test_montecarlo_events_of_old_logs_still_validate(self):
+        """Logs written while a serial Monte-Carlo path existed tag each
+        chunk with ``vectorized``; they stay valid, while the field is no
+        longer required of new events."""
+        new = self._sample("montecarlo")
+        assert "vectorized" not in new
+        validate_event(new)
+        for flag in (True, False):
+            validate_event({**new, "vectorized": flag})
+        with pytest.raises(ValueError, match="montecarlo.vectorized"):
+            validate_event({**new, "vectorized": "yes"})
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="unknown event type"):

@@ -70,6 +70,26 @@ class DyingTask:
 
 
 @dataclass(frozen=True)
+class SpanTask:
+    """Opens ``n`` nested span pairs (``task.outer/task.inner``)."""
+
+    n: int
+
+    @property
+    def label(self) -> str:
+        return f"spans:{self.n}"
+
+    def run(self) -> int:
+        from repro.observability.tracing import trace_span
+
+        for _ in range(self.n):
+            with trace_span("task.outer"):
+                with trace_span("task.inner"):
+                    pass
+        return self.n
+
+
+@dataclass(frozen=True)
 class BlasThreadsTask:
     """Reads back the BLAS thread count its worker runs with."""
 
@@ -270,6 +290,59 @@ class CountingTask:
         return self.n
 
 
+class TestWorkerSpanProfile:
+    """A profiling parent gets its pool workers' spans in its own profile."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_tracer(self):
+        from repro.observability.tracing import disable_tracing, get_tracer
+
+        disable_tracing()
+        get_tracer().reset()
+        yield
+        disable_tracing()
+        get_tracer().reset()
+
+    @staticmethod
+    def _counts(profile):
+        return {item["path"]: item["count"] for item in profile}
+
+    def test_pool_profile_equals_inline_profile(self):
+        from repro.observability.tracing import get_tracer, trace_span
+
+        tracer = get_tracer()
+        tracer.enable()
+        profiles = {}
+        for n_jobs in (1, 2):
+            tracer.reset()
+            with trace_span("sweep"):
+                outcomes = map_tasks([SpanTask(n) for n in (1, 2, 3)], n_jobs=n_jobs)
+            assert [o.value for o in outcomes] == [1, 2, 3]
+            profiles[n_jobs] = self._counts(tracer.profile())
+        assert profiles[2] == profiles[1] == {
+            "sweep": 1, "sweep/task.outer": 6, "sweep/task.outer/task.inner": 6,
+        }
+
+    def test_pool_outcomes_carry_span_deltas_only_when_profiling(self):
+        from repro.observability.tracing import get_tracer
+
+        assert all(o.spans is None for o in map_tasks([SpanTask(2), SpanTask(1)], n_jobs=2))
+        get_tracer().enable()
+        outcomes = map_tasks([SpanTask(2), SpanTask(1)], n_jobs=2)
+        assert [o.spans[("task.outer",)][0] for o in outcomes] == [2, 1]
+        assert all(o.spans[("task.outer",)][1] >= 0.0 for o in outcomes)
+
+    def test_cli_grid_profile_contains_worker_training_spans(self, capsys):
+        from repro.cli import main
+
+        main(["grid", "iris", "--budgets", "0.4", "--epochs", "3", "--jobs", "2",
+              "--profile"])
+        out = capsys.readouterr().out
+        assert "no spans recorded" not in out
+        breakdown = out.split("span breakdown:", 1)[1]
+        assert "trainer.epoch" in breakdown and "trainer.step" in breakdown
+
+
 class TestWorkerTelemetry:
     def _read_shards(self, run_dir):
         from repro.observability.events import read_events
@@ -440,6 +513,7 @@ class TestSerialParallelDeterminism:
         from repro.evaluation.experiments import dataset_split, network_spec
         from repro.training import TrainerSettings
         from repro.training.penalty import penalty_pareto_sweep
+        from tests.serial_oracle import penalty_sweep_oracle
 
         config = _tiny_config()
         spec = network_spec("iris", ActivationKind.TANH, config)
@@ -447,9 +521,9 @@ class TestSerialParallelDeterminism:
         settings = TrainerSettings(epochs=2, patience=2)
         kwargs = dict(n_alphas=2, n_seeds=1, settings=settings)
 
-        legacy = penalty_pareto_sweep(spec.build, split, **kwargs)
-        tasked = penalty_pareto_sweep(spec.build, split, net_spec=spec, **kwargs)
-        sharded = penalty_pareto_sweep(spec.build, split, net_spec=spec, n_jobs=2, **kwargs)
+        legacy = penalty_sweep_oracle(spec.build, split, **kwargs)
+        tasked = penalty_pareto_sweep(net_spec=spec, **kwargs)
+        sharded = penalty_pareto_sweep(net_spec=spec, n_jobs=2, **kwargs)
 
         assert tasked.errors == [] and sharded.errors == []
         for sweep in (tasked, sharded):
@@ -756,14 +830,15 @@ class TestTaskSpecs:
     def test_tasks_pickle_roundtrip(self):
         import pickle
 
-        from repro.parallel import BudgetTask, MaxPowerTask, PenaltyTask
+        from repro.parallel import BudgetTask, FleetSweepChunkTask, MaxPowerTask
 
         config = _tiny_config()
         spec = NetworkSpec(dataset="iris", kind=ActivationKind.TANH)
         for task in (
             MaxPowerTask("iris", ActivationKind.TANH, config),
             BudgetTask("iris", ActivationKind.TANH, 0.4, 1e-3, config),
-            PenaltyTask(spec, 0.5, 1),
+            FleetSweepChunkTask(spec, pairs=((0.5, 1), (0.75, 0)), indices=(2, 3),
+                                instances=4, chunk_index=1),
         ):
             clone = pickle.loads(pickle.dumps(task))
             assert clone == task
