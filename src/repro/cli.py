@@ -157,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("datasets", nargs="+")
     grid.add_argument("--budgets", type=float, nargs="+", default=[0.2, 0.4, 0.6, 0.8])
     grid.add_argument("--seed", type=int, default=0)
-    grid.add_argument("--epochs", type=_epoch_count, default=300)
+    grid.add_argument("--epochs", type=_epoch_count, default=300,
+                      help="training epochs per grid cell; the fine-tune pass runs "
+                           "min(EPOCHS, 150) epochs (default: 300)")
     grid.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="worker processes for the grid cells (results identical to --jobs 1)")
     grid.add_argument("--no-capture", action="store_true",
@@ -543,6 +545,7 @@ def cmd_grid(args, run_logger=None) -> int:
     from repro.evaluation.reporting import render_table1, render_fig4_rows
 
     config = ExperimentConfig(epochs=args.epochs, patience=max(40, args.epochs // 4),
+                              finetune_epochs=min(args.epochs, ExperimentConfig.finetune_epochs),
                               seed=args.seed, surrogate_n_q=800, surrogate_epochs=60,
                               capture_graph=not args.no_capture)
     records = run_dataset_grid(args.datasets, budget_fractions=tuple(args.budgets), config=config,
@@ -1148,6 +1151,7 @@ def main(argv: list[str] | None = None) -> int:
         configure_logging,
         disable_tracing,
         enable_tracing,
+        get_kernel_profiler,
         get_registry,
         get_tracer,
         render_profile,
@@ -1251,6 +1255,7 @@ def main(argv: list[str] | None = None) -> int:
         if trace_enabled or args.profile:
             disable_tracing()
             get_tracer().reset()  # a later run in this process starts empty
+            get_kernel_profiler().reset()
 
 
 if __name__ == "__main__":

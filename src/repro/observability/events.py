@@ -84,7 +84,8 @@ EVENT_SCHEMAS: dict[str, dict[str, tuple[type, ...]]] = {
         "duration_s": (float, int),
     },
     # A training-health watchdog fired (see repro.observability.health):
-    # NaN/inf loss, λ divergence, violation stall, budget overshoot.
+    # NaN/inf loss, λ divergence, violation stall, budget overshoot,
+    # unconverged activation Newton solves.
     "alert": {
         "kind": (str,),
         "epoch": (int,),

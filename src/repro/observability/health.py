@@ -4,10 +4,12 @@ Power-constrained analog training has characteristic failure modes the
 trace lists alone surface too late: the loss goes NaN after an unstable
 step, the dual variable λ diverges when μ grows against an infeasible
 budget, the constraint violation plateaus without ever entering the
-feasible region, or training "converges" to a circuit that still
-overshoots the budget.  :class:`HealthMonitor` is a
+feasible region, training "converges" to a circuit that still overshoots
+the budget, or an activation's Newton solve hits its iteration cap with
+elements still off the solution (``transfer_newton_unconverged_total``
+grew).  :class:`HealthMonitor` is a
 :class:`~repro.observability.callbacks.TrainerCallback` that detects all
-four **while the run is happening**, emits schema'd ``alert`` events (see
+five **while the run is happening**, emits schema'd ``alert`` events (see
 :mod:`repro.observability.events`), and — opt-in — aborts the run with a
 :class:`TrainingHealthError` carrying a structured diagnostic dump (the
 recent loss/power/λ window plus the watchdog configuration), so a poisoned
@@ -33,6 +35,12 @@ logger = logging.getLogger(__name__)
 
 _ALERTS = get_registry().counter(
     "health_alerts", "training-health watchdog alerts raised (all kinds)"
+)
+#: Incremented by the transfer-model Newton solve (:mod:`repro.pdk.transfer`)
+#: with the number of elements it left unconverged.
+_NEWTON_UNCONVERGED = get_registry().counter(
+    "transfer_newton_unconverged_total",
+    "transfer-model Newton elements still at or above tol when the iteration cap hit",
 )
 
 #: Alert kinds that indicate the run is unrecoverable (default abort set).
@@ -106,6 +114,7 @@ class HealthMonitor(TrainerCallback):
         self._power_hist: list[float] = []
         self._multiplier_hist: list[float] = []
         self._last_epoch = -1
+        self._unconverged_base = _NEWTON_UNCONVERGED.value
 
     # ------------------------------------------------------------------
     def on_train_start(self, net, objective, settings) -> None:
@@ -119,6 +128,7 @@ class HealthMonitor(TrainerCallback):
         self._power_hist.clear()
         self._multiplier_hist.clear()
         self._last_epoch = -1
+        self._unconverged_base = _NEWTON_UNCONVERGED.value
 
     def on_epoch(self, event: EpochEvent) -> None:
         self._last_epoch = event.epoch
@@ -147,6 +157,7 @@ class HealthMonitor(TrainerCallback):
                 )
 
         self._check_stall(event)
+        self._check_solver(event)
 
     def on_train_end(self, result) -> None:
         budget = self._budget
@@ -186,6 +197,17 @@ class HealthMonitor(TrainerCallback):
                 f"constraint violation stuck near {last * 100:.1f}% for {window} "
                 f"infeasible epochs (decrease {decrease * 100:.2f}%)",
                 value=last,
+            )
+
+    def _check_solver(self, event: EpochEvent) -> None:
+        unconverged = _NEWTON_UNCONVERGED.value - self._unconverged_base
+        if unconverged > 0:
+            self._alert(
+                "solver_unconverged",
+                event.epoch,
+                f"{unconverged:g} activation Newton element(s) did not converge "
+                "within the iteration cap since this loop started",
+                value=unconverged,
             )
 
     def _remember(self, series: list[float], value: float) -> None:

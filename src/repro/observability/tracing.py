@@ -73,6 +73,7 @@ __all__ = [
     "KernelProfiler",
     "KernelRecording",
     "get_kernel_profiler",
+    "kernel_delta",
     "write_trace_jsonl",
     "read_trace",
     "chrome_trace",
@@ -502,6 +503,7 @@ class KernelProfiler:
     def __init__(self):
         self.enabled = False
         self._recordings: list[KernelRecording] = []
+        self._merged: dict[str, dict] = {}
         self._lock = threading.Lock()
 
     def enable(self) -> None:
@@ -513,6 +515,7 @@ class KernelProfiler:
     def reset(self) -> None:
         with self._lock:
             self._recordings = []
+            self._merged = {}
 
     def recording(self, label: str, names: list[str]) -> KernelRecording:
         rec = KernelRecording(label, names)
@@ -522,35 +525,62 @@ class KernelProfiler:
 
     def has_data(self) -> bool:
         with self._lock:
-            return any(rec.replays for rec in self._recordings)
+            return bool(self._merged) or any(rec.replays for rec in self._recordings)
 
-    def as_json(self) -> dict:
-        """Aggregate recordings into the ``kernels.json`` payload.
+    def totals(self) -> dict[str, dict]:
+        """Recordings aggregated per label, merged entries included.
 
         Same-label recordings (a graph recaptured mid-run) merge by
-        ``(index, name)``.  Schema::
-
-            {"labels": {label: {"replays": n, "wall_s": s,
-                                "attributed_s": s,
-                                "kernels": [{"index", "name", "total_s"}]}}}
+        ``(index, name)``: ``{label: {"replays": n, "wall_s": s,
+        "kernels": {(index, name): total_s}}}``.  The result is a fresh
+        copy; :func:`kernel_delta` diffs two of them.
         """
         with self._lock:
             recordings = list(self._recordings)
-        labels: dict[str, dict] = {}
+            labels = {
+                label: dict(entry, kernels=dict(entry["kernels"]))
+                for label, entry in self._merged.items()
+            }
         for rec in recordings:
             if rec.replays == 0:
                 continue
-            entry = labels.setdefault(
-                rec.label, {"replays": 0, "wall_s": 0.0, "kernels": {}}
-            )
+            entry = labels.setdefault(rec.label, {"replays": 0, "wall_s": 0.0, "kernels": {}})
             entry["replays"] += rec.replays
             entry["wall_s"] += rec.wall_s
             table = entry["kernels"]
             for index, (name, total) in enumerate(zip(rec.names, rec.times)):
                 key = (index, name)
                 table[key] = table.get(key, 0.0) + total
+        return labels
+
+    def merge(self, delta: dict[str, dict]) -> None:
+        """Add another process's :func:`kernel_delta` by ``(label, index, name)``.
+
+        Pool workers return the kernel recordings of each task they ran;
+        the coordinating process folds them in here, so a traced
+        ``--jobs N`` run writes the ``kernels.json`` a ``--jobs 1`` run
+        would.
+        """
+        with self._lock:
+            for label, part in delta.items():
+                entry = self._merged.setdefault(label, {"replays": 0, "wall_s": 0.0, "kernels": {}})
+                entry["replays"] += part["replays"]
+                entry["wall_s"] += part["wall_s"]
+                table = entry["kernels"]
+                for key, total in part["kernels"].items():
+                    table[key] = table.get(key, 0.0) + total
+
+    def as_json(self) -> dict:
+        """Aggregate recordings into the ``kernels.json`` payload.
+
+        Schema::
+
+            {"labels": {label: {"replays": n, "wall_s": s,
+                                "attributed_s": s,
+                                "kernels": [{"index", "name", "total_s"}]}}}
+        """
         out: dict[str, dict] = {}
-        for label, entry in labels.items():
+        for label, entry in self.totals().items():
             kernels = [
                 {"index": index, "name": name, "total_s": total}
                 for (index, name), total in sorted(entry["kernels"].items())
@@ -562,6 +592,28 @@ class KernelProfiler:
                 "kernels": kernels,
             }
         return {"labels": out}
+
+
+def kernel_delta(before: dict[str, dict], after: dict[str, dict]) -> dict[str, dict]:
+    """The :meth:`KernelProfiler.totals` entries ``after`` added to ``before``.
+
+    Only labels that replayed in between are kept, each with the replays,
+    wall time and per-kernel time added since ``before``.
+    """
+    delta = {}
+    for label, entry in after.items():
+        base = before.get(label, {"replays": 0, "wall_s": 0.0, "kernels": {}})
+        if entry["replays"] == base["replays"]:
+            continue
+        delta[label] = {
+            "replays": entry["replays"] - base["replays"],
+            "wall_s": entry["wall_s"] - base["wall_s"],
+            "kernels": {
+                key: total - base["kernels"].get(key, 0.0)
+                for key, total in entry["kernels"].items()
+            },
+        }
+    return delta
 
 
 _KERNEL_PROFILER = KernelProfiler()

@@ -41,7 +41,13 @@ from time import perf_counter
 from typing import Any, Callable, Protocol, Sequence
 
 from repro.observability.metrics import get_registry, snapshot_delta
-from repro.observability.tracing import current_span_path, get_tracer, profile_delta
+from repro.observability.tracing import (
+    current_span_path,
+    get_kernel_profiler,
+    get_tracer,
+    kernel_delta,
+    profile_delta,
+)
 from repro.parallel.telemetry import (
     WorkerTelemetry,
     bind_task,
@@ -159,6 +165,9 @@ class TaskOutcome:
     #: span-profile delta ``{path: (count, total_s)}`` of this task's
     #: execution (pool runs of a profiling parent only)
     spans: dict | None = None
+    #: kernel-recording delta (:func:`~repro.observability.tracing.kernel_delta`)
+    #: of this task's execution (pool runs of a tracing parent only)
+    kernels: dict | None = None
 
 
 class TaskFailedError(RuntimeError):
@@ -189,7 +198,9 @@ def _execute(
     :func:`~repro.parallel.telemetry.worker_callbacks`) and the outcome
     carries the metrics-registry delta of the execution.  With ``profile``
     set (a pool worker of a profiling parent), the span tracer records the
-    task and the outcome carries its span-profile delta.
+    task and the outcome carries its span-profile delta; when the kernel
+    profiler is on as well (a tracing parent), it also carries the task's
+    kernel recordings.
     """
     label = getattr(task, "label", repr(task))
     started = perf_counter()
@@ -215,6 +226,8 @@ def _execute(
             logger.exception("worker telemetry setup failed for %s; continuing without", label)
             worker_log = None
 
+    profiler = get_kernel_profiler()
+    kernels_before = profiler.totals() if profile and profiler.enabled else None
     error: TaskError | None = None
     value: Any = None
     try:
@@ -251,6 +264,9 @@ def _execute(
             spans = {path[len(span_root):]: entry for path, entry in delta.items()}
             if telemetry is None or not telemetry.trace:
                 tracer.drain()  # profile only: no shard exports the records
+        kernels = None
+        if kernels_before is not None:
+            kernels = kernel_delta(kernels_before, profiler.totals()) or None
 
     return TaskOutcome(
         index=index,
@@ -262,6 +278,7 @@ def _execute(
         worker_pid=os.getpid(),
         metrics=metrics,
         spans=spans,
+        kernels=kernels,
     )
 
 
@@ -314,7 +331,9 @@ def map_tasks(
         caller's span tracer is enabled (``--profile`` / ``--trace``),
         pool workers record spans too and each outcome carries its task's
         span-profile delta, folded into the caller's profile under the
-        spans open around this call.
+        spans open around this call; with the kernel profiler on too
+        (``--trace``), their kernel recordings are merged into the
+        caller's profiler.
     on_error:
         ``"continue"`` (default) drains the whole queue regardless of
         failures — every task gets its real outcome.  ``"cancel"`` is the
@@ -419,6 +438,8 @@ def map_tasks(
                 registry.merge_snapshot(outcome.metrics)
             if outcome.spans:
                 get_tracer().merge_profile(outcome.spans, span_prefix)
+            if outcome.kernels:
+                get_kernel_profiler().merge(outcome.kernels)
             if (
                 on_error == "cancel"
                 and not outcome.ok

@@ -16,7 +16,16 @@ forward-only captured-graph engine with request coalescing.
   ``/metrics``);
 - :mod:`repro.serving.client` — thin stdlib HTTP client
   (:class:`ServingClient`).
+
+``ServingServer`` and ``ServingClient`` are exported lazily through a module
+``__getattr__`` (PEP 562): they pull in the stdlib HTTP stack (``http.server``,
+``http.client``, ``socketserver``, ``email``), which only ``repro serve`` and
+remote callers use.  ``from repro.serving import ServingClient`` still works;
+a process that only exports, loads or predicts from an artifact never imports
+them.  ``tests/test_cold_start.py`` holds that line.
 """
+
+import importlib
 
 from repro.serving.artifact import (
     ARTIFACT_SCHEMA_VERSION,
@@ -26,9 +35,7 @@ from repro.serving.artifact import (
     load_artifact,
 )
 from repro.serving.batching import MicroBatcher
-from repro.serving.client import ServingClient
 from repro.serving.engine import InferenceEngine
-from repro.serving.server import ServingServer
 
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
@@ -41,3 +48,17 @@ __all__ = [
     "ServingServer",
     "ServingClient",
 ]
+
+_LAZY = {
+    "ServingServer": "repro.serving.server",
+    "ServingClient": "repro.serving.client",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -235,3 +235,59 @@ class TestCliAbortPath:
         assert cli.main(["datasets"]) == 3
         err = capsys.readouterr().err
         assert "multiplier_divergence" in err
+
+
+# ----------------------------------------------------------------------
+class TestSolverUnconverged:
+    """``solver_unconverged``: the activation Newton solve hit its cap."""
+
+    @staticmethod
+    def _train(af_surrogates, neg_surrogate, sink, newton_iterations=None):
+        from repro.circuits import PNCConfig, PrintedNeuralNetwork
+        from repro.datasets import load_dataset, train_val_test_split
+        from repro.pdk.params import ActivationKind
+        from repro.training import TrainerSettings, train_unconstrained
+
+        data = load_dataset("iris")
+        split = train_val_test_split(data, seed=0)
+        net = PrintedNeuralNetwork(
+            data.n_features, data.n_classes, PNCConfig(kind=ActivationKind.TANH),
+            np.random.default_rng(0), af_surrogates[ActivationKind.TANH], neg_surrogate,
+        )
+        if newton_iterations is not None:
+            for activation in net.activations():
+                activation.transfer.newton_iterations = newton_iterations
+        monitor = HealthMonitor(RunLogger(sink))
+        train_unconstrained(
+            net, split, settings=TrainerSettings(epochs=3, patience=3), callbacks=[monitor],
+        )
+        return monitor
+
+    def test_capped_newton_raises_one_alert(self, af_surrogates, neg_surrogate):
+        sink = ListSink()
+        monitor = self._train(af_surrogates, neg_surrogate, sink, newton_iterations=2)
+        assert [a["kind"] for a in monitor.alerts] == ["solver_unconverged"]
+        assert monitor.alerts[0]["value"] > 0
+        assert "solver_unconverged" not in CRITICAL_KINDS
+        (event,) = [e for e in sink.events if e["type"] == "alert"]
+        validate_event(event)
+
+    def test_normal_run_raises_none(self, af_surrogates, neg_surrogate):
+        monitor = self._train(af_surrogates, neg_surrogate, ListSink())
+        assert monitor.alerts == []
+
+    def test_report_lists_the_alert(self, af_surrogates, neg_surrogate, tmp_path, capsys):
+        from repro.cli import main
+        from repro.observability import JsonlSink
+
+        path = tmp_path / "run.jsonl"
+        run_logger = RunLogger(JsonlSink(path))
+        run_logger.emit("run_start", command="train", config={}, git_sha="")
+        self._train(af_surrogates, neg_surrogate, run_logger.sink, newton_iterations=2)
+        run_logger.emit("run_end", exit_code=0, duration_s=1.0, metrics={})
+        run_logger.close()
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "health alerts: 1" in out
+        assert "[solver_unconverged]" in out

@@ -343,6 +343,46 @@ class TestWorkerSpanProfile:
         assert "trainer.epoch" in breakdown and "trainer.step" in breakdown
 
 
+class TestTracedGrid:
+    """``grid iris --budgets 0.4 --epochs 3 --jobs 2 --trace``, as CI runs it."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        from repro.cli import main
+        from repro.observability import list_runs
+
+        runs = tmp_path_factory.mktemp("runs4")
+        assert main(["grid", "iris", "--budgets", "0.4", "--epochs", "3", "--jobs", "2",
+                     "--run-dir", str(runs), "--trace"]) == 0
+        (run,) = list_runs(runs)
+        return run
+
+    def test_worker_kernels_reach_kernels_json(self, run_dir, capsys):
+        import json
+
+        from repro.cli import main
+
+        labels = json.loads((run_dir / "kernels.json").read_text())["labels"]
+        train = {label: entry for label, entry in labels.items() if label.startswith("train.")}
+        assert {"train.step.forward", "train.step.backward", "train.eval.forward"} <= set(train)
+        assert all(entry["replays"] > 0 and entry["kernels"] for entry in train.values())
+        capsys.readouterr()
+        assert main(["profile", "--kernels", "--run", "latest", "--dir", str(run_dir.parent)]) == 0
+        out = capsys.readouterr().out
+        assert "hottest kernels" in out and "train.step.backward" in out
+
+    def test_epochs_also_bound_the_finetune_pass(self, run_dir):
+        from repro.observability import read_events
+
+        epochs: dict[str, int] = {}
+        for event in read_events(run_dir / "events.jsonl"):
+            if event["type"] == "epoch":
+                epochs[event["task_id"]] = epochs.get(event["task_id"], 0) + 1
+        # 4 AFs: a 3-epoch max-power reference each, then 3 AL + 3 fine-tune
+        # epochs per budget cell.
+        assert sorted(epochs.values()) == [3] * 4 + [6] * 4
+
+
 class TestWorkerTelemetry:
     def _read_shards(self, run_dir):
         from repro.observability.events import read_events
