@@ -221,25 +221,42 @@ def row_max(x: Tensor) -> Tensor:
 # Frozen networks
 # ----------------------------------------------------------------------
 
-def frozen_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
-    """A tanh MLP whose parameters are all frozen, as one graph node.
+#: Rows of the bias blocks ``frozen_mlp`` adds (64 kB at 64 float32 columns).
+_BIAS_ROWS = 256
+
+
+def frozen_mlp(
+    x: Tensor,
+    weights: Sequence[Tensor],
+    biases: Sequence[Tensor],
+    groups: Sequence[int] | None = None,
+) -> Tensor:
+    """A tanh MLP whose parameters are all frozen, as one graph node, in float32.
 
     Computes ``h = tanh(h @ W + b)`` per layer, with no tanh after the last,
-    over ``(..., n, d)`` inputs: the value of ``nn.mlp(...,
-    activation=nn.TanhLayer)`` bit for bit.  Each instance slice of the
-    leading axes runs the whole layer chain in turn, in place, in buffers
-    the node owns, so one slice's activations stay in cache; the last layer
-    writes straight into the node's output array, so a captured replay
-    copies nothing.  Every slice's hidden activations are kept only when
-    the node has a backward.  Every matmul is one GEMM per slice with M
-    equal to the slice's row count, the calls numpy's stacked matmul makes
-    (BLAS bits may depend on M).
+    over ``(..., n, d)`` inputs, in float32 as a PyTorch surrogate does:
+    the node casts the weights and biases to float32 once (they are
+    frozen), casts each input segment into a float32 buffer it owns, runs
+    the whole layer chain there, in place, and casts the last layer's
+    output into the node's float64 output array.  Inputs, outputs and input
+    gradients are float64 at the node boundary.
 
-    The backward computes only the input gradient, slice by slice, with the
-    operand order of ``Tensor.tanh`` (``g·(1−h·h)``) and ``Tensor.__matmul__``
-    (``g @ Wᵀ``).  Weights and biases are the node's non-grad parents, so
-    constant folding covers them; a parameter that requires a gradient is
-    refused.
+    Every segment, one row group (``groups``, row counts along axis -2
+    summing to ``n``; default one group of ``n``) of one instance slice of
+    the leading axes, runs its own GEMM chain with M equal to its row
+    count, starting at the beginning of its own buffers: float32 BLAS bits
+    depend on M, so a stacked call equals its slices called alone and a
+    grouped call equals its groups called alone.  The values are those of
+    the float32 module-by-module composition applied to each segment (the
+    oracle in ``tests/frozen_mlp_oracle.py``), bit for bit.  Every
+    segment's hidden activations are kept only when the node has a
+    backward; a captured replay reuses every buffer.
+
+    The backward computes only the input gradient, segment by segment, in
+    float32 with the operand order of ``Tensor.tanh`` (``g·(1−h·h)``) and
+    ``Tensor.__matmul__`` (``g @ Wᵀ``).  Weights and biases are the node's
+    non-grad parents, so constant folding covers them; a parameter that
+    requires a gradient is refused.
     """
     if len(weights) != len(biases) or not weights:
         raise ValueError("frozen_mlp needs one bias per weight and at least one layer")
@@ -248,55 +265,102 @@ def frozen_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -
         raise ValueError("frozen_mlp parameters must not require gradients")
     if x.ndim < 2:
         raise ValueError("frozen_mlp expects (..., n, d) inputs")
-    lead, n = x.shape[:-2], x.shape[-2]
-    widths = [w.shape[1] for w in weights]
+    lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
+    sizes = [n] if groups is None else [int(size) for size in groups]
+    if sum(sizes) != n or min(sizes) < 1:
+        raise ValueError(f"frozen_mlp groups {sizes} do not partition {n} rows")
+    bounds = np.cumsum([0, *sizes])
+    mats = [w.data.astype(np.float32) for w in weights]
+    widths = [w.shape[1] for w in mats]
+    # Each bias tiled to a block of rows and added block by block: a
+    # contiguous add runs about twice as fast as a broadcast one, with the
+    # same bits, and the block stays in cache.
+    shifts = [
+        np.tile(b.data.astype(np.float32).reshape(1, width), (min(max(sizes), _BIAS_ROWS), 1))
+        for b, width in zip(biases, widths)
+    ]
     # Without a backward, one slice's worth per layer serves every slice.
     keep = is_grad_enabled() and x.requires_grad
     slices = int(np.prod(lead, dtype=np.int64))
-    hidden = [np.empty((slices if keep else 1, n, width)) for width in widths[:-1]]
+    kept = slices if keep else 1
+    # Per group: the float32 input, each hidden layer's activations and the
+    # last layer's output.
+    chains = [
+        (
+            np.empty((m, d), np.float32),
+            [np.empty((kept, m, width), np.float32) for width in widths[:-1]],
+            np.empty((m, widths[-1]), np.float32),
+        )
+        for m in sizes
+    ]
     output = np.empty((*lead, n, widths[-1]))
-    slabs = [*hidden, output.reshape(-1, n, widths[-1])]
+    targets = output.reshape(-1, n, widths[-1])
 
-    def fwd(a: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
-        source = a.reshape(-1, n, a.shape[-1])
-        layers = list(zip(arrays[0::2], arrays[1::2], slabs))
+    def fwd(a: np.ndarray, *_frozen: np.ndarray) -> np.ndarray:
+        source = a.reshape(-1, n, d)
         for i in range(source.shape[0]):
-            h = source[i]
-            for depth, (w, b, slab) in enumerate(layers):
-                out = slab[i % len(slab)]
-                np.matmul(h, w, out=out)
-                np.add(out, b, out=out)
-                if depth < len(layers) - 1:
-                    np.tanh(out, out=out)
-                h = out
+            for start, stop, (first, hidden, last) in zip(bounds[:-1], bounds[1:], chains):
+                np.copyto(first, source[i, start:stop])
+                h = first
+                for w, b, out in zip(mats, shifts, [slab[i % kept] for slab in hidden] + [last]):
+                    np.matmul(h, w, out=out)
+                    for row in range(0, stop - start, _BIAS_ROWS):
+                        block = out[row : row + _BIAS_ROWS]
+                        np.add(block, b[: len(block)], out=block)
+                    if out is not last:
+                        np.tanh(out, out=out)
+                    h = out
+                np.copyto(targets[i, start:stop], last)
         return output
 
-    mats = [w.data for w in weights]
-    # Slice-sized scratch, made on the first backward and reused across
-    # layers, slices and replays: two gradient buffers in turn and the tanh
-    # factor, small enough to stay in cache.
+    # Segment-sized float32 scratch, made on the first backward and reused
+    # across layers, segments and replays: two gradient buffers in turn and
+    # the tanh factor, small enough to stay in cache.
     scratch: list[np.ndarray] = []
 
     def backward(g: np.ndarray):
         if not scratch:
-            size = n * max(widths[:-1], default=0)
-            scratch.extend(np.empty(size) for _ in range(3))
+            size = max(sizes) * max(d, *widths)
+            scratch.extend(np.empty(size, np.float32) for _ in range(3))
         g_slabs = g.reshape(-1, n, widths[-1])
         grad = np.empty(x.shape)
-        g_in = grad.reshape(-1, n, x.shape[-1])
+        g_in = grad.reshape(-1, n, d)
         for i in range(g_slabs.shape[0]):
-            g_i = g_slabs[i]
-            for depth in range(len(mats) - 1, 0, -1):
-                width = widths[depth - 1]
-                g_h = scratch[depth % 2][: n * width].reshape(n, width)
-                factor = scratch[2][: n * width].reshape(n, width)
-                np.matmul(g_i, mats[depth].T, out=g_h)
-                h = hidden[depth - 1][i]
-                np.multiply(h, h, out=factor)
-                np.subtract(1.0, factor, out=factor)
-                np.multiply(g_h, factor, out=g_h)
-                g_i = g_h
-            np.matmul(g_i, mats[0].T, out=g_in[i])
+            for start, stop, (_first, hidden, _last) in zip(bounds[:-1], bounds[1:], chains):
+                m = stop - start
+                # The incoming gradient lands where the first layer down
+                # does not write, so the chain always alternates buffers.
+                g_i = scratch[len(mats) % 2][: m * widths[-1]].reshape(m, widths[-1])
+                np.copyto(g_i, g_slabs[i, start:stop])
+                for depth in range(len(mats) - 1, 0, -1):
+                    width = widths[depth - 1]
+                    g_h = scratch[depth % 2][: m * width].reshape(m, width)
+                    factor = scratch[2][: m * width].reshape(m, width)
+                    _matmul_transposed(g_i, mats[depth], g_h)
+                    h = hidden[depth - 1][i]
+                    np.square(h, out=factor)
+                    np.subtract(1.0, factor, out=factor)
+                    np.multiply(g_h, factor, out=g_h)
+                    g_i = g_h
+                g_x = scratch[0][: m * d].reshape(m, d)
+                _matmul_transposed(g_i, mats[0], g_x)
+                np.copyto(g_in[i, start:stop], g_x)
         return (grad,)
 
     return Tensor._make(fwd(x.data, *[p.data for p in params]), (x, *params), backward, fwd=fwd)
+
+
+def _matmul_transposed(g: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """``out = g @ w.T``, with the bits of the GEMM.
+
+    With one column in ``g`` (K = 1, the gradient entering a one-output
+    layer) the GEMM is one rounded product per element, the broadcast
+    multiply's bits, except that it writes +0 where the product is -0; the
+    ``+ 0.0`` restores that.  OpenBLAS runs such an outer product about
+    2.5 times slower than the two passes (756 float32 rows × 64).
+    """
+    if g.shape[1] == 1:
+        np.multiply(g, w.T, out=out)
+        np.add(out, 0.0, out=out)
+    else:
+        np.matmul(g, w.T, out=out)

@@ -463,6 +463,11 @@ class Program:
         False runs ``build`` eagerly from the start (the reference path).
     on_capture:
         Called with the program after each successful capture.
+    inputs:
+        Declared input leaves, passed to :class:`CapturedGraph`: kernels that
+        descend from one never fold, so a non-grad buffer the caller rewrites
+        before every run does not drag the kernels reading it into the
+        constant set.
     """
 
     def __init__(
@@ -475,6 +480,7 @@ class Program:
         epoch_key: Callable[..., object] | None = None,
         enabled: bool = True,
         on_capture: Callable[["Program"], None] | None = None,
+        inputs: Sequence[Tensor] = (),
     ):
         self._build = build
         self._label = label
@@ -482,6 +488,7 @@ class Program:
         self._head = head
         self._epoch_key = epoch_key
         self._on_capture = on_capture
+        self._inputs = tuple(inputs)
         self._eager = not enabled
         self.graph: CapturedGraph | None = None
         self.head: CapturedGraph | None = None
@@ -513,7 +520,9 @@ class Program:
                 self.outputs = _as_outputs(self._build(*args))
             try:
                 root = None if self._backward is None else self.outputs[self._backward[0]]
-                graph = CapturedGraph(self.outputs, backward_root=root, epoch_key=self._key(args))
+                graph = CapturedGraph(
+                    self.outputs, backward_root=root, epoch_key=self._key(args), inputs=self._inputs
+                )
             except GraphCaptureError:
                 _CAPTURE_FALLBACKS.inc()
                 logger.warning("%s: graph capture failed; running eagerly from now on",

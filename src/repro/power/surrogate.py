@@ -10,7 +10,8 @@ MLP; ``paper_depth=True`` requests the paper's 15-layer configuration.
 Surrogates are differentiable end-to-end through :mod:`repro.autograd`, so
 the constrained training loop backpropagates power gradients into the
 learnable circuit parameters q.  A fitted or loaded surrogate is frozen: its
-weights carry no gradient.  Fitted surrogates are cached on disk
+weights carry no gradient and its MLP runs in float32, as the paper's
+PyTorch surrogates do.  Fitted surrogates are cached on disk
 (keyed by activation kind + sample budget) so repeated experiment runs skip
 refitting.
 """
@@ -110,9 +111,12 @@ class SurrogatePowerModel:
     A fitted or loaded surrogate is frozen, and every prediction then runs
     its MLP as one :func:`~repro.autograd.functional.frozen_mlp` node: one
     kernel per call in a captured replay instead of one per matmul, bias
-    add and tanh, evaluated one instance slice at a time, with a backward
-    that computes the input gradient only.  The values and gradients are
-    those of ``network`` run module by module, bit for bit.
+    add and tanh, evaluated one instance slice at a time in float32, with a
+    backward that computes the input gradient only.  The values and
+    gradients are those of ``network`` run module by module in float32,
+    bit for bit; they stay within 1e-5 in log10 power of the float64
+    ``network`` over the fitted box.  Normalization, the power exponent and
+    everything outside the MLP stay float64.
     """
 
     network: nn.Sequential
@@ -161,11 +165,13 @@ class SurrogatePowerModel:
         """Differentiable prediction of several ``(q_columns, v_in)`` groups
         through **one** stacked MLP evaluation.
 
-        The groups' feature rows are concatenated along axis 0, the network
-        runs once on the stack, and the output is sliced back per group —
-        numerically identical to calling :meth:`predict_tensor` per group
-        (row-wise ops throughout the MLP) but paying the Python/op overhead
-        of the ~10-layer network a single time.  All groups must target this
+        The groups' feature rows are concatenated along axis -2, the network
+        runs as one node on the stack, and the output is sliced back per
+        group.  The node runs each group's own GEMM chain with M equal to
+        the group's row count (float32 BLAS bits depend on M), so every
+        group's values and gradients equal a :meth:`predict_tensor` call on
+        that group bit for bit, while the Python/op overhead of the
+        ~10-layer network is paid once.  All groups must target this
         surrogate, i.e. share its design space.
 
         Returns one ``(n_i, 1)`` power tensor per input group.
@@ -188,7 +194,7 @@ class SurrogatePowerModel:
             ]
             normalized = self.normalization.apply_tensor_columns(stacked)
             features = concatenate(normalized, axis=-1)
-            power = (self._log_power(features) * LN10).exp()
+            power = (self._log_power(features, sizes) * LN10).exp()
             outputs: list[Tensor] = []
             offset = 0
             for size in sizes:
@@ -228,13 +234,14 @@ class SurrogatePowerModel:
         log_power = self._log_power(features)
         return (log_power * LN10).exp()
 
-    def _log_power(self, features: Tensor) -> Tensor:
-        """The network on normalized features: one fused node once frozen.
+    def _log_power(self, features: Tensor, groups: list[int] | None = None) -> Tensor:
+        """The network on normalized features: one fused float32 node once frozen.
 
         A frozen tanh MLP (every fitted or loaded surrogate, see
-        :func:`_freeze`) runs as :func:`repro.autograd.functional.frozen_mlp`;
-        a network with a trainable parameter runs module by module, the
-        composition the fused node reproduces bit for bit.
+        :func:`_freeze`) runs as :func:`repro.autograd.functional.frozen_mlp`
+        in float32, one GEMM chain per row group of ``groups`` (default: all
+        rows); a network with a trainable parameter (a fit in progress) runs
+        module by module in float64.
         """
         layers = self.network.layers
         linears = layers[0::2]
@@ -247,7 +254,7 @@ class SurrogatePowerModel:
         if not frozen:
             return self.network(features)
         return F.frozen_mlp(
-            features, [layer.weight for layer in linears], [layer.bias for layer in linears]
+            features, [layer.weight for layer in linears], [layer.bias for layer in linears], groups
         )
 
     # ------------------------------------------------------------------
@@ -345,7 +352,10 @@ def _freeze(network: nn.Sequential) -> None:
     Training reads a surrogate, never fits it (paper §III-A): its weights are
     then non-grad leaves, so no backward computes or accumulates their
     gradient and a captured program folds every kernel that reads only them
-    and fixed inputs (:class:`repro.autograd.graph.CapturedGraph`).
+    and fixed inputs (:class:`repro.autograd.graph.CapturedGraph`).  A frozen
+    tanh MLP predicts in float32 through
+    :func:`repro.autograd.functional.frozen_mlp`, which casts the weights
+    once per node; the weights themselves stay float64, as saved.
     """
     for param in network.parameters():
         param.requires_grad = False
@@ -376,8 +386,6 @@ def fit_surrogate(
     features = np.column_stack([dataset.q, dataset.v_in])
     log_mask = np.concatenate([np.array(dataset.space.log_scale, dtype=bool), [False]])
     normalization = Normalization.fit(features, log_mask)
-    x = normalization.apply_numpy(features)
-    y = np.log10(np.maximum(dataset.power, POWER_FLOOR_W)).reshape(-1, 1)
 
     train_ds, test_ds = dataset.split(train_fraction=0.85, seed=seed)
     x_train = normalization.apply_numpy(np.column_stack([train_ds.q, train_ds.v_in]))
@@ -403,21 +411,23 @@ def fit_surrogate(
             loss.backward()
             optimizer.step()
     _freeze(network)
+    model = SurrogatePowerModel(network, normalization, dataset.space, None, label)
 
+    # The report scores the frozen float32 node that training queries.
     with no_grad():
-        pred_train = network(Tensor(x_train)).data
-        pred_test = network(Tensor(x_test)).data
+        pred_train = model._log_power(Tensor(x_train)).data
+        pred_test = model._log_power(Tensor(x_test)).data
     train_mae = float(np.abs(pred_train - y_train).mean())
     test_mae = float(np.abs(pred_test - y_test).mean())
     ss_res = float(((pred_test - y_test) ** 2).sum())
     ss_tot = float(((y_test - y_test.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / max(ss_tot, 1e-30)
-    report = FitReport(train_mae, test_mae, r2, epochs, len(dataset))
+    model.report = FitReport(train_mae, test_mae, r2, epochs, len(dataset))
     logger.info(
         "surrogate %s fitted: test MAE %.4f log10-W, R² %.4f",
         label or "(unlabelled)", test_mae, r2,
     )
-    return SurrogatePowerModel(network, normalization, dataset.space, report, label)
+    return model
 
 
 # ----------------------------------------------------------------------

@@ -213,6 +213,9 @@ def load_artifact(path: str | Path) -> "InferenceModel":
     ``calibrate=False`` and ``power_mode="analytic"`` (no surrogates are
     required at inference time — the signal path never evaluates them), then
     every parameter, mask and calibrated scalar is restored from the bundle.
+    Every parameter is then frozen (``requires_grad = False``): an artifact's
+    parameters never change, so a captured serving program folds every
+    kernel that reads only them, e.g. ``q = f(u)``, θ_eff and ``i_s``.
     """
     path = Path(path)
     meta = read_metadata(path)
@@ -259,6 +262,8 @@ def load_artifact(path: str | Path) -> "InferenceModel":
         net.load_state_dict(state)
     except (KeyError, ValueError) as exc:
         raise ArtifactError(f"{path}: state dict does not fit the declared topology: {exc}") from exc
+    for param in net.parameters():
+        param.requires_grad = False
     for index, crossbar in enumerate(net.crossbars()):
         keep = arrays.get(f"mask::keep::{index}")
         positive = arrays.get(f"mask::positive::{index}")

@@ -5,7 +5,10 @@ The serving forward is one forward-only :class:`repro.autograd.graph.Program`
 over a preallocated ``(B, in_features)`` input buffer and every subsequent
 request replays the flat kernel schedule — no Tensor boxes, no graph
 construction, no Python autograd overhead per request.  The program
-re-records itself after a structural change (e.g. ``set_masks``).
+re-records itself after a structural change (e.g. ``set_masks``).  The input
+buffer is a declared input, so every kernel that reads it replays; kernels
+that read only frozen parameters (a loaded artifact's) fold out of the
+replay.
 
 **The fixed-shape invariant.**  BLAS matmul kernels choose different
 instruction schedules for different matrix shapes, so the low-order bits of a
@@ -76,7 +79,7 @@ class InferenceEngine:
 
     # ------------------------------------------------------------------
     def _capture(self) -> None:
-        self._program = Program(self.net.forward, "serving.replay")
+        self._program = Program(self.net.forward, "serving.replay", inputs=(self._buffer,))
         self._program.capture(self._buffer)
 
     @property

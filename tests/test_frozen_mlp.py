@@ -1,11 +1,14 @@
-"""The fused frozen-MLP node against the module-by-module network.
+"""The fused frozen-MLP node against the float32 module-by-module network.
 
 ``functional.frozen_mlp`` evaluates a tanh MLP with frozen parameters as one
-graph node, one instance slice at a time, and every fitted or loaded
-surrogate predicts through it.  The ``nn.Sequential`` composition of the same
-network is the reference: values, input gradients, captured replays after an
-in-place input write and instance stacks must all match it bit for bit.  CI
-reruns this suite with numpy's dispatched SIMD groups disabled.
+graph node in float32, one row group of one instance slice at a time, and
+every fitted or loaded surrogate predicts through it.  The float32
+module-by-module composition in ``tests/frozen_mlp_oracle.py`` is the
+reference: values, input gradients, captured replays after an in-place input
+write, instance stacks and row groups must all match it bit for bit.  A
+precision gate bounds the float32 prediction against the float64 network
+over the box each surrogate was fitted on.  CI reruns this suite with
+numpy's dispatched SIMD groups disabled.
 """
 
 from __future__ import annotations
@@ -20,7 +23,10 @@ from repro.autograd.tensor import Tensor, graph_capture, no_grad
 from repro.circuits import PNCConfig, PrintedNeuralNetwork
 from repro.datasets import load_dataset
 from repro.pdk.params import ActivationKind
+from repro.power.sobol import sobol_sample_space
 from repro.power.surrogate import SurrogatePowerModel, _build_network
+
+from tests.frozen_mlp_oracle import oracle_mlp
 
 
 def _bits(a) -> tuple:
@@ -43,35 +49,62 @@ def _linears(network: nn.Sequential) -> tuple[list[Tensor], list[Tensor]]:
     return [layer.weight for layer in linears], [layer.bias for layer in linears]
 
 
-def _fused(network: nn.Sequential, x: Tensor) -> Tensor:
-    return F.frozen_mlp(x, *_linears(network))
+def _fused(network: nn.Sequential, x: Tensor, groups=None) -> Tensor:
+    return F.frozen_mlp(x, *_linears(network), groups)
+
+
+def _oracle(network: nn.Sequential, x: Tensor, groups=None) -> Tensor:
+    return oracle_mlp(x, *_linears(network), groups)
 
 
 def _trainable_twin(model: SurrogatePowerModel) -> SurrogatePowerModel:
-    """The same surrogate with trainable weights: it runs module by module."""
+    """The same surrogate with trainable weights: it runs module by module in float64."""
     network = _build_network(model._layer_sizes(), np.random.default_rng(0))
     network.load_state_dict(model.network.state_dict())
     assert all(param.requires_grad for param in network.parameters())
     return SurrogatePowerModel(network, model.normalization, model.space, model.report, model.label)
 
 
-SHAPES = [(7, 5), (1, 5), (4, 7, 5), (2, 3, 6, 5)]
+class _OracleSurrogate(SurrogatePowerModel):
+    """A frozen surrogate whose MLP runs through the float32 oracle."""
+
+    def _log_power(self, features, groups=None):
+        linears = self.network.layers[0::2]
+        return oracle_mlp(
+            features, [layer.weight for layer in linears], [layer.bias for layer in linears], groups
+        )
+
+
+def _oracle_twin(model: SurrogatePowerModel) -> SurrogatePowerModel:
+    return _OracleSurrogate(model.network, model.normalization, model.space, model.report, model.label)
+
+
+#: Bound on |Δ log10 P| between the float32 node and the float64 network.
+#: float32 spacing at |log10 P| in [8, 16) is 9.5e-7 and the fitted
+#: surrogates reach 1.9e-6; 1e-5 is a power ratio within 1 ± 2.3e-5, four
+#: decades below the fits' test MAE.
+LOG10_POWER_BOUND = 1e-5
+
+
+SHAPES = [(7, 5), (1, 5), (4, 7, 5), (2, 3, 6, 5), (2, 600, 5)]
 
 
 # ----------------------------------------------------------------------
 class TestAgainstSequential:
+    """The fused node against the float32 module-by-module oracle."""
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_eager_values(self, shape):
         network = _frozen_network()
         x = Tensor(np.random.default_rng(1).normal(size=shape))
-        assert _bits(_fused(network, x).data) == _bits(network(x).data)
+        assert _bits(_fused(network, x).data) == _bits(_oracle(network, x).data)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_input_gradients(self, shape):
         network = _frozen_network()
         data = np.random.default_rng(2).normal(size=shape)
         x_ref, x_fused = Tensor(data.copy(), requires_grad=True), Tensor(data.copy(), requires_grad=True)
-        y_ref, y_fused = network(x_ref), _fused(network, x_fused)
+        y_ref, y_fused = _oracle(network, x_ref), _fused(network, x_fused)
         g = np.random.default_rng(3).normal(size=y_ref.shape)
         y_ref.backward(g)
         y_fused.backward(g)
@@ -89,7 +122,32 @@ class TestAgainstSequential:
             alone.backward(np.ones_like(alone.data))
             assert _bits(out.data[i]) == _bits(alone.data)
             assert _bits(stack.grad[i]) == _bits(piece.grad)
-            assert _bits(alone.data) == _bits(network(Tensor(stack.data[i])).data)
+            assert _bits(alone.data) == _bits(_oracle(network, Tensor(stack.data[i])).data)
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_row_groups_match_each_group_alone(self, grad):
+        """Each row group runs its own GEMM chain: grouped == each group called alone."""
+        network = _frozen_network()
+        groups = [7, 4, 1, 9]
+        stack = Tensor(np.random.default_rng(8).normal(size=(3, sum(groups), 5)), requires_grad=grad)
+        ref = Tensor(stack.data.copy(), requires_grad=grad)
+        out, want = _fused(network, stack, groups), _oracle(network, ref, groups)
+        assert _bits(out.data) == _bits(want.data)
+        g = np.random.default_rng(9).normal(size=out.shape)
+        if grad:
+            out.backward(g)
+            want.backward(g)
+            assert _bits(stack.grad) == _bits(ref.grad)
+        start = 0
+        for size in groups:
+            rows = slice(start, start + size)
+            piece = Tensor(stack.data[:, rows].copy(), requires_grad=grad)
+            alone = _fused(network, piece)
+            assert _bits(out.data[:, rows]) == _bits(alone.data)
+            if grad:
+                alone.backward(g[:, rows])
+                assert _bits(stack.grad[:, rows]) == _bits(piece.grad)
+            start += size
 
     @pytest.mark.parametrize("grad", [True, False])
     def test_captured_replay_after_input_rewrite(self, grad):
@@ -109,7 +167,7 @@ class TestAgainstSequential:
             x.grad = None
             graph.replay_forward()
             ref_x = Tensor(x.data.copy(), requires_grad=True)
-            ref_out = network(ref_x)
+            ref_out = _oracle(network, ref_x)
             ref_loss = (ref_out * ref_out).sum()
             assert _bits(out.data) == _bits(ref_out.data)
             assert _bits(loss.data) == _bits(ref_loss.data)
@@ -132,6 +190,20 @@ class TestAgainstSequential:
         with pytest.raises(ValueError, match="require gradients"):
             _fused(network, Tensor(np.zeros((2, 3))))
 
+    @pytest.mark.parametrize("groups", [[3, 3], [7, 0], [8, -1]])
+    def test_refuses_groups_that_do_not_partition_the_rows(self, groups):
+        with pytest.raises(ValueError, match="partition"):
+            _fused(_frozen_network(), Tensor(np.zeros((7, 5))), groups)
+
+    def test_float32_inside_float64_at_the_boundary(self):
+        network = _frozen_network()
+        x = Tensor(np.random.default_rng(11).normal(size=(4, 5)), requires_grad=True)
+        out = _fused(network, x)
+        out.backward(np.ones(out.shape))
+        assert out.data.dtype == np.float64 and x.grad.dtype == np.float64
+        assert np.array_equal(out.data, out.data.astype(np.float32))
+        assert all(p.data.dtype == np.float64 for p in network.parameters())
+
 
 # ----------------------------------------------------------------------
 class TestSurrogates:
@@ -145,9 +217,10 @@ class TestSurrogates:
         assert "tanh" not in names and "matmul" not in names
 
     @pytest.mark.parametrize("which", ["negation", "p-tanh"])
-    def test_predictions_match_the_trainable_twin(self, which, af_surrogates, neg_surrogate):
+    def test_predictions_match_the_oracle_twin(self, which, af_surrogates, neg_surrogate):
+        """Every prediction path equals the oracle's, values and gradients."""
         model = neg_surrogate if which == "negation" else af_surrogates[ActivationKind.TANH]
-        twin = _trainable_twin(model)
+        twin = _oracle_twin(model)
         rng = np.random.default_rng(7)
         center = model.space.center()
         v_data = rng.uniform(-1.0, 1.0, size=(3, 10, 1))
@@ -167,6 +240,34 @@ class TestSurrogates:
                             v.grad, *[t.grad for t in q]))
         for got, want in zip(*results):
             assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("which", ["negation", "p-tanh"])
+    def test_predictions_match_the_trainable_twin(self, which, af_surrogates, neg_surrogate):
+        """The float32 node stays within the precision bound of the float64 network."""
+        model = neg_surrogate if which == "negation" else af_surrogates[ActivationKind.TANH]
+        twin = _trainable_twin(model)
+        rng = np.random.default_rng(7)
+        center = model.space.center()
+        v_data = rng.uniform(-1.0, 1.0, size=(3, 10, 1))
+        with no_grad():
+            powers = [
+                surrogate.predict_tensor([Tensor(np.array(c)) for c in center], Tensor(v_data)).data
+                for surrogate in (model, twin)
+            ]
+        assert np.all(np.abs(np.log10(powers[0] / powers[1])) <= LOG10_POWER_BOUND)
+
+    def test_precision_gate_over_the_fitted_box(self, af_surrogates, neg_surrogate):
+        """|Δ log10 P| between the float32 node and the float64 network over the fit box."""
+        for model in [*af_surrogates.values(), neg_surrogate]:
+            twin = _trainable_twin(model)
+            q = sobol_sample_space(model.space, 2048, seed=1)
+            v = np.random.default_rng(12).uniform(-1.0, 1.0, size=len(q))
+            features = Tensor(model.normalization.apply_numpy(np.column_stack([q, v])))
+            with no_grad():
+                fused = model._log_power(features).data
+                exact = twin._log_power(features).data
+            gap = np.abs(fused - exact).max()
+            assert 0.0 < gap <= LOG10_POWER_BOUND, (model.label, gap)
 
     def test_trainable_network_still_receives_weight_gradients(self, neg_surrogate):
         twin = _trainable_twin(neg_surrogate)

@@ -620,7 +620,7 @@ class TestSurrogateCache:
         return SurrogatePowerModel(network, norm, space, None, "tiny"), space
 
     def test_save_is_atomic_and_roundtrips(self, tmp_path):
-        from repro.power.surrogate import load_surrogate
+        from repro.power.surrogate import _freeze, load_surrogate
 
         model, space = self._tiny_model()
         path = tmp_path / "surrogate-test.npz"
@@ -629,6 +629,13 @@ class TestSurrogateCache:
         assert list(tmp_path.glob("*.tmp-*")) == []
 
         loaded = load_surrogate(path, space, label="tiny")
+        original = model.network.state_dict()
+        for name, value in loaded.network.state_dict().items():
+            assert value.dtype == np.float64
+            assert np.array_equal(value, original[name])
+        # A loaded surrogate is frozen and predicts in float32: compare it
+        # with the original frozen the same way.
+        _freeze(model.network)
         q = [Tensor(np.array(v)) for v in space.center()]
         v = Tensor(np.linspace(-0.5, 0.5, 5).reshape(-1, 1))
         with no_grad():
@@ -809,7 +816,7 @@ class TestVectorizedPowerPath:
             single = [surrogate.predict_tensor(*g1), surrogate.predict_tensor(*g2)]
         for b, s in zip(batched, single):
             assert b.shape == s.shape
-            np.testing.assert_allclose(b.data, s.data, rtol=1e-12)
+            assert np.array_equal(b.data, s.data)
 
     def test_batched_power_breakdown_matches_per_layer(self, net, rng):
         """The stacked assembly equals per-layer predict_tensor calls."""

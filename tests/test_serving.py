@@ -242,6 +242,25 @@ class TestInferenceEngine:
         x = np.random.default_rng(3).random((12, 4))
         assert np.array_equal(engine.run(x), _eager_logits(net, x))
 
+    def test_loaded_artifact_folds_parameter_only_kernels(self, tmp_path):
+        """A loaded artifact's parameters are frozen: kernels reading only them fold."""
+        net = _analytic_net()
+        live = InferenceEngine(net, micro_batch=8)._program.graph
+        model = load_artifact(export_artifact(net, tmp_path / "frozen.pnz"))
+        assert all(not param.requires_grad for param in model.net.parameters())
+        graph = model.engine._program.graph
+        # The declared input buffer keeps every kernel that reads it moving.
+        assert live.n_constant == 0
+        assert graph.n_ops == live.n_ops
+        assert 0 < graph.n_constant < graph.n_ops
+        rng = np.random.default_rng(5)
+        for rows in (1, 8, 13):
+            x = rng.random((rows, 4))
+            assert np.array_equal(model.predict(x), model.eager_logits(x))
+            assert np.array_equal(model.predict(x), _eager_logits(net, x))
+        # Requests rewrite only the input buffer, so folded kernels never re-run.
+        assert graph.const_reruns == 0
+
     def test_recaptures_after_structural_change(self):
         net = _analytic_net()
         engine = InferenceEngine(net, micro_batch=4)
