@@ -10,7 +10,6 @@ Exposes the main workflows as subcommands::
     python -m repro.cli montecarlo iris --af p-ReLU --samples 50
     python -m repro.cli report run.jsonl              # replay a recorded run
     python -m repro.cli runs list                     # enumerate run directories
-    python -m repro.cli runs index                    # build/refresh runs/index.db
     python -m repro.cli runs query --sort accuracy --desc --limit 10
     python -m repro.cli runs compare latest RUN_B     # diff two recorded runs
     python -m repro.cli dashboard --runs-dir runs     # web run browser + JSON API
@@ -210,20 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     runs = sub.add_parser("runs", help="inspect run directories recorded with --run-dir")
     runs_sub = runs.add_subparsers(dest="runs_command", required=True)
     runs_list = runs_sub.add_parser("list", help="one line per recorded run")
-    runs_list.add_argument("--limit", type=int, default=None, metavar="N",
+    runs_list.add_argument("--limit", type=_positive("limit"), default=None, metavar="N",
                            help="only the N most recent runs")
     runs_list.add_argument("--status", default=None,
                            help="only runs with this manifest status (e.g. completed)")
-    runs_index = runs_sub.add_parser(
-        "index", help="build/refresh the SQLite warehouse index (runs/index.db)"
-    )
-    runs_index.add_argument("--rebuild", action="store_true",
-                            help="re-read every run directory instead of an incremental sync")
-    runs_index.add_argument("--stats", action="store_true",
-                            help="print index health (row counts, size) without syncing")
-    runs_query = runs_sub.add_parser(
-        "query", help="filtered/sorted run listing via the warehouse (scan fallback)"
-    )
+    runs_query = runs_sub.add_parser("query", help="filtered/sorted run listing")
     runs_query.add_argument("--command", dest="command_filter", default=None, metavar="CMD",
                             help="only runs of this command (train, sweep, ...)")
     runs_query.add_argument("--status", default=None,
@@ -236,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=("created", "accuracy", "power", "duration", "epochs", "alerts"),
                             help="sort key (default: created)")
     runs_query.add_argument("--desc", action="store_true", help="sort descending")
-    runs_query.add_argument("--limit", type=int, default=None, metavar="N",
+    runs_query.add_argument("--limit", type=_positive("limit"), default=None, metavar="N",
                             help="at most N rows after sorting")
     runs_query.add_argument("--json", action="store_true", dest="as_json",
                             help="emit JSON instead of the table")
@@ -258,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="only prune runs with this manifest status (e.g. failed)")
     runs_prune.add_argument("--yes", action="store_true",
                             help="actually delete; without it the selection is only printed")
-    for subparser in (runs_list, runs_index, runs_query, runs_show, runs_compare, runs_prune):
+    for subparser in (runs_list, runs_query, runs_show, runs_compare, runs_prune):
         subparser.add_argument("--dir", default="runs", metavar="BASE",
                                help="run registry base directory (default: runs)")
 
@@ -292,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     dashboard.add_argument("--host", default="127.0.0.1")
     dashboard.add_argument("--port", type=int, default=8764,
                            help="bind port (0 picks an ephemeral port, printed at startup)")
-    dashboard.add_argument("--sync-interval", type=float, default=2.0, metavar="S",
-                           help="minimum seconds between request-triggered index syncs")
     dashboard.add_argument("--max-requests", type=int, default=None, metavar="N",
                            help="shut down cleanly after N requests (smoke tests)")
 
@@ -342,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="input format (auto sniffs JSON by a leading '[' or '{')")
 
     for subparser in (datasets, train, sweep, grid, circuits, mc, report, profile_cmd,
-                      runs_list, runs_index, runs_query, runs_show, runs_compare, runs_prune,
+                      runs_list, runs_query, runs_show, runs_compare, runs_prune,
                       export, serve, predict, dashboard, compile_p):
         _add_obs_flags(subparser)
 
@@ -712,10 +700,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_runs(args) -> int:
-    import sqlite3
-
     from repro.observability import (
-        Warehouse,
         load_summaries,
         parse_age,
         prune_runs,
@@ -727,25 +712,15 @@ def cmd_runs(args) -> int:
         summary_to_dict,
     )
 
-    def _resolve(ref: str):
-        # Warehouse-backed when an index exists (synced first, so a run
-        # recorded a second ago still resolves), directory scan otherwise.
-        warehouse = Warehouse.open_if_exists(args.dir)
-        if warehouse is not None:
-            with warehouse:
-                warehouse.sync()
-                return warehouse.resolve(ref)
-        return resolve_run(ref, args.dir)
-
     try:
         if args.runs_command == "list":
-            summaries, _ = load_summaries(
+            summaries = load_summaries(
                 args.dir, status=args.status, descending=True, limit=args.limit
             )
             summaries.reverse()  # --limit keeps the most recent N; display oldest-first
             print(render_runs_table(args.dir, summaries=summaries))
         elif args.runs_command == "query":
-            summaries, used_index = load_summaries(
+            summaries = load_summaries(
                 args.dir,
                 command=args.command_filter,
                 status=args.status,
@@ -759,54 +734,28 @@ def cmd_runs(args) -> int:
                 print(json.dumps([summary_to_dict(s) for s in summaries], indent=2))
             else:
                 print(render_runs_table(args.dir, summaries=summaries))
-                print(f"({len(summaries)} run(s), {'index' if used_index else 'scan'}-backed)")
-        elif args.runs_command == "index":
-            with Warehouse(args.dir) as warehouse:
-                if args.stats:
-                    stats = warehouse.stats()
-                    by_status = ", ".join(f"{k}={v}" for k, v in stats["by_status"].items())
-                    print(f"index  : {stats['path']} "
-                          f"(schema v{stats['schema_version']}, {stats['size_bytes']} bytes)")
-                    print(f"runs   : {stats['runs']}" + (f" ({by_status})" if by_status else ""))
-                    print(f"epochs : {stats['trajectory_rows']} trajectory rows")
-                else:
-                    report = warehouse.sync(full=args.rebuild)
-                    verb = "rebuilt" if args.rebuild else "synced"
-                    print(f"{verb} {warehouse.path}: {report}")
+                print(f"({len(summaries)} run(s))")
         elif args.runs_command == "show":
-            print(render_run_show(_resolve(args.run)))
+            print(render_run_show(resolve_run(args.run, args.dir)))
         elif args.runs_command == "prune":
             older_than_s = parse_age(args.older_than) if args.older_than else None
-            entries = None
-            warehouse = Warehouse.open_if_exists(args.dir)
-            if warehouse is not None:
-                with warehouse:
-                    warehouse.sync()
-                    entries = warehouse.prune_entries()
             decisions = prune_runs(
                 args.dir,
                 keep_last=args.keep_last,
                 older_than_s=older_than_s,
                 status=args.status,
                 dry_run=not args.yes,
-                entries=entries,
             )
             print(render_prune_report(decisions, dry_run=not args.yes))
-            if args.yes and warehouse is not None:
-                # Fold the deletions back into the index immediately.
-                with Warehouse(args.dir) as warehouse:
-                    warehouse.sync()
         else:
-            print(render_run_compare(_resolve(args.run_a), _resolve(args.run_b)))
+            print(render_run_compare(
+                resolve_run(args.run_a, args.dir), resolve_run(args.run_b, args.dir)
+            ))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot read run data: {exc}", file=sys.stderr)
-        return 2
-    except sqlite3.Error as exc:
-        print(f"error: run index is unusable ({exc}); "
-              "delete index.db or re-run 'repro runs index --rebuild'", file=sys.stderr)
         return 2
     return 0
 
@@ -1100,7 +1049,6 @@ def cmd_dashboard(args) -> int:
         base_dir=args.runs_dir,
         host=args.host,
         port=args.port,
-        sync_interval=args.sync_interval,
         max_requests=args.max_requests,
     )
     print(f"dashboard over {args.runs_dir} on {server.url}", flush=True)

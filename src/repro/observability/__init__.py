@@ -17,9 +17,12 @@ work the ROADMAP plans on top of it):
   the single opt-in entry point for the module-logger tree;
 - :mod:`repro.observability.report` — ASCII rendering of a recorded run
   (``repro.cli report RUN.jsonl``);
-- :mod:`repro.observability.runs` — run directories (``--run-dir``); pool
-  workers write ``events``/``trace`` shards that one protocol,
-  :mod:`repro.observability.shards`, names, reads and merges.
+- :mod:`repro.observability.runs` — run directories (``--run-dir``) and
+  the registry read side, indexed by the manifests; pool workers write
+  ``events``/``trace`` shards that one protocol,
+  :mod:`repro.observability.shards`, names, reads and merges;
+- :mod:`repro.observability.dashboard` — the read-only web view of the
+  registry, a lazy import because it pulls in the HTTP stack.
 
 Everything is zero-cost by default: the null event sink drops events
 before they are built, disabled spans are one attribute check, and
@@ -65,7 +68,10 @@ from repro.observability.runs import (
     PruneDecision,
     RunContext,
     RunSummary,
+    accuracy_power_front,
+    config_fingerprint,
     list_runs,
+    load_summaries,
     load_manifest,
     load_manifest_safe,
     load_run_kernels,
@@ -80,6 +86,7 @@ from repro.observability.runs import (
     render_runs_table,
     resolve_run,
     summarize_run,
+    summary_to_dict,
     tail_run_events,
     validate_run_events,
 )
@@ -102,18 +109,6 @@ from repro.observability.tracing import (
     write_chrome_trace,
     write_kernels_json,
     write_trace_jsonl,
-)
-
-# The warehouse is stdlib-only (sqlite3) and safe to import eagerly; the
-# dashboard pulls in repro.serving (numpy-heavy) and stays a lazy import
-# (``from repro.observability.dashboard import DashboardServer``).
-from repro.observability.warehouse import (
-    SyncReport,
-    Warehouse,
-    accuracy_power_front,
-    config_fingerprint,
-    load_summaries,
-    summary_to_dict,
 )
 
 __all__ = [
@@ -142,8 +137,6 @@ __all__ = [
     "render_report",
     "render_report_file",
     "sparkline",
-    "SyncReport",
-    "Warehouse",
     "accuracy_power_front",
     "config_fingerprint",
     "load_summaries",

@@ -1,20 +1,20 @@
 """Read-only web dashboard over the run registry.
 
 ``repro dashboard --runs-dir runs`` serves a browser UI + JSON API for
-navigating recorded runs — the interactive face of the warehouse
-(:mod:`repro.observability.warehouse`).  It is strictly read-only: no
-endpoint mutates a run directory, and the index is only ever *synced*
-from the tree, never the reverse.
+navigating recorded runs.  It is strictly read-only: no endpoint mutates
+a run directory.
 
 ==============================================  ==============================
 ``GET /``                                       embedded no-dependency HTML/JS
                                                 run browser (list, detail,
                                                 diff, Pareto, live tail)
-``GET /healthz``                                liveness + run count
+``GET /healthz``                                liveness + run-directory
+                                                count
 ``GET /metrics``                                Prometheus text exposition
 ``GET /api/runs``                               filtered/sorted summaries
                                                 (``command, status, dataset,
-                                                seed, sort, desc, limit``)
+                                                seed, sort, desc, limit``;
+                                                ``limit`` >= 1)
 ``GET /api/runs/<ref>``                         one run: manifest, trajectory,
                                                 alerts (``ref`` = id, unique
                                                 prefix, or ``latest``)
@@ -31,16 +31,16 @@ from the tree, never the reverse.
 ``GET /api/pareto``                             accuracy-vs-power front
 ==============================================  ==============================
 
-Reads go through the warehouse when ``runs/index.db`` exists (synced at
-most once per ``sync_interval`` so a poll storm cannot thrash the tree)
-and fall back to a directory scan otherwise; an index built *after* the
-dashboard started is picked up automatically.
+Every request reads the registry afresh through
+:func:`~repro.observability.runs.load_summaries` (one ``manifest.json``
+per run; events only for runs in flight) or
+:func:`~repro.observability.runs.resolve_run`, so a run recorded after
+start-up shows on the next request.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
@@ -48,21 +48,20 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from repro.observability.metrics import get_registry
 from repro.observability.runs import (
     _config_diff,
+    _trajectory,
+    accuracy_power_front,
+    list_runs,
     load_manifest_safe,
     load_run_kernels,
     load_run_trace,
+    load_summaries,
     read_run_events,
     resolve_run,
     summarize_run,
+    summary_to_dict,
     tail_run_events,
 )
 from repro.observability.tracing import chrome_trace, hot_kernels
-from repro.observability.warehouse import (
-    Warehouse,
-    accuracy_power_front,
-    load_summaries,
-    summary_to_dict,
-)
 from repro.serving.httpbase import AppServer, JsonHandler
 
 logger = logging.getLogger(__name__)
@@ -74,6 +73,10 @@ _ERRORS = get_registry().counter(
 _LATENCY = get_registry().histogram(
     "dashboard_request_latency_s", "dashboard request wall time (seconds)"
 )
+
+
+class _BadRequest(ValueError):
+    """A well-formed request whose parameter is out of range (HTTP 400)."""
 
 
 def _first(query: dict, key: str, default: str | None = None) -> str | None:
@@ -94,8 +97,6 @@ def _run_detail(run_dir: Path) -> dict:
     """Everything the detail pane shows, straight from the run directory."""
     events = read_run_events(run_dir)
     summary = summarize_run(run_dir, events=events)
-    from repro.observability.runs import _trajectory
-
     trajectory = [
         {
             "epoch": e.get("epoch"),
@@ -155,6 +156,8 @@ class _Handler(JsonHandler):
         query = parse_qs(split.query)
         try:
             self._route(path, query, started)
+        except _BadRequest as exc:
+            self._respond(400, {"error": str(exc)}, path, started)
         except ValueError as exc:  # unresolvable run ref, bad params
             self._respond(404, {"error": str(exc)}, path, started)
         except Exception as exc:  # noqa: BLE001 - keep the server alive
@@ -167,14 +170,12 @@ class _Handler(JsonHandler):
         if path == "/":
             self._respond_text(200, _PAGE, "index", started, content_type="text/html; charset=utf-8")
         elif path == "/healthz":
-            summaries, used_index = ctx.summaries()
             self._respond(
                 200,
                 {
                     "status": "ok",
                     "uptime_s": round(time.monotonic() - ctx.started_at, 3),
-                    "runs": len(summaries),
-                    "index": used_index,
+                    "runs": len(list_runs(ctx.base_dir)),
                     "runs_dir": str(ctx.base_dir),
                 },
                 "healthz",
@@ -183,24 +184,27 @@ class _Handler(JsonHandler):
         elif path == "/metrics":
             self._respond_text(200, get_registry().render_prometheus(), "metrics", started)
         elif path == "/api/runs":
-            summaries, used_index = ctx.summaries(
+            limit = _int_or_none(_first(query, "limit"), "limit")
+            if limit is not None and limit < 1:
+                raise _BadRequest(f"limit must be >= 1, got {limit}")
+            summaries = load_summaries(
+                ctx.base_dir,
                 command=_first(query, "command"),
                 status=_first(query, "status"),
                 dataset=_first(query, "dataset"),
                 seed=_int_or_none(_first(query, "seed"), "seed"),
                 sort=_first(query, "sort", "created"),
                 descending=_first(query, "desc") in ("1", "true", "yes"),
-                limit=_int_or_none(_first(query, "limit"), "limit"),
+                limit=limit,
             )
             self._respond(
                 200,
-                {"runs": [summary_to_dict(s) for s in summaries],
-                 "count": len(summaries), "index": used_index},
+                {"runs": [summary_to_dict(s) for s in summaries], "count": len(summaries)},
                 "runs",
                 started,
             )
         elif path == "/api/pareto":
-            summaries, used_index = ctx.summaries()
+            summaries = load_summaries(ctx.base_dir)
             front = accuracy_power_front(summaries)
             front_ids = {s.run_id for s in front}
             self._respond(
@@ -214,7 +218,6 @@ class _Handler(JsonHandler):
                         and s.final_accuracy is not None
                         and s.final_power_w is not None
                     ],
-                    "index": used_index,
                 },
                 "pareto",
                 started,
@@ -223,8 +226,8 @@ class _Handler(JsonHandler):
             ref_a, ref_b = _first(query, "a"), _first(query, "b")
             if not ref_a or not ref_b:
                 raise ValueError("compare needs both ?a=<ref> and ?b=<ref>")
-            detail_a = _run_detail(ctx.resolve(ref_a))
-            detail_b = _run_detail(ctx.resolve(ref_b))
+            detail_a = _run_detail(resolve_run(ref_a, ctx.base_dir))
+            detail_b = _run_detail(resolve_run(ref_b, ctx.base_dir))
             self._respond(
                 200,
                 {
@@ -242,7 +245,7 @@ class _Handler(JsonHandler):
             )
         elif path.startswith("/api/runs/") and path.endswith("/trace"):
             ref = path[len("/api/runs/"):-len("/trace")]
-            run_dir = ctx.resolve(ref)
+            run_dir = resolve_run(ref, ctx.base_dir)
             records = load_run_trace(run_dir)
             if not records:
                 self._respond(
@@ -256,7 +259,7 @@ class _Handler(JsonHandler):
             self._respond(200, payload, "trace", started)
         elif path.startswith("/api/runs/") and path.endswith("/kernels"):
             ref = path[len("/api/runs/"):-len("/kernels")]
-            run_dir = ctx.resolve(ref)
+            run_dir = resolve_run(ref, ctx.base_dir)
             kernels = load_run_kernels(run_dir)
             if kernels is None:
                 self._respond(
@@ -274,7 +277,7 @@ class _Handler(JsonHandler):
             )
         elif path.startswith("/api/runs/") and path.endswith("/events"):
             ref = path[len("/api/runs/"):-len("/events")]
-            run_dir = ctx.resolve(ref)
+            run_dir = resolve_run(ref, ctx.base_dir)
             events, new_offset = tail_run_events(
                 run_dir, offset=_int_or_none(_first(query, "offset"), "offset") or 0
             )
@@ -293,7 +296,7 @@ class _Handler(JsonHandler):
             ref = path[len("/api/runs/"):]
             if "/" in ref:
                 raise ValueError(f"unknown path {path}")
-            self._respond(200, _run_detail(ctx.resolve(ref)), "run", started)
+            self._respond(200, _run_detail(resolve_run(ref, ctx.base_dir)), "run", started)
         else:
             self._respond(404, {"error": f"unknown path {path}"}, "unknown", started)
 
@@ -305,9 +308,6 @@ class DashboardServer(AppServer):
     ----------
     base_dir:
         The run registry root (``runs/``).
-    sync_interval:
-        Minimum seconds between incremental warehouse syncs triggered by
-        requests — a polling UI must not stat the whole tree per request.
     max_requests:
         Optional self-shutdown after N requests (smoke tests).
     """
@@ -320,55 +320,16 @@ class DashboardServer(AppServer):
         base_dir: str | Path = "runs",
         host: str = "127.0.0.1",
         port: int = 8764,
-        sync_interval: float = 2.0,
         max_requests: int | None = None,
     ):
         self.base_dir = Path(base_dir)
-        self.sync_interval = sync_interval
-        self._wh_lock = threading.Lock()
-        self._warehouse: Warehouse | None = None
-        self._last_sync = float("-inf")
         super().__init__(host=host, port=port, max_requests=max_requests)
 
-    # ------------------------------------------------------------------
     def _account(self, endpoint: str, status: int, duration: float, rows: int, error) -> None:
         _REQUESTS.inc()
         _LATENCY.observe(duration)
         if status >= 400:
             _ERRORS.inc()
-
-    # ------------------------------------------------------------------
-    def _get_warehouse(self) -> Warehouse | None:
-        """Cached handle; hot-detects an index built after startup."""
-        if self._warehouse is None:
-            self._warehouse = Warehouse.open_if_exists(self.base_dir)
-        return self._warehouse
-
-    def summaries(self, **filters) -> tuple[list, bool]:
-        """Filtered summaries via the (rate-limit-synced) index, else scan."""
-        with self._wh_lock:
-            warehouse = self._get_warehouse()
-            if warehouse is not None:
-                now = time.monotonic()
-                if now - self._last_sync >= self.sync_interval:
-                    warehouse.sync()
-                    self._last_sync = now
-                return warehouse.query(**filters), True
-        return load_summaries(self.base_dir, **filters)
-
-    def resolve(self, ref: str) -> Path:
-        with self._wh_lock:
-            warehouse = self._get_warehouse()
-            if warehouse is not None:
-                return warehouse.resolve(ref)
-        return resolve_run(ref, self.base_dir)
-
-    def shutdown(self) -> None:
-        super().shutdown()
-        with self._wh_lock:
-            if self._warehouse is not None:
-                self._warehouse.close()
-                self._warehouse = None
 
 
 def render_dashboard_page() -> str:
@@ -404,7 +365,7 @@ _PAGE = r"""<!doctype html>
 </style>
 </head>
 <body>
-<h1>repro run dashboard <span id="src" class="muted"></span></h1>
+<h1>repro run dashboard</h1>
 <nav>
   <button onclick="showList()">runs</button>
   <button onclick="show('pareto'); loadPareto()">pareto</button>
@@ -441,7 +402,6 @@ async function api(path) {
 }
 async function loadRuns() {
   const data = await api("/api/runs");
-  $("src").textContent = data.index ? "(index-backed)" : "(directory scan)";
   $("runs").querySelector("tbody").innerHTML = data.runs.map(r => `
     <tr class="run" onclick="loadDetail('${esc(r.run_id)}')">
       <td>${esc(r.run_id)}</td><td>${esc(r.command)}</td><td>${pill(r.status)}</td>

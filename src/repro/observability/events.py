@@ -95,7 +95,7 @@ EVENT_SCHEMAS: dict[str, dict[str, tuple[type, ...]]] = {
     # One evaluated stacked chunk of Monte-Carlo instances (repro.evaluation
     # .montecarlo): how many printed instances it held and its wall time.
     # Emitted in process and by pool workers alike, so a yield run's
-    # throughput shows up in the warehouse/dashboard like training epochs.
+    # throughput is in the run timeline like training epochs.
     "montecarlo": {
         "instances": (int,),
         "duration_s": (float, int),
@@ -305,7 +305,7 @@ def read_events(
     With ``tolerate_truncated_tail=True``, a *final* line that fails to
     parse or validate is silently dropped instead of raising — the mode
     for reading an **in-flight** run whose writer may be mid-line (live
-    tailing, warehouse indexing).  Only the last line gets this grace:
+    tailing, registry listings).  Only the last line gets this grace:
     corruption anywhere else still fails loudly.
     """
 

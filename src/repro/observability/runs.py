@@ -22,13 +22,23 @@ writes the manifest and opens the event sink; :meth:`RunContext.finalize`
 folds the worker shards written by :mod:`repro.parallel.telemetry` into
 ``events.jsonl`` and ``trace.jsonl`` (one protocol for both streams,
 :mod:`repro.observability.shards`), snapshots metrics, and stamps the
-outcome back into the manifest.  The module-level functions (:func:`list_runs`,
-:func:`resolve_run`, :func:`summarize_run`, the ``render_*`` helpers) are
-the read side backing ``repro runs list|show|compare``.
+outcome back into the manifest.
+
+The manifests are the registry's index.  ``finalize`` stamps the
+event-derived digest of the run (final trajectory point, epoch and alert
+counts, worker ids) into ``manifest.json`` as ``summary``, so
+:func:`load_summaries` lists a registry by reading one small file per
+run.  It parses ``events.jsonl`` only for a run still in flight or one
+whose manifest predates the ``summary`` field; :func:`summarize_run`, the
+events-based digest, is that fallback and the index's test oracle.  The
+module-level functions (:func:`list_runs`, :func:`load_summaries`,
+:func:`resolve_run`, :func:`prune_runs`, the ``render_*`` helpers) are the
+read side backing ``repro runs`` and the dashboard.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -172,13 +182,14 @@ class RunContext:
         """Close out the run: merge shards, snapshot metrics, stamp outcome.
 
         Call *after* the run's last event was emitted and the logger
-        closed — the shard merge rewrites ``events.jsonl`` in place.  A
-        non-empty ``profile`` (:meth:`Tracer.profile
+        closed — the shard merge rewrites ``events.jsonl`` in place.  The
+        merged records also give the manifest's ``summary``, so the
+        timeline is parsed once.  A non-empty ``profile`` (:meth:`Tracer.profile
         <repro.observability.tracing.Tracer.profile>`) is written to
         ``profile.json``.
         """
         self.logger.close()
-        merged = EVENT_SHARDS.merge(self.directory)
+        events, merged = EVENT_SHARDS.merge(self.directory)
         TRACE_SHARDS.merge(self.directory)
         (self.directory / METRICS_NAME).write_text(
             get_registry().render_prometheus(), encoding="utf-8"
@@ -191,6 +202,7 @@ class RunContext:
             duration_s=duration_s,
             finished=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             worker_events_merged=merged,
+            summary=_event_digest(events),
         )
         trace_path = self.directory / TRACE_NAME
         if trace_path.exists():
@@ -219,7 +231,7 @@ def merge_worker_shards(run_dir: str | Path) -> int:
     disk as the per-worker forensic record.  Returns the number of records
     newly merged across both streams (0 without shards).
     """
-    return EVENT_SHARDS.merge(run_dir) + TRACE_SHARDS.merge(run_dir)
+    return EVENT_SHARDS.merge(run_dir)[1] + TRACE_SHARDS.merge(run_dir)[1]
 
 
 # ----------------------------------------------------------------------
@@ -237,9 +249,9 @@ def load_manifest(run_dir: str | Path) -> dict:
 def load_manifest_safe(run_dir: str | Path) -> dict:
     """Best-effort manifest load: ``{}`` when missing, corrupt, or mid-write.
 
-    The tolerant read side (``runs list``, warehouse indexing, the
-    dashboard) must survive a manifest another process is rewriting —
-    one unreadable run must never take down a listing of thousands.
+    The tolerant read side (``runs list|query|prune``, the dashboard)
+    must survive a manifest another process is rewriting — one
+    unreadable run must never take down a listing of thousands.
     """
     try:
         return load_manifest(run_dir)
@@ -248,20 +260,22 @@ def load_manifest_safe(run_dir: str | Path) -> dict:
         return {}
 
 
-def list_runs(base_dir: str | Path) -> list[Path]:
-    """Run directories under ``base_dir``, oldest first."""
+def _registry(base_dir: str | Path) -> list[tuple[Path, dict]]:
+    """``(run_dir, manifest)`` per run under ``base_dir``, oldest first.
+
+    Each manifest is read once (``{}`` when unreadable); the order is
+    manifest ``created_ts`` (0 when absent), then directory name.
+    """
     base = Path(base_dir)
     if not base.is_dir():
         return []
-    runs = [p for p in base.iterdir() if p.is_dir() and is_run_dir(p)]
+    entries = [(p, load_manifest_safe(p)) for p in base.iterdir() if p.is_dir() and is_run_dir(p)]
+    return sorted(entries, key=lambda entry: (entry[1].get("created_ts") or 0.0, entry[0].name))
 
-    def created(path: Path) -> tuple:
-        try:
-            return (load_manifest(path).get("created_ts") or 0.0, path.name)
-        except (OSError, json.JSONDecodeError):
-            return (0.0, path.name)
 
-    return sorted(runs, key=created)
+def list_runs(base_dir: str | Path) -> list[Path]:
+    """Run directories under ``base_dir``, oldest first."""
+    return [path for path, _ in _registry(base_dir)]
 
 
 def resolve_run(ref: str, base_dir: str | Path = "runs") -> Path:
@@ -354,17 +368,12 @@ def read_run_events(run_dir: str | Path) -> list[dict]:
         return []
 
 
-def summarize_run(run_dir: str | Path, events: list[dict] | None = None) -> RunSummary:
-    """Manifest + event digest of one run (tolerant of unfinished runs).
+def _event_digest(events: list[dict]) -> dict:
+    """The event-derived :class:`RunSummary` fields of one timeline.
 
-    Pass ``events`` to reuse an already-loaded timeline (the warehouse
-    indexer reads each file once and feeds both this digest and the
-    trajectory table from it).
+    JSON-ready: :meth:`RunContext.finalize` stores it in the manifest as
+    ``summary`` and :func:`_summary` reads it back.
     """
-    run_dir = Path(run_dir)
-    manifest = load_manifest_safe(run_dir)
-    if events is None:
-        events = read_run_events(run_dir)
     trajectory = _trajectory(events)
     final: dict = {}
     if trajectory:
@@ -376,7 +385,16 @@ def summarize_run(run_dir: str | Path, events: list[dict] | None = None) -> RunS
             "feasible": last.get("feasible"),
         }
     alerts = [e for e in events if e.get("type") == "alert"]
-    worker_ids = sorted({e["worker_id"] for e in events if "worker_id" in e})
+    return {
+        "final": final,
+        "n_epochs": len(trajectory),
+        "n_alerts": len(alerts),
+        "alert_kinds": sorted({a.get("kind", "?") for a in alerts}),
+        "worker_ids": sorted({e["worker_id"] for e in events if "worker_id" in e}),
+    }
+
+
+def _summary(run_dir: Path, manifest: dict, digest: dict) -> RunSummary:
     return RunSummary(
         path=run_dir,
         run_id=manifest.get("run_id", run_dir.name),
@@ -386,12 +404,139 @@ def summarize_run(run_dir: str | Path, events: list[dict] | None = None) -> RunS
         exit_code=manifest.get("exit_code"),
         duration_s=manifest.get("duration_s"),
         config=manifest.get("config", {}),
-        final=final,
-        n_epochs=len(trajectory),
-        n_alerts=len(alerts),
-        alert_kinds=tuple(sorted({a.get("kind", "?") for a in alerts})),
-        worker_ids=tuple(worker_ids),
+        final=digest["final"],
+        n_epochs=digest["n_epochs"],
+        n_alerts=digest["n_alerts"],
+        alert_kinds=tuple(digest["alert_kinds"]),
+        worker_ids=tuple(digest["worker_ids"]),
     )
+
+
+def summarize_run(
+    run_dir: str | Path, events: list[dict] | None = None, manifest: dict | None = None
+) -> RunSummary:
+    """Manifest + event digest of one run (tolerant of unfinished runs).
+
+    Always parses the timeline, never the manifest's ``summary``: the
+    fallback of :func:`load_summaries` for in-flight and older runs, and
+    the oracle the manifest index is tested against.  Pass ``events`` or
+    ``manifest`` to reuse what the caller already read.
+    """
+    run_dir = Path(run_dir)
+    if manifest is None:
+        manifest = load_manifest_safe(run_dir)
+    if events is None:
+        events = read_run_events(run_dir)
+    return _summary(run_dir, manifest, _event_digest(events))
+
+
+#: ``--sort`` names accepted by :func:`load_summaries`.
+SORT_KEYS = ("created", "accuracy", "power", "duration", "epochs", "alerts")
+
+
+def _sort_key(summary: RunSummary, sort: str) -> tuple:
+    value = {
+        "accuracy": summary.final_accuracy,
+        "power": summary.final_power_w,
+        "duration": summary.duration_s,
+        "epochs": summary.n_epochs,
+        "alerts": summary.n_alerts,
+    }[sort]
+    # Runs without the value sort first ascending, last descending.
+    return (value is not None, 0 if value is None else value, summary.path.name)
+
+
+def load_summaries(
+    base_dir: str | Path,
+    command: str | None = None,
+    status: str | None = None,
+    dataset: str | None = None,
+    seed: int | None = None,
+    sort: str = "created",
+    descending: bool = False,
+    limit: int | None = None,
+) -> list[RunSummary]:
+    """Filtered, sorted run summaries: the read path of ``runs list|query``.
+
+    Reads each ``manifest.json`` once and takes a finalized run's digest
+    from its ``summary``; a run still ``running``, or one whose manifest
+    has no ``summary``, is digested from its events by
+    :func:`summarize_run`.  Default order is :func:`list_runs`'s (created,
+    then directory name); every other ``sort`` key ties on the directory
+    name, and ``descending`` reverses the whole order.
+    """
+    if sort not in SORT_KEYS:
+        raise ValueError(f"unknown sort {sort!r} (one of: {', '.join(SORT_KEYS)})")
+    summaries = []
+    for path, manifest in _registry(base_dir):
+        digest = manifest.get("summary")
+        if digest is None or manifest.get("status", "running") == "running":
+            summaries.append(summarize_run(path, manifest=manifest))
+        else:
+            summaries.append(_summary(path, manifest, digest))
+    if command is not None:
+        summaries = [s for s in summaries if s.command == command]
+    if status is not None:
+        summaries = [s for s in summaries if s.status == status]
+    if dataset is not None:
+        summaries = [s for s in summaries if str(s.config.get("dataset")) == str(dataset)]
+    if seed is not None:
+        summaries = [s for s in summaries if s.config.get("seed") == seed]
+    if sort != "created":  # _registry already yields created order
+        summaries.sort(key=lambda s: _sort_key(s, sort))
+    if descending:
+        summaries.reverse()
+    if limit is not None:
+        summaries = summaries[: max(0, int(limit))]
+    return summaries
+
+
+def accuracy_power_front(summaries: list[RunSummary]) -> list[RunSummary]:
+    """Non-dominated runs under (maximize accuracy, minimize power).
+
+    Input order is irrelevant; the front comes back sorted by ascending
+    power.  Runs missing either coordinate are excluded.
+    """
+    points = [
+        s for s in summaries
+        if s.final_accuracy is not None and s.final_power_w is not None
+    ]
+    points.sort(key=lambda s: (s.final_power_w, -s.final_accuracy, s.path.name))
+    front: list[RunSummary] = []
+    best = float("-inf")
+    for s in points:
+        if s.final_accuracy > best:
+            front.append(s)
+            best = s.final_accuracy
+    return front
+
+
+def config_fingerprint(config: dict) -> str:
+    """Stable digest of a resolved run config (key-order independent)."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def summary_to_dict(summary: RunSummary) -> dict:
+    """JSON-ready view of one run summary (CLI ``--json`` + dashboard API)."""
+    return {
+        "run_id": summary.run_id,
+        "dir": summary.path.name,
+        "command": summary.command,
+        "status": summary.status,
+        "created": summary.created,
+        "exit_code": summary.exit_code,
+        "duration_s": summary.duration_s,
+        "dataset": summary.config.get("dataset"),
+        "seed": summary.config.get("seed"),
+        "config": summary.config,
+        "config_fingerprint": config_fingerprint(summary.config),
+        "final": summary.final,
+        "n_epochs": summary.n_epochs,
+        "n_alerts": summary.n_alerts,
+        "alert_kinds": list(summary.alert_kinds),
+        "workers": len(summary.worker_ids),
+    }
 
 
 def _in_flight(run_dir: Path) -> bool:
@@ -488,7 +633,6 @@ def prune_runs(
     status: str | None = None,
     dry_run: bool = True,
     now: float | None = None,
-    entries: list[tuple[Path, dict]] | None = None,
 ) -> list[PruneDecision]:
     """Retention GC over the run registry; returns one decision per run.
 
@@ -501,10 +645,6 @@ def prune_runs(
     ``status="running"`` is explicit.  With ``dry_run`` (the default)
     nothing is deleted — callers render the decisions and re-invoke with
     ``dry_run=False`` after confirmation.
-
-    ``entries`` — optional pre-loaded ``(path, manifest)`` pairs, oldest
-    first — lets the warehouse feed the decision pass from its index
-    instead of re-reading every manifest; the policy is identical.
     """
     if keep_last is None and older_than_s is None and status is None:
         raise ValueError(
@@ -513,8 +653,7 @@ def prune_runs(
     if keep_last is not None and keep_last < 0:
         raise ValueError("keep_last must be >= 0")
     now = time.time() if now is None else now
-    if entries is None:
-        entries = [(path, load_manifest_safe(path)) for path in list_runs(base_dir)]
+    entries = _registry(base_dir)
     runs = [path for path, _ in entries]  # oldest first
     protected_recent = set()
     if keep_last is not None and keep_last > 0:
@@ -609,9 +748,10 @@ def render_runs_table(
 ) -> str:
     """One line per recorded run under ``base_dir``.
 
-    With ``summaries`` the caller supplies the (possibly warehouse-backed,
-    filtered) digests and no directory scan happens; without it every run
-    directory is summarized from disk.  Rendering is identical either way.
+    With ``summaries`` the caller supplies the (filtered, manifest-backed)
+    digests of :func:`load_summaries`; without it every run directory is
+    digested from its events by :func:`summarize_run`.  Rendering is
+    identical either way.
     """
     if summaries is None:
         summaries = [summarize_run(path) for path in list_runs(base_dir)]

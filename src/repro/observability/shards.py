@@ -107,9 +107,11 @@ class ShardStream:
     def shard_path(self, run_dir: str | Path, worker_id: int) -> Path:
         return Path(run_dir) / f"{self.name}.worker-{worker_id}.jsonl"
 
-    def merge(self, run_dir: str | Path) -> int:
-        """Fold the worker shards into the main file; returns records added.
+    def merge(self, run_dir: str | Path) -> tuple[list[dict], int]:
+        """Fold the worker shards into the main file.
 
+        Returns ``(records, added)``: the main file's records after the
+        merge, in file order, and how many of them came from the shards.
         Main-file records stay as they are.  When no shard record is new,
         the main file is left untouched (not rewritten), so a second merge
         is a byte-for-byte no-op.
@@ -118,12 +120,13 @@ class ShardStream:
         records = self.read(main) if main.exists() else []
         fresh = self._unseen(run_dir, records, self.read)
         if not fresh:
-            return 0
+            return records, 0
+        records = sorted(records + fresh, key=_ts)
         tmp = main.with_suffix(f".tmp-{os.getpid()}")
-        write_jsonl(tmp, sorted(records + fresh, key=_ts))
+        write_jsonl(tmp, records)
         os.replace(tmp, main)
         logger.info("merged %d %s record(s) into %s", len(fresh), self.name, main)
-        return len(fresh)
+        return records, len(fresh)
 
     def read_live(self, run_dir: str | Path, include_shards: bool) -> list[dict]:
         """The main file plus the shard records it lacks, ``ts``-ordered.

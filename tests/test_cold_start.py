@@ -3,8 +3,10 @@
 scipy is needed only to draw the Sobol points a surrogate is fitted on (the
 cold-cache fit), and the stdlib HTTP stack only by ``repro serve`` and remote
 clients.  Importing either at module level costs every ``repro`` process
-about a second, so both are imported at their call sites.  Each test runs a
-fresh interpreter and inspects its ``sys.modules``; nothing here is timed.
+about a second, so both are imported at their call sites.  No command needs
+the SQLite module: the run registry is indexed by its manifests.  Each test
+runs a fresh interpreter and inspects its ``sys.modules``; nothing here is
+timed.
 """
 
 from __future__ import annotations
@@ -96,6 +98,20 @@ def test_warm_surrogate_and_artifact_predict_skip_scipy_and_http(cold_fit, tmp_p
     """, env=env)
     assert "repro.power.surrogate" in modules
     assert _cold_only(modules) == []
+
+
+def test_registry_commands_skip_sqlite(tmp_path):
+    # Record a run, then list and query the registry, all in one process.
+    modules = _loaded_modules(f"""
+        import repro.observability
+        from repro.cli import main
+        base = {str(tmp_path / "runs")!r}
+        assert main(["datasets", "--run-dir", base]) == 0
+        assert main(["runs", "list", "--dir", base]) == 0
+        assert main(["runs", "query", "--sort", "accuracy", "--json", "--dir", base]) == 0
+    """)
+    assert "repro.observability.runs" in modules
+    assert [name for name in modules if "sqlite" in name] == []
 
 
 def test_cold_fit_still_loads_scipy(cold_fit):

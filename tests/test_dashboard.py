@@ -2,8 +2,9 @@
 
 Drives a real :class:`DashboardServer` on an ephemeral port with urllib:
 every endpoint answers, the live-tail offset protocol follows an
-in-flight run (worker shards included), the warehouse index is
-hot-detected after startup, and request metrics advance.
+in-flight run (worker shards included), the run listing equals the
+events-based oracle and picks up runs recorded after startup, and request
+metrics advance.
 """
 
 from __future__ import annotations
@@ -15,32 +16,32 @@ import urllib.request
 
 import pytest
 
+from repro.observability import RunContext, accuracy_power_front, summary_to_dict
 from repro.observability.dashboard import DashboardServer, render_dashboard_page
 from repro.observability.metrics import get_registry
-from repro.observability.warehouse import Warehouse
 
-from tests.test_warehouse import _write_run
+from tests.run_registry import oracle_summaries, record_registry, spy_event_reads, write_run
 
 
 @pytest.fixture
 def registry(tmp_path):
     base = tmp_path / "runs"
-    _write_run(base, "a-train-old", acc=0.80, power=2e-3, age_days=30, seed=1)
-    _write_run(base, "b-sweep", command="sweep", status="failed", acc=0.70,
+    write_run(base, "a-train-old", acc=0.80, power=2e-3, age_days=30, seed=1)
+    write_run(base, "b-sweep", command="sweep", status="failed", acc=0.70,
                power=3e-3, age_days=20, alerts=2)
-    _write_run(base, "c-train", acc=0.95, power=1.5e-3, age_days=10, dataset="seeds")
-    _write_run(base, "d-corrupt", corrupt_manifest=True, age_days=5)
-    _write_run(base, "e-inflight", status="running", age_days=0.5,
+    write_run(base, "c-train", acc=0.95, power=1.5e-3, age_days=10, dataset="seeds")
+    write_run(base, "d-corrupt", corrupt_manifest=True, age_days=5)
+    write_run(base, "e-inflight", status="running", age_days=0.5,
                truncated_tail=True, worker_shard=True)
     # A clean in-flight run for the tail-follow test: no mid-write line,
     # so appended events extend a well-formed file like a live writer's.
-    _write_run(base, "f-live", status="running", age_days=0.2, worker_shard=True)
+    write_run(base, "f-live", status="running", age_days=0.2, worker_shard=True)
     return base
 
 
 @pytest.fixture
 def server(registry):
-    with DashboardServer(base_dir=registry, port=0, sync_interval=0.0) as srv:
+    with DashboardServer(base_dir=registry, port=0) as srv:
         yield srv
 
 
@@ -67,8 +68,16 @@ class TestEndpoints:
         assert status == 200
         assert body["status"] == "ok"
         assert body["runs"] == 6
-        assert body["index"] is False  # no index.db built yet
+        assert "index" not in body
         assert body["runs_dir"] == str(registry)
+
+    def test_healthz_reads_no_events(self, server, monkeypatch):
+        # A liveness poll counts run directories; it digests no run, not
+        # even the two in flight.
+        seen = spy_event_reads(monkeypatch)
+        status, body = _get(server, "/healthz")
+        assert status == 200 and body["runs"] == 6
+        assert seen == []
 
     def test_runs_listing_and_filters(self, server):
         status, body = _get(server, "/api/runs")
@@ -84,6 +93,11 @@ class TestEndpoints:
     def test_bad_limit_is_a_client_error(self, server):
         status, body = _get(server, "/api/runs?limit=lots")
         assert status == 404 and "limit must be an integer" in body["error"]
+
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_limit_below_one_is_a_400(self, server, limit):
+        status, body = _get(server, f"/api/runs?limit={limit}")
+        assert status == 400 and "limit must be >= 1" in body["error"]
 
     def test_run_detail(self, server):
         status, body = _get(server, "/api/runs/c-train")
@@ -168,21 +182,34 @@ class TestLiveTail:
         assert body["status"] == "completed" and len(body["events"]) == 3
 
 
-class TestIndexIntegration:
-    def test_hot_detects_index_built_after_startup(self, server, registry):
-        assert _get(server, "/healthz")[1]["index"] is False
-        with Warehouse(registry) as warehouse:
-            warehouse.sync()
-        assert _get(server, "/healthz")[1]["index"] is True
-        status, body = _get(server, "/api/runs")
-        assert status == 200 and body["index"] is True and body["count"] == 6
+class TestRecordedRegistry:
+    @pytest.fixture
+    def recorded(self, tmp_path):
+        return record_registry(tmp_path / "recorded")
 
-    def test_index_backed_run_listing_matches_scan(self, server, registry):
-        _, scan = _get(server, "/api/runs")
-        with Warehouse(registry) as warehouse:
-            warehouse.sync()
-        _, indexed = _get(server, "/api/runs")
-        assert indexed["runs"] == scan["runs"]  # same JSON either way
+    def test_runs_and_pareto_match_events_oracle(self, recorded):
+        expected = oracle_summaries(recorded)
+        with DashboardServer(base_dir=recorded, port=0) as srv:
+            _, runs = _get(srv, "/api/runs")
+            _, pareto = _get(srv, "/api/pareto")
+        # Round-trip through JSON so tuples compare as the lists the API sends.
+        as_json = lambda rows: json.loads(json.dumps([summary_to_dict(s) for s in rows]))
+        assert runs == {"runs": as_json(expected), "count": len(expected)}
+        front = accuracy_power_front(expected)
+        assert pareto["front"] == as_json(front)
+        assert len(pareto["front"]) + len(pareto["dominated"]) == sum(
+            s.final_accuracy is not None and s.final_power_w is not None for s in expected
+        )
+
+    def test_run_recorded_after_startup_is_listed(self, recorded):
+        with DashboardServer(base_dir=recorded, port=0) as srv:
+            before = _get(srv, "/api/runs")[1]["count"]
+            ctx = RunContext.create(recorded, "train", {"seed": 9}, argv=[], git_sha="x")
+            ctx.finalize(exit_code=0, duration_s=0.1)
+            _, body = _get(srv, "/api/runs")
+            assert body["count"] == before + 1
+            assert body["runs"][-1]["run_id"] == ctx.run_id
+            assert _get(srv, "/healthz")[1]["runs"] == before + 1
 
 
 def _wait_for(predicate, timeout=5.0):
@@ -211,8 +238,7 @@ class TestServerPlumbing:
         assert _wait_for(lambda: errors.value == before + 1)
 
     def test_max_requests_self_shutdown(self, registry):
-        server = DashboardServer(base_dir=registry, port=0, sync_interval=0.0,
-                                 max_requests=2).start()
+        server = DashboardServer(base_dir=registry, port=0, max_requests=2).start()
         try:
             _get(server, "/healthz")
             _get(server, "/healthz")

@@ -2,13 +2,17 @@
 
 Covers the run-directory lifecycle (manifest, events, metrics, status),
 worker-shard merging into one time-ordered schema-valid timeline, run
-resolution (path / id / prefix), summaries, the render helpers, and the
-``repro runs list|show|compare`` subcommands end to end.
+resolution (path / id / prefix), summaries, the render helpers, the
+``repro runs list|query|show|compare|prune`` subcommands end to end, and
+the manifest index: every listing read from the manifests' ``summary``
+equals the events-based oracle byte for byte, and a registry of finalized
+runs lists without parsing one ``events.jsonl``.
 """
 
 from __future__ import annotations
 
 import json
+import types
 
 import pytest
 
@@ -16,18 +20,31 @@ from repro.observability import (
     JsonlSink,
     RunContext,
     RunLogger,
+    accuracy_power_front,
+    config_fingerprint,
     list_runs,
     load_manifest,
+    load_summaries,
     merge_worker_shards,
+    prune_runs,
     read_events,
+    render_prune_report,
     render_run_compare,
     render_run_show,
     render_runs_table,
     resolve_run,
     summarize_run,
+    summary_to_dict,
     validate_run_events,
 )
 from repro.observability.runs import environment_fingerprint, new_run_id
+
+from tests.run_registry import (
+    oracle_summaries,
+    record_registry,
+    spy_event_reads,
+    write_run,
+)
 
 
 def _write_epochs(run_logger: RunLogger, n: int, phase: str = "constrained") -> None:
@@ -452,3 +469,348 @@ class TestPruneCli:
 
         assert main(["runs", "prune", "--dir", str(tmp_path)]) == 2
         assert "refusing to prune" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# The manifest index
+# ----------------------------------------------------------------------
+@pytest.fixture
+def registry(tmp_path):
+    """Hand-written registry: statuses, a corrupt manifest, an in-flight mid-write run."""
+    base = tmp_path / "runs"
+    write_run(base, "a-train-old", acc=0.80, power=2e-3, age_days=30, seed=1)
+    write_run(base, "b-sweep", command="sweep", status="failed", acc=0.70,
+              power=3e-3, age_days=20, alerts=2)
+    write_run(base, "c-train", acc=0.95, power=1.5e-3, age_days=10, dataset="seeds")
+    write_run(base, "d-corrupt", corrupt_manifest=True, age_days=5)
+    write_run(base, "e-inflight", status="running", age_days=0.5,
+              truncated_tail=True, worker_shard=True)
+    return base
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """The mixed registry of ``record_registry``; the tests below only read it."""
+    return record_registry(tmp_path_factory.mktemp("recorded") / "runs")
+
+
+def _cli(argv, capsys):
+    """``(exit code, stdout, error lines)`` of one ``repro`` invocation."""
+    from repro.cli import main
+
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, [line for line in out.err.splitlines() if line.startswith("error:")]
+
+
+def _table(base, rows):
+    return render_runs_table(base, summaries=rows) + "\n"
+
+
+def _query_table(base, **query):
+    rows = oracle_summaries(base, **query)
+    return _table(base, rows) + f"({len(rows)} run(s))\n"
+
+
+def _query_json(base, **query):
+    rows = oracle_summaries(base, **query)
+    return json.dumps([summary_to_dict(s) for s in rows], indent=2) + "\n"
+
+
+def _missing(base, ref):
+    try:
+        resolve_run(ref, base)
+    except ValueError as exc:
+        return 2, "", [f"error: {exc}"]
+    raise AssertionError(f"{ref!r} resolved")
+
+
+def _shown(run_dir):
+    """``runs show`` of one run: its report, or the error it exits 2 with."""
+    try:
+        return _ok(render_run_show(run_dir) + "\n")
+    except ValueError as exc:  # e.g. an in-flight run's mid-write last line
+        return 2, "", [f"error: {exc}"]
+
+
+def _ok(text):
+    return 0, text, []
+
+
+_SORTS = ("created", "accuracy", "power", "duration", "epochs", "alerts")
+_FILTERS = (
+    (["--command", "sweep"], {"command": "sweep"}),
+    (["--status", "completed"], {"status": "completed"}),
+    (["--dataset", "seeds"], {"dataset": "seeds"}),
+    (["--seed", "1"], {"seed": 1}),
+)
+
+#: ``(argv after "runs", expected (code, stdout, error lines) of the registry)``.
+CLI_CASES = [
+    pytest.param(["list"], lambda b: _ok(render_runs_table(b) + "\n"), id="list"),
+    pytest.param(["list", "--limit", "2"],
+                 lambda b: _ok(_table(b, oracle_summaries(b)[-2:])), id="list-limit"),
+    pytest.param(["list", "--status", "completed"],
+                 lambda b: _ok(_table(b, oracle_summaries(b, status="completed"))),
+                 id="list-status"),
+    pytest.param(["list", "--limit", "1", "--status", "failed"],
+                 lambda b: _ok(_table(b, oracle_summaries(b, status="failed")[-1:])),
+                 id="list-limit-status"),
+    pytest.param(["show", "c-train"], lambda b: _shown(b / "c-train"), id="show"),
+    pytest.param(["show", "latest"], lambda b: _shown(list_runs(b)[-1]), id="show-latest"),
+    pytest.param(["compare", "a-train-old", "c-train"],
+                 lambda b: _ok(render_run_compare(b / "a-train-old", b / "c-train") + "\n"),
+                 id="compare"),
+    pytest.param(["prune", "--keep-last", "2"],
+                 lambda b: _ok(render_prune_report(prune_runs(b, keep_last=2), True) + "\n"),
+                 id="prune-keep-last"),
+    pytest.param(["prune", "--older-than", "15d"],
+                 lambda b: _ok(render_prune_report(
+                     prune_runs(b, older_than_s=15 * 86400.0), True) + "\n"),
+                 id="prune-older-than"),
+    pytest.param(["prune", "--status", "failed"],
+                 lambda b: _ok(render_prune_report(prune_runs(b, status="failed"), True) + "\n"),
+                 id="prune-status"),
+    pytest.param(["show", "definitely-missing"], lambda b: _missing(b, "definitely-missing"),
+                 id="show-missing"),
+    *[
+        pytest.param(["query", "--sort", sort, *(["--desc"] if desc else [])],
+                     lambda b, sort=sort, desc=desc: _ok(
+                         _query_table(b, sort=sort, descending=desc)),
+                     id=f"query-{sort}{'-desc' if desc else ''}")
+        for sort in _SORTS for desc in (False, True)
+    ],
+    *[
+        pytest.param(["query", "--sort", sort, *(["--desc"] if desc else []), "--json"],
+                     lambda b, sort=sort, desc=desc: _ok(
+                         _query_json(b, sort=sort, descending=desc)),
+                     id=f"query-{sort}{'-desc' if desc else ''}-json")
+        for sort in _SORTS for desc in (False, True)
+    ],
+    *[
+        pytest.param(["query", *flags, *extra],
+                     lambda b, query=query, render=render: _ok(render(b, **query)),
+                     id=f"query-{flags[0][2:]}{suffix}")
+        for flags, query in _FILTERS
+        for extra, render, suffix in (([], _query_table, ""), (["--json"], _query_json, "-json"))
+    ],
+    pytest.param(["query", "--status", "completed", "--sort", "power", "--desc", "--limit", "2"],
+                 lambda b: _ok(_query_table(b, status="completed", sort="power",
+                                            descending=True, limit=2)),
+                 id="query-status-sort-limit"),
+]
+
+
+class TestManifestIndex:
+    """``load_summaries`` reads the manifests and equals the events-based oracle."""
+
+    FILTERS = [
+        {},
+        {"status": "completed"},
+        {"command": "sweep"},
+        {"dataset": "seeds"},
+        {"seed": 1},
+        {"sort": "accuracy", "descending": True},
+        {"sort": "power"},
+        {"sort": "duration", "descending": True},
+        {"limit": 2},
+        {"sort": "alerts", "descending": True, "limit": 3},
+        {"status": "completed", "sort": "accuracy", "descending": True, "limit": 1},
+        {"sort": "epochs"},
+        {"descending": True},
+        {"status": "running"},
+    ]
+
+    @pytest.mark.parametrize("filters", FILTERS)
+    def test_summaries_match_events_oracle(self, recorded, filters):
+        summaries = load_summaries(recorded, **filters)
+        expected = oracle_summaries(recorded, **filters)
+        assert summaries == expected
+        assert [summary_to_dict(s) for s in summaries] == [summary_to_dict(s) for s in expected]
+        assert _table(recorded, summaries) == _table(recorded, expected)
+
+    @pytest.mark.parametrize("argv_tail, expected", CLI_CASES)
+    def test_cli_matches_events_oracle(self, recorded, capsys, monkeypatch, argv_tail, expected):
+        # Prune ages are measured from the clock: freeze it for both sides.
+        now = 2_000_000_000.0
+        monkeypatch.setattr("repro.observability.runs.time",
+                            types.SimpleNamespace(time=lambda: now))
+        assert _cli(["runs", *argv_tail, "--dir", str(recorded)], capsys) == expected(recorded)
+
+    def test_registry_exercises_both_sources(self, recorded, monkeypatch):
+        # Only the corrupt, pre-summary and in-flight runs are read from events.
+        seen = spy_event_reads(monkeypatch)
+        summaries = load_summaries(recorded)
+        assert {p.parent.name for p in seen} == {"d-corrupt", "e-inflight", "f-presummary"}
+        by_name = {s.path.name: s for s in summaries}
+        assert by_name["b-sweep"].alert_kinds == ("budget_overshoot", "lambda_divergence")
+        assert by_name["b-sweep"].n_alerts == 3
+        assert by_name["c-train"].worker_ids == (77,)
+        assert by_name["e-inflight"].n_epochs == 2  # mid-write line dropped
+        assert by_name["f-presummary"].final_accuracy == 0.8
+        assert by_name["h-empty"].final == {}
+
+    def test_finalized_registry_reads_no_events(self, tmp_path, monkeypatch):
+        base = record_registry(tmp_path / "runs", finalized_only=True)
+        expected = oracle_summaries(base)
+        seen = spy_event_reads(monkeypatch)
+        assert load_summaries(base) == expected
+        assert len(expected) == 5
+        assert seen == []
+
+    def test_running_manifest_is_digested_from_events(self, tmp_path):
+        # A manifest marked running is read from its timeline, summary or not.
+        ctx = _make_run(tmp_path, epochs=2)
+        manifest = load_manifest(ctx.directory)
+        manifest["status"] = "running"
+        (ctx.directory / "manifest.json").write_text(json.dumps(manifest))
+        with open(ctx.events_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({
+                "type": "epoch", "ts": 9e9, "epoch": 2, "loss": 0.1, "power_w": 1e-4,
+                "val_accuracy": 0.99, "feasible": True, "lr": 0.1, "phase": "constrained",
+            }) + "\n")
+        (summary,) = load_summaries(tmp_path)
+        assert summary.n_epochs == 3 and summary.final_accuracy == 0.99
+        assert summary == summarize_run(ctx.directory)
+
+    def test_finalize_stamps_the_event_digest_from_one_read(self, tmp_path, monkeypatch):
+        ctx = RunContext.create(tmp_path, "train", {"seed": 0}, argv=[], git_sha="x")
+        _write_epochs(ctx.logger, 3)
+        ctx.logger.emit("alert", kind="budget_overshoot", epoch=2, message="m",
+                        phase="constrained")
+        (ctx.directory / "events.worker-5.jsonl").write_text(json.dumps({
+            "type": "task_end", "ts": 0.5, "index": 0, "label": "c", "status": "ok",
+            "duration_s": 0.1, "worker_id": 5,
+        }) + "\n")
+        seen = spy_event_reads(monkeypatch)
+        ctx.finalize(exit_code=0, duration_s=1.0)
+        assert sorted(p.name for p in seen) == ["events.jsonl", "events.worker-5.jsonl"]
+        summary = load_manifest(ctx.directory)["summary"]
+        assert summary == {
+            "final": {"val_accuracy": 0.6, "power_w": 1.8e-4, "multiplier": 0.04,
+                      "feasible": True},
+            "n_epochs": 3,
+            "n_alerts": 1,
+            "alert_kinds": ["budget_overshoot"],
+            "worker_ids": [5],
+        }
+        assert load_summaries(tmp_path) == [summarize_run(ctx.directory)]
+
+    def test_default_order_matches_list_runs(self, recorded):
+        assert [s.path for s in load_summaries(recorded)] == list_runs(recorded)
+
+    def test_resolve_agrees_with_listing_and_cli(self, recorded, capsys):
+        paths = [s.path for s in load_summaries(recorded)]
+        assert resolve_run("latest", recorded) == paths[-1]
+        assert resolve_run("c-train", recorded) == recorded / "c-train" in paths
+        assert resolve_run("b", recorded) == recorded / "b-sweep" in paths
+        # `runs show` reports the resolver's own error text
+        for ref in ("nope", "zzz"):
+            assert _cli(["runs", "show", ref, "--dir", str(recorded)], capsys) == \
+                _missing(recorded, ref)
+
+    def test_cli_ambiguous_prefix_error_matches_resolver(self, tmp_path, capsys):
+        base = tmp_path / "runs"
+        write_run(base, "run-aa", age_days=2)
+        write_run(base, "run-ab", age_days=1)
+        code, out, errors = _cli(["runs", "show", "run-a", "--dir", str(base)], capsys)
+        assert (code, out, errors) == _missing(base, "run-a")
+        assert "ambiguous" in errors[0]
+
+    def test_cli_latest_on_empty_registry_matches_resolver(self, tmp_path, capsys):
+        base = tmp_path / "runs"
+        base.mkdir()
+        code, out, errors = _cli(["runs", "show", "latest", "--dir", str(base)], capsys)
+        assert (code, out, errors) == _missing(base, "latest")
+        assert "no runs" in errors[0]
+
+    def test_unknown_sort_rejected(self, recorded):
+        with pytest.raises(ValueError, match="unknown sort"):
+            load_summaries(recorded, sort="speed")
+
+    def test_missing_and_empty_base_list_nothing(self, tmp_path):
+        assert load_summaries(tmp_path / "nothing-here") == []
+        assert load_summaries(tmp_path) == []
+
+    def test_query_json_round_trips(self, recorded, capsys):
+        code, out, _ = _cli(
+            ["runs", "query", "--status", "completed", "--json", "--dir", str(recorded)], capsys
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["run_id"] for r in rows] == [
+            "a-train-old", "c-train", "g-grid", "h-empty", "f-presummary",
+        ]
+        assert all(r["config_fingerprint"] for r in rows)
+
+    def test_stray_index_file_is_ignored(self, tmp_path, capsys):
+        # A file in the registry root, such as an old SQLite index, is no run.
+        base = record_registry(tmp_path / "runs", finalized_only=True)
+        expected = _cli(["runs", "list", "--dir", str(base)], capsys)
+        (base / "leftover.db").write_bytes(b"this is not a database" * 100)
+        assert _cli(["runs", "list", "--dir", str(base)], capsys) == expected
+
+    def test_index_is_not_a_runs_command(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["runs", "index", "--dir", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["list", "query"])
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_limit_below_one_is_a_usage_error(self, tmp_path, capsys, command, limit):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["runs", command, "--limit", limit, "--dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "limit must be >= 1" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+class TestTruncatedTailTolerance:
+    def test_summarize_run_survives_midwrite_tail(self, registry):
+        summary = summarize_run(registry / "e-inflight")
+        assert summary.status == "running"
+        assert summary.n_epochs == 3  # the mid-write line is dropped, not fatal
+
+    def test_read_events_tail_grace_is_last_line_only(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        good = json.dumps({"type": "epoch", "ts": 1.0, "epoch": 0, "loss": 0.5,
+                           "power_w": 1e-3, "val_accuracy": 0.5, "feasible": True,
+                           "lr": 0.1, "phase": "p"})
+        path.write_text('{"broken\n' + good + "\n")
+        with pytest.raises(ValueError, match="not valid JSON"):
+            read_events(path, tolerate_truncated_tail=True)  # corruption mid-file
+        path.write_text(good + "\n" + '{"broken')
+        assert len(read_events(path, tolerate_truncated_tail=True)) == 1
+        with pytest.raises(ValueError):
+            read_events(path)  # strict default still refuses
+
+    def test_corrupt_manifest_listed_not_fatal(self, registry):
+        corrupt = next(s for s in load_summaries(registry) if s.path.name == "d-corrupt")
+        assert corrupt.status == "unknown" and corrupt.command == "?"
+
+
+# ----------------------------------------------------------------------
+class TestParetoAndFingerprint:
+    def test_front_is_non_dominated_and_power_sorted(self, registry):
+        front = accuracy_power_front(load_summaries(registry))
+        ids = [s.run_id for s in front]
+        # c-train (0.95 @ 1.5mW) dominates a-train-old (0.80 @ 2mW) and
+        # b-sweep (0.70 @ 3mW).  d-corrupt and e-inflight tie at the
+        # default coordinates (0.90 @ 1mW); the name tie-break keeps
+        # d-corrupt and drops e-inflight (no strict accuracy gain).
+        assert ids == ["d-corrupt", "c-train"]
+        powers = [s.final_power_w for s in front]
+        assert powers == sorted(powers)
+
+    def test_runs_without_final_metrics_excluded(self, tmp_path):
+        base = tmp_path / "runs"
+        write_run(base, "no-epochs", epochs=0)
+        assert accuracy_power_front(load_summaries(base)) == []
+
+    def test_fingerprint_is_key_order_independent(self):
+        assert config_fingerprint({"a": 1, "b": [2]}) == config_fingerprint({"b": [2], "a": 1})
+        assert config_fingerprint({"a": 1}) != config_fingerprint({"a": 2})
