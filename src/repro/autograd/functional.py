@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, constant_of, is_grad_enabled
+from repro.autograd.tensor import Tensor, constant_of, is_grad_enabled, matmul_transposed
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -336,31 +336,15 @@ def frozen_mlp(
                     width = widths[depth - 1]
                     g_h = scratch[depth % 2][: m * width].reshape(m, width)
                     factor = scratch[2][: m * width].reshape(m, width)
-                    _matmul_transposed(g_i, mats[depth], g_h)
+                    matmul_transposed(g_i, mats[depth], g_h)
                     h = hidden[depth - 1][i]
                     np.square(h, out=factor)
                     np.subtract(1.0, factor, out=factor)
                     np.multiply(g_h, factor, out=g_h)
                     g_i = g_h
                 g_x = scratch[0][: m * d].reshape(m, d)
-                _matmul_transposed(g_i, mats[0], g_x)
+                matmul_transposed(g_i, mats[0], g_x)
                 np.copyto(g_in[i, start:stop], g_x)
         return (grad,)
 
     return Tensor._make(fwd(x.data, *[p.data for p in params]), (x, *params), backward, fwd=fwd)
-
-
-def _matmul_transposed(g: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
-    """``out = g @ w.T``, with the bits of the GEMM.
-
-    With one column in ``g`` (K = 1, the gradient entering a one-output
-    layer) the GEMM is one rounded product per element, the broadcast
-    multiply's bits, except that it writes +0 where the product is -0; the
-    ``+ 0.0`` restores that.  OpenBLAS runs such an outer product about
-    2.5 times slower than the two passes (756 float32 rows × 64).
-    """
-    if g.shape[1] == 1:
-        np.multiply(g, w.T, out=out)
-        np.add(out, 0.0, out=out)
-    else:
-        np.matmul(g, w.T, out=out)

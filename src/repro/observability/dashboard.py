@@ -76,7 +76,7 @@ _LATENCY = get_registry().histogram(
 
 
 class _BadRequest(ValueError):
-    """A well-formed request whose parameter is out of range (HTTP 400)."""
+    """A request whose parameter is malformed or out of range (HTTP 400)."""
 
 
 def _first(query: dict, key: str, default: str | None = None) -> str | None:
@@ -90,7 +90,7 @@ def _int_or_none(value: str | None, name: str) -> int | None:
     try:
         return int(value)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise _BadRequest(f"{name} must be an integer, got {value!r}") from None
 
 
 def _run_detail(run_dir: Path) -> dict:
@@ -158,7 +158,7 @@ class _Handler(JsonHandler):
             self._route(path, query, started)
         except _BadRequest as exc:
             self._respond(400, {"error": str(exc)}, path, started)
-        except ValueError as exc:  # unresolvable run ref, bad params
+        except ValueError as exc:  # unresolvable run ref, missing compare ref
             self._respond(404, {"error": str(exc)}, path, started)
         except Exception as exc:  # noqa: BLE001 - keep the server alive
             logger.exception("dashboard request %s failed", self.path)
@@ -260,6 +260,7 @@ class _Handler(JsonHandler):
         elif path.startswith("/api/runs/") and path.endswith("/kernels"):
             ref = path[len("/api/runs/"):-len("/kernels")]
             run_dir = resolve_run(ref, ctx.base_dir)
+            top = _int_or_none(_first(query, "top"), "top") or 15
             kernels = load_run_kernels(run_dir)
             if kernels is None:
                 self._respond(
@@ -268,7 +269,6 @@ class _Handler(JsonHandler):
                     "kernels", started,
                 )
                 return
-            top = _int_or_none(_first(query, "top"), "top") or 15
             self._respond(
                 200,
                 {"run_id": run_dir.name, "kernels": kernels,

@@ -800,7 +800,7 @@ def render_run_show(run_dir: str | Path) -> str:
         lines.append(f"diagnostic: {diagnostic} (run aborted by a health watchdog)")
     events_path = run_dir / EVENTS_NAME
     if events_path.exists():
-        events = read_events(events_path, strict=False)
+        events = read_run_events(run_dir)
         return "\n".join(lines) + "\n\n" + render_report(
             events, source=str(events_path), kernels=load_run_kernels(run_dir)
         )

@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled, concatenate, stack, unbroadcast
+from repro.autograd.tensor import (
+    Tensor, no_grad, is_grad_enabled, concatenate, stack, unbroadcast, matmul_transposed,
+)
 
 
 def numeric_grad(build, params: list[np.ndarray], eps: float = 1e-6) -> list[np.ndarray]:
@@ -120,6 +122,41 @@ class TestMatmulGradients:
 
     def test_matmul_vec_vec(self):
         check_op(lambda a, b: (a @ b) * Tensor(1.0), [(4,), (4,)])
+
+    @staticmethod
+    def _one_column(dtype, batch=()):
+        """A K = 1 gradient and weight column whose products include -0."""
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=batch + (37, 1)).astype(dtype)
+        w = rng.normal(size=(29, 1)).astype(dtype)
+        g[..., :5, 0] = 0.0          # +0 times negative weights
+        g[..., 5:8, 0] = -0.0        # -0 times positive weights
+        w[:4, 0] = -0.0              # -0 times positive gradients
+        return g, w
+
+    @staticmethod
+    def _bits(a: np.ndarray) -> np.ndarray:
+        return a.view(np.uint64 if a.dtype == np.float64 else np.uint32)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["2d", "batched"])
+    def test_one_column_product_has_gemm_bits(self, dtype, batch):
+        g, w = self._one_column(dtype, batch)
+        products = g * np.swapaxes(w, -1, -2)
+        assert np.signbit(products[products == 0]).any()  # the case is exercised
+        gemm = np.matmul(g, w.T)
+        np.testing.assert_array_equal(self._bits(matmul_transposed(g, w)), self._bits(gemm))
+        out = np.empty_like(gemm)
+        assert matmul_transposed(g, w, out=out) is out
+        np.testing.assert_array_equal(self._bits(out), self._bits(gemm))
+
+    def test_one_output_layer_input_gradient_has_gemm_bits(self):
+        # The last layer of an MLP: (m, k) @ (k, 1); its input gradient is g @ wᵀ.
+        # Tensors hold float64; the float32 frozen-MLP backward uses the same helper.
+        g, w = self._one_column(np.float64)
+        x = Tensor(np.ones((g.shape[0], w.shape[0])), requires_grad=True)
+        (x @ Tensor(w)).backward(g)
+        np.testing.assert_array_equal(self._bits(x.grad), self._bits(np.matmul(g, w.T)))
 
 
 class TestReductions:

@@ -1,12 +1,13 @@
-"""Start-up guard: a warm process imports only what its command runs.
+"""Start-up guard: a process imports only what its command runs.
 
-scipy is needed only to draw the Sobol points a surrogate is fitted on (the
-cold-cache fit), and the stdlib HTTP stack only by ``repro serve`` and remote
-clients.  Importing either at module level costs every ``repro`` process
-about a second, so both are imported at their call sites.  No command needs
-the SQLite module: the run registry is indexed by its manifests.  Each test
-runs a fresh interpreter and inspects its ``sys.modules``; nothing here is
-timed.
+No command needs scipy: the Sobol points a surrogate is fitted on come from
+a numpy generator, so even a cold-cache fit runs on numpy alone (scipy is a
+test oracle).  The stdlib HTTP stack is needed only by ``repro serve`` and
+remote clients; importing it at module level would cost every ``repro``
+process start-up time, so it is imported at its call sites.  No command
+needs the SQLite module: the run registry is indexed by its manifests.  Each
+test runs a fresh interpreter and inspects its ``sys.modules``; nothing here
+is timed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ _FIT_NQ, _FIT_EPOCHS = 32, 2
 
 
 def _cold_only(modules: list[str]) -> list[str]:
-    """The loaded modules that only a cold fit or ``repro serve`` needs."""
+    """The loaded modules that no command or only ``repro serve`` needs."""
     return sorted(
         name for name in modules
         if name == "scipy" or name.startswith("scipy.") or name in _EXACT
@@ -114,6 +115,21 @@ def test_registry_commands_skip_sqlite(tmp_path):
     assert [name for name in modules if "sqlite" in name] == []
 
 
-def test_cold_fit_still_loads_scipy(cold_fit):
+def test_cold_fit_loads_no_scipy(cold_fit):
     _, modules = cold_fit
-    assert "scipy.stats" in modules
+    assert "repro.power.sobol" in modules
+    assert [name for name in modules if name == "scipy" or name.startswith("scipy.")] == []
+
+
+def test_cold_fit_runs_with_scipy_blocked(tmp_path):
+    # ``sys.modules["scipy"] = None`` makes any ``import scipy`` raise.
+    cache = tmp_path / "surrogate-cache"
+    env = dict(os.environ, REPRO_CACHE_DIR=str(cache))
+    modules = _loaded_modules(f"""
+        import sys
+        sys.modules["scipy"] = None
+        from repro.power.surrogate import get_cached_surrogate
+        get_cached_surrogate("relu", n_q={_FIT_NQ}, epochs={_FIT_EPOCHS})
+    """, env=env)
+    assert "repro.power.sobol" in modules
+    assert list(cache.glob("*.npz")), "the cold fit wrote no cache entry"

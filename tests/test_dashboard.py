@@ -90,9 +90,19 @@ class TestEndpoints:
         assert status == 200
         assert [r["run_id"] for r in body["runs"]] == ["c-train"]
 
-    def test_bad_limit_is_a_client_error(self, server):
-        status, body = _get(server, "/api/runs?limit=lots")
-        assert status == 404 and "limit must be an integer" in body["error"]
+    @pytest.mark.parametrize("name, path", [
+        ("limit", "/api/runs?limit=lots"),
+        ("seed", "/api/runs?seed=lots"),
+        ("offset", "/api/runs/c-train/events?offset=lots"),
+        ("top", "/api/runs/c-train/kernels?top=lots"),
+    ], ids=["limit", "seed", "offset", "top"])
+    def test_bad_limit_is_a_client_error(self, server, name, path):
+        status, body = _get(server, path)
+        assert status == 400 and f"{name} must be an integer, got 'lots'" in body["error"]
+
+    def test_unknown_run_with_malformed_parameter_stays_404(self, server):
+        status, body = _get(server, "/api/runs/nope/events?offset=lots")
+        assert status == 404 and "no run 'nope'" in body["error"]
 
     @pytest.mark.parametrize("limit", ["-1", "0"])
     def test_limit_below_one_is_a_400(self, server, limit):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.autograd.tensor import Tensor
 from repro.pdk.params import ActivationKind, design_space
+from repro.power import sobol as sobol_module
 from repro.power.sobol import sobol_sequence, sobol_sample_space
 from repro.power.dataset import generate_power_dataset, generate_negation_dataset, PowerDataset
 from repro.power.surrogate import fit_surrogate, load_surrogate, Normalization
@@ -47,6 +48,48 @@ class TestSobol:
             sobol_sequence(0, 10)
         with pytest.raises(ValueError):
             sobol_sequence(2, 0)
+        with pytest.raises(ValueError):
+            sobol_sequence(sobol_module.MAX_DIMENSION + 1, 10)
+        with pytest.raises(ValueError):
+            sobol_sequence(2, 2**30 + 1)
+
+    def test_design_spaces_fit_the_direction_table(self):
+        assert max(design_space(kind).dimension for kind in ActivationKind) <= sobol_module.MAX_DIMENSION
+
+
+class TestSobolMatchesScipy:
+    """The numpy generator returns scipy's scrambled Sobol bits (scipy is the oracle)."""
+
+    @pytest.fixture(scope="class")
+    def qmc(self):
+        return pytest.importorskip("scipy").stats.qmc
+
+    def test_direction_table_is_scipys(self, qmc):
+        import os
+        from scipy import stats
+
+        table = np.load(os.path.join(os.path.dirname(stats.__file__), "_sobol_direction_numbers.npz"))
+        rows = len(sobol_module._POLY)
+        vinit = np.zeros((rows, table["vinit"].shape[1]), dtype=np.int64)
+        for d, row in enumerate(sobol_module._VINIT):
+            vinit[d, : len(row)] = row
+        np.testing.assert_array_equal(sobol_module._POLY, table["poly"][:rows])
+        np.testing.assert_array_equal(vinit, table["vinit"][:rows])
+
+    @pytest.mark.parametrize("dimension", range(1, 11))
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_bit_identical(self, qmc, dimension, seed):
+        for n in (1, 2, 3, 64, 100, 1000, 1024, 5000, 2**14):
+            m = max(1, (n - 1).bit_length())
+            expected = qmc.Sobol(d=dimension, scramble=True, seed=seed).random_base2(m)[:n]
+            got = sobol_sequence(dimension, n, seed=seed)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64), err_msg=f"n={n}")
+
+    def test_every_table_dimension_is_bit_identical(self, qmc):
+        d = sobol_module.MAX_DIMENSION
+        expected = qmc.Sobol(d=d, scramble=True, seed=3).random_base2(12)
+        np.testing.assert_array_equal(sobol_sequence(d, 2**12, seed=3).view(np.uint64), expected.view(np.uint64))
 
 
 class TestPowerDataset:

@@ -37,6 +37,7 @@ from repro.observability import (
     summary_to_dict,
     validate_run_events,
 )
+from repro.observability.report import render_report
 from repro.observability.runs import environment_fingerprint, new_run_id
 
 from tests.run_registry import (
@@ -526,11 +527,8 @@ def _missing(base, ref):
 
 
 def _shown(run_dir):
-    """``runs show`` of one run: its report, or the error it exits 2 with."""
-    try:
-        return _ok(render_run_show(run_dir) + "\n")
-    except ValueError as exc:  # e.g. an in-flight run's mid-write last line
-        return 2, "", [f"error: {exc}"]
+    """``runs show`` of one run: its manifest header and event report."""
+    return _ok(render_run_show(run_dir) + "\n")
 
 
 def _ok(text):
@@ -636,6 +634,19 @@ class TestManifestIndex:
         monkeypatch.setattr("repro.observability.runs.time",
                             types.SimpleNamespace(time=lambda: now))
         assert _cli(["runs", *argv_tail, "--dir", str(recorded)], capsys) == expected(recorded)
+
+    def test_show_of_in_flight_run_drops_the_mid_write_line(self, recorded, capsys):
+        run_dir = list_runs(recorded)[-1]
+        assert run_dir.name == "e-inflight"  # ``runs show latest`` above is this run
+        events_path = run_dir / "events.jsonl"
+        with pytest.raises(ValueError):
+            read_events(events_path, strict=False)
+        code, out, errors = _cli(["runs", "show", "e-inflight", "--dir", str(recorded)], capsys)
+        assert (code, errors) == (0, [])
+        assert "status   : running" in out
+        complete = read_events(events_path, strict=False, tolerate_truncated_tail=True)
+        assert [e["val_accuracy"] for e in complete if e["type"] == "epoch"] == [0.4, 0.5]
+        assert out.endswith(render_report(complete, source=str(events_path)) + "\n")
 
     def test_registry_exercises_both_sources(self, recorded, monkeypatch):
         # Only the corrupt, pre-summary and in-flight runs are read from events.
