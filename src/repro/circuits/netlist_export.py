@@ -14,6 +14,13 @@ model.  The deviations quantify exactly the interface idealizations:
 - activation input loading: the p-sigmoid/p-tanh gate dividers draw current
   from the crossbar summing nodes, which the layered model ignores.
 
+This module owns the pNC topology.  :func:`add_crossbar_block` prints any
+(row range × column range) block of a layer — printed resistors, per-row
+negation, dead-column ties and the columns' activation cells from
+:mod:`repro.pdk.circuits`.  :func:`export_network` calls it once per whole
+layer; the compiler's tiles (:func:`repro.compile.netlists.build_tile_circuit`)
+call it once per tile.
+
 Entry points: :func:`export_network` (netlist for one input sample) and
 :func:`verify_against_model` (batch comparison report).
 """
@@ -21,69 +28,85 @@ Entry points: :func:`export_network` (netlist for one input sample) and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
-from repro.circuits.negation import NEGATION_NOMINAL_Q
 from repro.circuits.pnc import PrintedNeuralNetwork
+from repro.pdk.circuits import add_activation, add_negation
 from repro.pdk.params import ActivationKind
-from repro.spice import Circuit, solve_dc, total_power
+from repro.spice import Circuit, rebuild_with_sources, solve_dc, total_power
 
 MICRO = 1.0e-6
 
 
-def _instantiate_activation(
+def summing_node(layer: int, col: int) -> str:
+    """Crossbar summing node of column ``col``."""
+    return f"l{layer}_z{col}"
+
+
+def output_node(layer: int, col: int) -> str:
+    """Activation output node of column ``col``."""
+    return f"l{layer}_a{col}"
+
+
+def add_crossbar_block(
     circuit: Circuit,
+    layer: int,
+    theta: np.ndarray,
+    printed: np.ndarray,
+    drivers: Sequence[str],
+    rows: range,
+    cols: range,
+    *,
     kind: ActivationKind,
     q: np.ndarray,
-    prefix: str,
-    in_node: str,
-    out_node: str,
-    vdd_node: str,
-    vss_node: str,
+    neg_q: np.ndarray,
+    negation: str,
+    owner: bool = True,
 ) -> None:
-    """Add one activation circuit between ``in_node`` and ``out_node``.
+    """Print the ``rows × cols`` block of layer ``layer``'s crossbar.
 
-    Mirrors the topologies of :func:`repro.pdk.circuits.build_activation_circuit`
-    with namespaced internal nodes so many instances coexist in one netlist.
+    ``theta`` holds the layer's effective conductances (µS) over all its
+    extended rows, ``printed`` which of them survive pruning, and
+    ``drivers`` the node driving each extended row (signals, bias rail,
+    ground).  The block gets one printed resistor per printed entry into
+    its column's summing node, a negation cell per row that needs one
+    (ideal gain −1 VCVS or the printed inverter with parameters ``neg_q``),
+    and, when it is the column's ``owner``, the column's activation cell
+    ``kind``/``q`` — or, for a column with nothing printed, gain-0 VCVS
+    ties pinning both of its nodes to ground.
     """
-    if kind is ActivationKind.RELU:
-        r_s, w_1, l_1 = q
-        circuit.add_egt(f"{prefix}_m1", vdd_node, in_node, out_node, w_1, l_1)
-        circuit.add_resistor(f"{prefix}_rs", out_node, "0", r_s)
-        return
-    if kind is ActivationKind.CLIPPED_RELU:
-        r_d, r_s, w_1, l_1, w_c, l_c = q
-        drain = f"{prefix}_d"
-        circuit.add_resistor(f"{prefix}_rd", vdd_node, drain, r_d)
-        circuit.add_egt(f"{prefix}_m1", drain, in_node, out_node, w_1, l_1)
-        circuit.add_resistor(f"{prefix}_rs", out_node, "0", r_s)
-        circuit.add_egt(f"{prefix}_mc", out_node, out_node, "0", w_c, l_c)
-        return
-    if kind is ActivationKind.SIGMOID:
-        r_d1, r_d2, r_1, r_2, w_1, l_1, w_2, l_2 = q
-        g1, mid = f"{prefix}_g1", f"{prefix}_mid"
-        circuit.add_resistor(f"{prefix}_rd1", in_node, g1, r_d1)
-        circuit.add_resistor(f"{prefix}_rd2", g1, "0", r_d2)
-        circuit.add_resistor(f"{prefix}_r1", vdd_node, mid, r_1)
-        circuit.add_egt(f"{prefix}_m1", mid, g1, "0", w_1, l_1)
-        circuit.add_resistor(f"{prefix}_r2", vdd_node, out_node, r_2)
-        circuit.add_egt(f"{prefix}_m2", out_node, mid, "0", w_2, l_2)
-        return
-    if kind is ActivationKind.TANH:
-        r_d1, r_d2, r_1, r_d3, r_d4, r_2, w_1, l_1, w_2, l_2 = q
-        g1, mid, g2 = f"{prefix}_g1", f"{prefix}_mid", f"{prefix}_g2"
-        circuit.add_resistor(f"{prefix}_rd1", in_node, g1, r_d1)
-        circuit.add_resistor(f"{prefix}_rd2", g1, vss_node, r_d2)
-        circuit.add_resistor(f"{prefix}_r1", vdd_node, mid, r_1)
-        circuit.add_egt(f"{prefix}_m1", mid, g1, vss_node, w_1, l_1)
-        circuit.add_resistor(f"{prefix}_rd3", mid, g2, r_d3)
-        circuit.add_resistor(f"{prefix}_rd4", g2, vss_node, r_d4)
-        circuit.add_resistor(f"{prefix}_r2", vdd_node, out_node, r_2)
-        circuit.add_egt(f"{prefix}_m2", out_node, g2, vss_node, w_2, l_2)
-        return
-    raise ValueError(f"unhandled activation kind: {kind}")
+    negated: dict[int, str] = {}
+
+    def negation_node(row: int) -> str:
+        if row not in negated:
+            node = f"l{layer}_neg{row}"
+            if negation == "ideal":
+                circuit.add_vcvs(f"l{layer}_eneg{row}", node, "0", drivers[row], "0", -1.0)
+            else:
+                add_negation(circuit, neg_q, drivers[row], node, f"l{layer}_", str(row))
+            negated[row] = node
+        return negated[row]
+
+    for j in cols:
+        z_node, a_node = summing_node(layer, j), output_node(layer, j)
+        if not printed[:, j].any():
+            # Dead column: neither resistors nor activation are printed; the
+            # downstream crossbar sees a quiet wire (a tie adds no RC dynamics).
+            if owner:
+                circuit.add_vcvs(f"l{layer}_ztie{j}", z_node, "0", "0", "0", 0.0)
+                circuit.add_vcvs(f"l{layer}_atie{j}", a_node, "0", "0", "0", 0.0)
+            continue
+        for i in rows:
+            if not printed[i, j]:
+                continue
+            value = theta[i, j]
+            driver = drivers[i] if value >= 0 else negation_node(i)
+            circuit.add_resistor(f"l{layer}_r{i}_{j}", driver, z_node, 1.0 / (abs(value) * MICRO))
+        if owner:
+            add_activation(circuit, kind, q, z_node, a_node, prefix=f"l{layer}_af{j}_")
 
 
 @dataclass
@@ -94,11 +117,23 @@ class ExportedNetwork:
     output_nodes: list[str]
     summing_nodes: list[list[str]]  # per layer
 
-    def solve(self) -> tuple[np.ndarray, float]:
-        """DC-solve; return (output voltages, total dissipated power W)."""
-        op = solve_dc(self.circuit)
+    @staticmethod
+    def stimulus(x: np.ndarray) -> dict[str, float]:
+        """Input-source voltages that apply sample ``x``."""
+        return {f"vin{i}": float(value) for i, value in enumerate(np.ravel(x))}
+
+    def solve(self, x: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+        """DC-solve at sample ``x`` (default: the exported one); return
+        (output voltages, total dissipated power W).
+
+        A new sample re-drives the input sources of the one built circuit.
+        """
+        circuit = self.circuit
+        if x is not None:
+            circuit = rebuild_with_sources(circuit, self.stimulus(x))
+        op = solve_dc(circuit)
         outputs = np.array([op.voltage(node) for node in self.output_nodes])
-        return outputs, total_power(self.circuit, op)
+        return outputs, total_power(circuit, op)
 
 
 def export_network(
@@ -126,83 +161,33 @@ def export_network(
         raise ValueError("negation must be 'ideal' or 'circuit'")
 
     pdk = net.config.pdk
-    threshold = pdk.prune_threshold_us
     circuit = Circuit(name="pnc-flat")
     circuit.add_vsource("vdd", "vdd", "0", pdk.vdd)
     circuit.add_vsource("vss", "vss", "0", pdk.vss)
-
     signal_nodes: list[str] = []
     for i, value in enumerate(x):
-        node = f"in{i}"
-        circuit.add_vsource(f"vin{i}", node, "0", float(value))
-        signal_nodes.append(node)
+        circuit.add_vsource(f"vin{i}", f"in{i}", "0", float(value))
+        signal_nodes.append(f"in{i}")
 
     summing_nodes: list[list[str]] = []
-    for layer_index, (crossbar, activation) in enumerate(zip(net.crossbars(), net.activations())):
+    for layer, (crossbar, activation) in enumerate(zip(net.crossbars(), net.activations())):
         theta = crossbar.effective_theta().data
         rows, cols = theta.shape
-        # Driver nodes per extended row: signals, bias rail, ground.
-        drivers = list(signal_nodes) + ["vdd", "0"]
-        negated: dict[int, str] = {}
-
-        def negation_node(row: int) -> str:
-            if row in negated:
-                return negated[row]
-            node = f"l{layer_index}_neg{row}"
-            if negation == "ideal":
-                circuit.add_vcvs(
-                    f"l{layer_index}_eneg{row}", node, "0", drivers[row], "0", -1.0
-                )
-            else:
-                r_n, w_n, l_n = NEGATION_NOMINAL_Q
-                circuit.add_resistor(f"l{layer_index}_rneg{row}", "vdd", node, r_n)
-                circuit.add_egt(
-                    f"l{layer_index}_mneg{row}", node, drivers[row], "vss", w_n, l_n
-                )
-            negated[row] = node
-            return node
-
-        layer_summing: list[str] = []
-        next_signals: list[str] = []
-        for j in range(cols):
-            z_node = f"l{layer_index}_z{j}"
-            a_node = f"l{layer_index}_a{j}"
-            column = theta[:, j]
-            printed = np.abs(column) > threshold
-            if not printed.any():
-                # Dead column: neither the crossbar resistors nor the
-                # activation circuit are printed.  The downstream crossbar
-                # sees a quiet wire — pin both nodes to ground with an
-                # ideal tie (a gain-0 VCVS adds no RC dynamics).
-                circuit.add_vcvs(f"l{layer_index}_ztie{j}", z_node, "0", "0", "0", 0.0)
-                circuit.add_vcvs(f"l{layer_index}_atie{j}", a_node, "0", "0", "0", 0.0)
-                layer_summing.append(z_node)
-                next_signals.append(a_node)
-                continue
-            for i in range(rows):
-                if not printed[i]:
-                    continue
-                magnitude = abs(column[i]) * MICRO
-                resistance = 1.0 / magnitude
-                driver = drivers[i] if column[i] >= 0 else negation_node(i)
-                # Ground-row drivers to ground need no negation by projection.
-                circuit.add_resistor(
-                    f"l{layer_index}_r{i}_{j}", driver, z_node, resistance
-                )
-            _instantiate_activation(
-                circuit,
-                activation.kind,
-                activation.q_values(),
-                prefix=f"l{layer_index}_af{j}",
-                in_node=z_node,
-                out_node=a_node,
-                vdd_node="vdd",
-                vss_node="vss",
-            )
-            layer_summing.append(z_node)
-            next_signals.append(a_node)
-        summing_nodes.append(layer_summing)
-        signal_nodes = next_signals
+        add_crossbar_block(
+            circuit,
+            layer,
+            theta,
+            np.abs(theta) > pdk.prune_threshold_us,
+            signal_nodes + ["vdd", "0"],
+            range(rows),
+            range(cols),
+            kind=activation.kind,
+            q=activation.q_values(),
+            neg_q=net.neg_q,
+            negation=negation,
+        )
+        summing_nodes.append([summing_node(layer, j) for j in range(cols)])
+        signal_nodes = [output_node(layer, j) for j in range(cols)]
 
     return ExportedNetwork(circuit, signal_nodes, summing_nodes)
 
@@ -255,8 +240,8 @@ def verify_against_model(
 ) -> VerificationReport:
     """Cross-validate the layered model against full flat-netlist SPICE.
 
-    Solves the flattened classifier for the first ``n_samples`` rows of
-    ``x`` and compares output voltages, argmax decisions and power against
+    Builds the flattened classifier once, re-drives its input sources with
+    each of the first ``n_samples`` rows of ``x``, and compares output voltages, argmax decisions and power against
     the training model's forward pass.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -269,13 +254,11 @@ def verify_against_model(
         model_outputs = logits.data / net.logit_scale
         model_power = float(breakdown.total.data)
 
+        exported = export_network(net, x[0], negation=negation)
         spice_outputs = np.zeros_like(model_outputs)
         spice_powers = np.zeros(len(x))
         for index, sample in enumerate(x):
-            exported = export_network(net, sample, negation=negation)
-            outputs, power = exported.solve()
-            spice_outputs[index] = outputs
-            spice_powers[index] = power
+            spice_outputs[index], spice_powers[index] = exported.solve(sample)
     finally:
         net.train(was_training)
 

@@ -22,7 +22,7 @@ from repro.compile.bundle import (
 )
 from repro.compile.compiler import CompileResult, compile_model
 from repro.compile.constraints import CompileError, InfeasibleError, TileConstraints
-from repro.compile.netlist_io import merge_circuits, parse_spice_text, rebuild_with_sources
+from repro.compile.netlist_io import merge_circuits, parse_spice_text
 from repro.compile.placement import Layout, Route, TilePlan, plan_layout, profile_network
 from repro.compile.verify import VerifyReport, verify_bundle
 
@@ -45,7 +45,6 @@ __all__ = [
     "parse_spice_text",
     "plan_layout",
     "profile_network",
-    "rebuild_with_sources",
     "verify_bundle",
     "verify_checksums",
 ]

@@ -1,4 +1,4 @@
-"""Read side of the ``.cir`` dialect: parse, re-stimulate, merge.
+"""Read side of the ``.cir`` dialect: parse and merge.
 
 :func:`repro.spice.export.to_spice_text` writes a small, regular SPICE
 dialect (R/V/E/M cards plus commented EKV-parameter ``.model`` cards).
@@ -9,8 +9,7 @@ inverse: :func:`parse_spice_text` rebuilds a
 bit-identically through ``to_spice_text`` (values are re-parsed from their
 ``%.6g`` rendering, so re-export reproduces the same text).
 
-:func:`rebuild_with_sources` swaps stimulus-source voltages to apply a test
-vector; :func:`merge_circuits` unions the tiles of one column group into the
+:func:`merge_circuits` unions the tiles of one column group into the
 solvable group circuit (shared rail sources deduplicate by identical
 definition; conflicting same-name elements are an error).
 """
@@ -100,28 +99,6 @@ def parse_spice_text(text: str) -> Circuit:
         except (ValueError, TypeError) as exc:
             raise NetlistParseError(f"line {lineno}: {exc}: {line}") from exc
     return circuit
-
-
-def rebuild_with_sources(circuit: Circuit, overrides: dict[str, float]) -> Circuit:
-    """Copy ``circuit`` with the named source voltages replaced.
-
-    Every override must name an existing source — a vector that references
-    a stimulus source missing from the netlist is a sign-off failure, not
-    a silent no-op.
-    """
-    known = {s.name for s in circuit.sources}
-    missing = set(overrides) - known
-    if missing:
-        raise CompileError(f"unknown stimulus sources: {sorted(missing)}")
-    rebuilt = Circuit(name=circuit.name)
-    rebuilt.resistors = list(circuit.resistors)
-    rebuilt.transistors = list(circuit.transistors)
-    rebuilt.vcvs = list(circuit.vcvs)
-    rebuilt.capacitors = list(circuit.capacitors)
-    for s in circuit.sources:
-        voltage = overrides.get(s.name, s.voltage)
-        rebuilt.add_vsource(s.name, s.node_pos, s.node_neg, voltage)
-    return rebuilt
 
 
 def merge_circuits(circuits: list[Circuit], name: str = "merged") -> Circuit:

@@ -7,24 +7,23 @@ activation outputs — so the tiles of one column group can be merged
 node-for-node into the group circuit the verifier solves (and, on foil, the
 inter-tile routes of the layout are exactly the shared node names).
 
-Tile contents mirror :func:`repro.circuits.netlist_export.export_network`
-for the tile's (row band × column group) block:
+A tile is the flat export's crossbar block builder,
+:func:`repro.circuits.netlist_export.add_crossbar_block`, called over the
+tile's (row band × column group) block with ``l{L}_x{i}`` drivers, plus:
 
 - one stimulus source per signal row in the band (initialized to the first
   stimulus vector, so the shipped ``.cir`` solves standalone),
-- vdd/vss rail sources (identical in every tile; deduplicated on merge),
-- the block's printed crossbar resistors, with per-row negation circuits
-  (ideal gain −1 VCVS or the real printed inverting amplifier),
-- on the group's **owner** tile only: the activation circuit of every active
-  column, and ground ties for dead columns.
+- vdd/vss rail sources (identical in every tile; deduplicated on merge).
+
+Only the group's **owner** tile prints activation cells and dead-column
+ties; every tile prints the negation cells its own rows need.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.circuits.negation import NEGATION_NOMINAL_Q
-from repro.circuits.netlist_export import MICRO, _instantiate_activation
+from repro.circuits.netlist_export import add_crossbar_block
 from repro.compile.constraints import CompileError
 from repro.compile.placement import LayerProfile, TilePlan
 from repro.pdk.params import PDK
@@ -32,20 +31,11 @@ from repro.spice import Circuit
 
 
 # ----------------------------------------------------------------------
-# Global node / element naming shared by netlists, vectors and verify.
+# Tile-side node / element naming shared by netlists, vectors and verify
+# (summing and output nodes are the flat export's own names).
 def input_node(layer: int, row: int) -> str:
     """Node carrying layer ``layer``'s input signal ``row``."""
     return f"l{layer}_x{row}"
-
-
-def summing_node(layer: int, col: int) -> str:
-    """Crossbar summing node of column ``col``."""
-    return f"l{layer}_z{col}"
-
-
-def output_node(layer: int, col: int) -> str:
-    """Activation output node of column ``col``."""
-    return f"l{layer}_a{col}"
 
 
 def source_name(node: str) -> str:
@@ -57,16 +47,6 @@ def tile_signal_rows(profile: LayerProfile, tile: TilePlan) -> list[int]:
     """Signal-row indices (excluding bias/ground rails) in the tile's band."""
     n_signals = profile.rows - 2
     return [row for row in range(tile.row_start, tile.row_end) if row < n_signals]
-
-
-def _row_driver(profile: LayerProfile, layer: int, row: int) -> str:
-    """The node driving extended row ``row``: signal, bias rail, or ground."""
-    n_signals = profile.rows - 2
-    if row < n_signals:
-        return input_node(layer, row)
-    if row == n_signals:
-        return "vdd"
-    return "0"
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +62,7 @@ def build_tile_circuit(
     ``default_vector`` supplies the initial stimulus (the layer's model-side
     input voltages, shape ``(M,)``); it defaults to zeros.  The verifier
     swaps the stimulus per test vector via
-    :func:`repro.compile.netlist_io.rebuild_with_sources`.
+    :func:`repro.spice.rebuild_with_sources`.
     """
     if negation not in ("ideal", "circuit"):
         raise CompileError("negation must be 'ideal' or 'circuit'")
@@ -96,52 +76,18 @@ def build_tile_circuit(
         node = input_node(layer, row)
         circuit.add_vsource(source_name(node), node, "0", value)
 
-    # Per-row negation, printed locally in every tile that needs it.
-    negated: dict[int, str] = {}
-
-    def negation_node(row: int) -> str:
-        if row in negated:
-            return negated[row]
-        node = f"l{layer}_neg{row}"
-        driver = _row_driver(profile, layer, row)
-        if negation == "ideal":
-            circuit.add_vcvs(f"l{layer}_eneg{row}", node, "0", driver, "0", -1.0)
-        else:
-            r_n, w_n, l_n = NEGATION_NOMINAL_Q
-            circuit.add_resistor(f"l{layer}_rneg{row}", "vdd", node, r_n)
-            circuit.add_egt(f"l{layer}_mneg{row}", node, driver, "vss", w_n, l_n)
-        negated[row] = node
-        return node
-
-    for j in range(tile.col_start, tile.col_end):
-        z_node = summing_node(layer, j)
-        a_node = output_node(layer, j)
-        if not profile.active_cols[j]:
-            if tile.owner:
-                # Dead column: nothing is printed anywhere in this column;
-                # the owner pins its nodes to ground (gain-0 VCVS tie),
-                # exactly as the flat exporter does.
-                circuit.add_vcvs(f"l{layer}_ztie{j}", z_node, "0", "0", "0", 0.0)
-                circuit.add_vcvs(f"l{layer}_atie{j}", a_node, "0", "0", "0", 0.0)
-            continue
-        for i in range(tile.row_start, tile.row_end):
-            if not profile.printed[i, j]:
-                continue
-            value = profile.theta[i, j]
-            resistance = 1.0 / (abs(value) * MICRO)
-            driver = (
-                _row_driver(profile, layer, i) if value >= 0 else negation_node(i)
-            )
-            circuit.add_resistor(f"l{layer}_r{i}_{j}", driver, z_node, resistance)
-        if tile.owner:
-            _instantiate_activation(
-                circuit,
-                profile.kind,
-                profile.q,
-                prefix=f"l{layer}_af{j}",
-                in_node=z_node,
-                out_node=a_node,
-                vdd_node="vdd",
-                vss_node="vss",
-            )
+    add_crossbar_block(
+        circuit,
+        layer,
+        profile.theta,
+        profile.printed,
+        [input_node(layer, row) for row in range(profile.rows - 2)] + ["vdd", "0"],
+        range(tile.row_start, tile.row_end),
+        range(tile.col_start, tile.col_end),
+        kind=profile.kind,
+        q=profile.q,
+        neg_q=profile.neg_q,
+        negation=negation,
+        owner=tile.owner,
+    )
     return circuit

@@ -50,6 +50,7 @@ class LayerProfile:
     index: int
     kind: ActivationKind
     q: np.ndarray  # activation design parameters (shared by the layer)
+    neg_q: np.ndarray  # negation design parameters (the net's)
     inputs: np.ndarray  # (n, M) model-side layer inputs (stimulus)
     v_ext: np.ndarray  # (n, R) extended inputs: signals + bias + ground
     z: np.ndarray  # (n, N) crossbar summing-node voltages
@@ -115,6 +116,7 @@ def profile_network(net: PrintedNeuralNetwork, x: np.ndarray) -> list[LayerProfi
                         index=index,
                         kind=activation.kind,
                         q=activation.q_values(),
+                        neg_q=np.asarray(net.neg_q, dtype=np.float64).copy(),
                         inputs=signal.data.copy(),
                         v_ext=v_ext_t.data.copy(),
                         z=v_z_t.data.copy(),

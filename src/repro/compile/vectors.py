@@ -17,12 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compile.netlists import (
-    input_node,
-    output_node,
-    summing_node,
-    tile_signal_rows,
-)
+from repro.circuits.netlist_export import output_node, summing_node
+from repro.compile.netlists import input_node, tile_signal_rows
 from repro.compile.placement import LayerProfile, TilePlan
 
 

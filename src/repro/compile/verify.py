@@ -37,11 +37,13 @@ from repro.compile.bundle import (
     verify_checksums,
 )
 from repro.autograd.tensor import Tensor, no_grad
-from repro.compile.netlist_io import merge_circuits, parse_spice_text, rebuild_with_sources
-from repro.compile.netlists import output_node, source_name, summing_node
+from repro.circuits.netlist_export import output_node, summing_node
+from repro.compile.constraints import CompileError
+from repro.compile.netlist_io import merge_circuits, parse_spice_text
+from repro.compile.netlists import source_name
 from repro.pdk.params import ActivationKind
 from repro.pdk.transfer import TransferModel
-from repro.spice import solve_dc
+from repro.spice import rebuild_with_sources, solve_dc
 from repro.spice.power import element_powers
 
 #: Measured tile power may exceed the model-side estimate the packer used
@@ -201,7 +203,10 @@ def verify_bundle(bundle_dir: str | Path, tolerance_v: float | None = None) -> V
             for tile_id in member_ids:
                 for node, value in vectors[tile_id]["vectors"][k]["inputs"].items():
                     overrides[source_name(node)] = float(value)
-            solved = rebuild_with_sources(merged, overrides)
+            try:
+                solved = rebuild_with_sources(merged, overrides)
+            except ValueError as exc:  # a vector drives a source no tile has
+                raise CompileError(f"{group_id}: {exc}") from exc
             op = solve_dc(solved)
 
             powers = element_powers(solved, op)

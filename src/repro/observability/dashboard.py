@@ -225,7 +225,7 @@ class _Handler(JsonHandler):
         elif path == "/api/compare":
             ref_a, ref_b = _first(query, "a"), _first(query, "b")
             if not ref_a or not ref_b:
-                raise ValueError("compare needs both ?a=<ref> and ?b=<ref>")
+                raise _BadRequest("compare needs both ?a=<ref> and ?b=<ref>")
             detail_a = _run_detail(resolve_run(ref_a, ctx.base_dir))
             detail_b = _run_detail(resolve_run(ref_b, ctx.base_dir))
             self._respond(

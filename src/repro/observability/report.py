@@ -264,7 +264,8 @@ def render_report_file(path: str | Path) -> str:
     """Load, validate and render a JSONL run file.
 
     Unknown event types are tolerated (forward compatibility); known
-    types are still validated and malformed JSON still fails.
+    types are still validated and malformed JSON still fails, except on a
+    final line still being written by an in-flight run, which is dropped.
     """
-    events = read_events(path, strict=False)
+    events = read_events(path, strict=False, tolerate_truncated_tail=True)
     return render_report(events, source=str(path))

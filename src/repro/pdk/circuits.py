@@ -1,8 +1,12 @@
 """Netlist builders for the printed activation and negation circuits.
 
-Each builder takes the circuit's physical parameter vector ``q`` (layout
-documented in :func:`repro.pdk.params.design_space`) plus the input voltage,
-and returns a :class:`~repro.spice.netlist.Circuit` ready for the DC solver.
+Each cell topology exists once, as an ``add_*`` helper that prints the cell
+into any :class:`~repro.spice.netlist.Circuit` under a name prefix: the
+standalone builders here wrap one cell in rails and an input source, and the
+flat network export and the compiler's tiles
+(:func:`repro.circuits.netlist_export.add_crossbar_block`) print one cell per
+column or negated row.  ``q`` is the cell's physical parameter vector
+(layout documented in :func:`repro.pdk.params.design_space`).
 These netlists are the ground truth that the differentiable transfer models
 (:mod:`repro.pdk.transfer`) and the surrogate power models are validated and
 trained against — the reproduction's stand-in for pPDK + SPICE.
@@ -47,6 +51,85 @@ from repro.pdk.params import PDK, DEFAULT_PDK, ActivationKind
 from repro.spice import Circuit, solve_dc, total_power
 
 
+#: Output node name of every standalone cell circuit.
+ACTIVATION_OUTPUT_NODE = "out"
+
+
+def add_activation(
+    circuit: Circuit,
+    kind: ActivationKind,
+    q: np.ndarray,
+    in_node: str,
+    out_node: str,
+    prefix: str = "",
+) -> None:
+    """Add one activation cell ``kind`` between ``in_node`` and ``out_node``.
+
+    Element and internal-node names start with ``prefix``, so many cells
+    coexist in one netlist; the cell ties to the ``vdd``/``vss`` rail nodes.
+    """
+    if kind is ActivationKind.RELU:
+        r_s, w_1, l_1 = q
+        circuit.add_egt(f"{prefix}m1", "vdd", in_node, out_node, w_1, l_1)
+        circuit.add_resistor(f"{prefix}rs", out_node, "0", r_s)
+        return
+
+    if kind is ActivationKind.CLIPPED_RELU:
+        r_d, r_s, w_1, l_1, w_c, l_c = q
+        drain = f"{prefix}d"
+        # R_d limits the drain current so the power flattens once the output
+        # clips; the diode-connected clamp pins the output level.
+        circuit.add_resistor(f"{prefix}rd", "vdd", drain, r_d)
+        circuit.add_egt(f"{prefix}m1", drain, in_node, out_node, w_1, l_1)
+        circuit.add_resistor(f"{prefix}rs", out_node, "0", r_s)
+        circuit.add_egt(f"{prefix}mc", out_node, out_node, "0", w_c, l_c)
+        return
+
+    if kind is ActivationKind.SIGMOID:
+        r_d1, r_d2, r_1, r_2, w_1, l_1, w_2, l_2 = q
+        g1, mid = f"{prefix}g1", f"{prefix}mid"
+        # Input divider sets the switching point.
+        circuit.add_resistor(f"{prefix}rd1", in_node, g1, r_d1)
+        circuit.add_resistor(f"{prefix}rd2", g1, "0", r_d2)
+        circuit.add_resistor(f"{prefix}r1", "vdd", mid, r_1)
+        circuit.add_egt(f"{prefix}m1", mid, g1, "0", w_1, l_1)
+        circuit.add_resistor(f"{prefix}r2", "vdd", out_node, r_2)
+        circuit.add_egt(f"{prefix}m2", out_node, mid, "0", w_2, l_2)
+        return
+
+    if kind is ActivationKind.TANH:
+        r_d1, r_d2, r_1, r_d3, r_d4, r_2, w_1, l_1, w_2, l_2 = q
+        g1, mid, g2 = f"{prefix}g1", f"{prefix}mid", f"{prefix}g2"
+        # Input divider referenced to VSS centres the first-stage switch.
+        circuit.add_resistor(f"{prefix}rd1", in_node, g1, r_d1)
+        circuit.add_resistor(f"{prefix}rd2", g1, "vss", r_d2)
+        circuit.add_resistor(f"{prefix}r1", "vdd", mid, r_1)
+        circuit.add_egt(f"{prefix}m1", mid, g1, "vss", w_1, l_1)
+        # Inter-stage divider keeps the second driver out of hard saturation.
+        circuit.add_resistor(f"{prefix}rd3", mid, g2, r_d3)
+        circuit.add_resistor(f"{prefix}rd4", g2, "vss", r_d4)
+        circuit.add_resistor(f"{prefix}r2", "vdd", out_node, r_2)
+        circuit.add_egt(f"{prefix}m2", out_node, g2, "vss", w_2, l_2)
+        return
+
+    raise ValueError(f"unhandled activation kind: {kind}")
+
+
+def add_negation(
+    circuit: Circuit,
+    q: np.ndarray,
+    in_node: str,
+    out_node: str,
+    prefix: str = "",
+    suffix: str = "",
+) -> None:
+    """Add one negation cell: elements ``{prefix}rneg{suffix}`` and
+    ``{prefix}mneg{suffix}`` between the ``vdd``/``vss`` rail nodes."""
+    r_n, w_n, l_n = q
+    circuit.add_resistor(f"{prefix}rneg{suffix}", "vdd", out_node, r_n)
+    circuit.add_egt(f"{prefix}mneg{suffix}", out_node, in_node, "vss", w_n, l_n)
+
+
 def build_activation_circuit(
     kind: ActivationKind,
     q: np.ndarray,
@@ -54,58 +137,13 @@ def build_activation_circuit(
     pdk: PDK = DEFAULT_PDK,
 ) -> Circuit:
     """Build the netlist of activation circuit ``kind`` at input ``v_in``."""
-    q = np.asarray(q, dtype=np.float64)
     c = Circuit(name=f"{kind.value}@{v_in:.3f}")
     c.add_vsource("vdd", "vdd", "0", pdk.vdd)
     c.add_vsource("vin", "in", "0", float(v_in))
-
-    if kind is ActivationKind.RELU:
-        r_s, w_1, l_1 = q
-        c.add_egt("m1", "vdd", "in", "out", w_1, l_1)
-        c.add_resistor("rs", "out", "0", r_s)
-        return c
-
-    if kind is ActivationKind.CLIPPED_RELU:
-        r_d, r_s, w_1, l_1, w_c, l_c = q
-        # R_d limits the drain current so the power flattens once the output
-        # clips; the diode-connected clamp pins the output level.
-        c.add_resistor("rd", "vdd", "drain", r_d)
-        c.add_egt("m1", "drain", "in", "out", w_1, l_1)
-        c.add_resistor("rs", "out", "0", r_s)
-        c.add_egt("mc", "out", "out", "0", w_c, l_c)
-        return c
-
-    if kind is ActivationKind.SIGMOID:
-        r_d1, r_d2, r_1, r_2, w_1, l_1, w_2, l_2 = q
-        # Unloaded input divider sets the switching point.
-        c.add_resistor("rd1", "in", "g1", r_d1)
-        c.add_resistor("rd2", "g1", "0", r_d2)
-        c.add_resistor("r1", "vdd", "mid", r_1)
-        c.add_egt("m1", "mid", "g1", "0", w_1, l_1)
-        c.add_resistor("r2", "vdd", "out", r_2)
-        c.add_egt("m2", "out", "mid", "0", w_2, l_2)
-        return c
-
-    if kind is ActivationKind.TANH:
-        r_d1, r_d2, r_1, r_d3, r_d4, r_2, w_1, l_1, w_2, l_2 = q
+    if kind is ActivationKind.TANH:  # the only cell referenced to VSS
         c.add_vsource("vss", "vss", "0", pdk.vss)
-        # Input divider referenced to VSS centres the first-stage switch.
-        c.add_resistor("rd1", "in", "g1", r_d1)
-        c.add_resistor("rd2", "g1", "vss", r_d2)
-        c.add_resistor("r1", "vdd", "mid", r_1)
-        c.add_egt("m1", "mid", "g1", "vss", w_1, l_1)
-        # Inter-stage divider keeps the second driver out of hard saturation.
-        c.add_resistor("rd3", "mid", "g2", r_d3)
-        c.add_resistor("rd4", "g2", "vss", r_d4)
-        c.add_resistor("r2", "vdd", "out", r_2)
-        c.add_egt("m2", "out", "g2", "vss", w_2, l_2)
-        return c
-
-    raise ValueError(f"unhandled activation kind: {kind}")
-
-
-#: Output node name of every activation circuit.
-ACTIVATION_OUTPUT_NODE = "out"
+    add_activation(c, kind, np.asarray(q, dtype=np.float64), "in", ACTIVATION_OUTPUT_NODE)
+    return c
 
 
 def activation_device_count(kind: ActivationKind) -> int:
@@ -157,13 +195,11 @@ def build_negation_circuit(
     load resistor from VDD; with symmetric rails and mid-range gain the small
     signal transfer is ≈ −1 around the origin.
     """
-    r_n, w_n, l_n = np.asarray(q, dtype=np.float64)
     c = Circuit(name=f"neg@{v_in:.3f}")
     c.add_vsource("vdd", "vdd", "0", pdk.vdd)
     c.add_vsource("vss", "vss", "0", pdk.vss)
     c.add_vsource("vin", "in", "0", float(v_in))
-    c.add_resistor("rn", "vdd", "out", r_n)
-    c.add_egt("mn", "out", "in", "vss", w_n, l_n)
+    add_negation(c, np.asarray(q, dtype=np.float64), "in", ACTIVATION_OUTPUT_NODE)
     return c
 
 
@@ -171,4 +207,4 @@ def simulate_negation(q: np.ndarray, v_in: float, pdk: PDK = DEFAULT_PDK) -> tup
     """Solve the negation circuit; return ``(v_out, power_W)``."""
     circuit = build_negation_circuit(q, v_in, pdk=pdk)
     op = solve_dc(circuit)
-    return float(op.voltage("out")), total_power(circuit, op)
+    return float(op.voltage(ACTIVATION_OUTPUT_NODE)), total_power(circuit, op)

@@ -117,15 +117,18 @@ def network_step_response(
 ) -> NetworkTimingReport:
     """Wake-up transient of a full trained network.
 
-    Flattens the network (see :mod:`repro.circuits.netlist_export`), holds
-    the inputs at 0 V, solves the resting state, then steps the inputs to
-    the sample values and integrates until every output settles.
+    Flattens the network once (see :mod:`repro.circuits.netlist_export`),
+    holds the inputs at 0 V, solves the resting state, then steps the inputs
+    to the sample values and integrates until every output settles.
     """
     from repro.circuits.netlist_export import export_network
-    from repro.spice import solve_dc, total_power
 
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     exported = export_network(net, np.zeros_like(x), negation=negation)
+    steps = exported.stimulus(x)
+    # Static power of the settled (post-step) circuit, solved before the
+    # gate capacitances join (they carry no DC current):
+    _, power = exported.solve(x)
     circuit = exported.circuit
     attach_gate_capacitances(circuit, c_dl=c_dl)
     if t_stop is None:
@@ -136,7 +139,6 @@ def network_step_response(
         worst_c = max((c.capacitance for c in circuit.capacitors), default=1e-9)
         t_stop = 10.0 * worst_r * worst_c
     dt = t_stop / n_steps
-    steps = {f"vin{i}": float(value) for i, value in enumerate(x)}
     result = solve_transient(circuit, t_stop=t_stop, dt=dt, source_steps=steps)
 
     # Settling tolerance is swing-relative per node: a trained classifier's
@@ -150,10 +152,6 @@ def network_step_response(
         return result.settling_time(node, tolerance=node_tol)
 
     settle = max(dt, max(node_settle(node) for node in exported.output_nodes))
-    # Static power of the settled (post-step) circuit:
-    settled = export_network(net, x, negation=negation)
-    op = solve_dc(settled.circuit)
-    power = total_power(settled.circuit, op)
     return NetworkTimingReport(
         settling_time_s=settle,
         static_power_w=power,

@@ -10,7 +10,7 @@ Components
 ----------
 - :mod:`repro.spice.egt` — EKV-style smooth compact model for sub-1 V nEGTs,
 - :mod:`repro.spice.netlist` — circuit/netlist builder (resistors, sources,
-  transistors),
+  transistors) and the re-stimulus primitive (:func:`rebuild_with_sources`),
 - :mod:`repro.spice.solver` — Newton–Raphson MNA with damping and gmin
   stepping,
 - :mod:`repro.spice.power` — per-element and total dissipation from a solved
@@ -18,7 +18,7 @@ Components
 """
 
 from repro.spice.egt import EGTModel
-from repro.spice.netlist import Circuit, Resistor, VoltageSource, Transistor
+from repro.spice.netlist import Circuit, Resistor, VoltageSource, Transistor, rebuild_with_sources
 from repro.spice.solver import OperatingPoint, solve_dc, SolverError
 from repro.spice.power import element_powers, total_power, source_power
 
@@ -28,6 +28,7 @@ __all__ = [
     "Resistor",
     "VoltageSource",
     "Transistor",
+    "rebuild_with_sources",
     "OperatingPoint",
     "solve_dc",
     "SolverError",

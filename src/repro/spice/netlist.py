@@ -210,3 +210,24 @@ class Circuit:
 
     def is_empty(self) -> bool:
         return not (self.resistors or self.sources or self.transistors or self.vcvs)
+
+
+def rebuild_with_sources(circuit: Circuit, overrides: dict[str, float]) -> Circuit:
+    """Copy ``circuit`` with the named source voltages replaced.
+
+    The copy shares every element but the sources, so re-driving one built
+    circuit solves exactly like a fresh build at the new voltages.  Every
+    override must name an existing source: a stimulus that misses the
+    netlist is an error, not a silent no-op.
+    """
+    missing = set(overrides) - {s.name for s in circuit.sources}
+    if missing:
+        raise ValueError(f"unknown stimulus sources: {sorted(missing)}")
+    rebuilt = Circuit(name=circuit.name)
+    rebuilt.resistors = list(circuit.resistors)
+    rebuilt.transistors = list(circuit.transistors)
+    rebuilt.vcvs = list(circuit.vcvs)
+    rebuilt.capacitors = list(circuit.capacitors)
+    for s in circuit.sources:
+        rebuilt.add_vsource(s.name, s.node_pos, s.node_neg, overrides.get(s.name, s.voltage))
+    return rebuilt

@@ -392,6 +392,37 @@ class TestTrainedModel:
             ).read_text()
 
 
+    def test_artifact_neg_q_reaches_tiles_and_flat_export(self, tmp_path):
+        """Circuit negation prints the net's own ``neg_q`` (restored from a
+        ``.pnz``), not the nominal design, in tiles and flat export alike."""
+        from repro.circuits import NEGATION_NOMINAL_Q, export_network
+        from repro.compile.netlist_io import parse_spice_text
+        from repro.serving import export_artifact, load_artifact
+
+        net = _analytic_net()
+        neg_q = np.array([300.0e3, 25.0e-6, 150.0e-6])  # exact in %.6g
+        assert not np.array_equal(neg_q, NEGATION_NOMINAL_Q)
+        net.neg_q = neg_q.copy()
+        rebuilt = load_artifact(export_artifact(net, tmp_path / "model.pnz")).net
+        assert rebuilt.neg_q.tolist() == neg_q.tolist()
+        x = np.random.default_rng(3).random((4, 4))
+        result = compile_model(rebuilt, SMALL, x, tmp_path / "c", n_vectors=2,
+                               negation="circuit", verify=False)
+        flat = export_network(rebuilt, x[0], negation="circuit").circuit
+        circuits = [flat] + [
+            parse_spice_text((tmp_path / "c" / "tiles" / f"{tile.id}.cir").read_text())
+            for tile in result.layout.tiles
+        ]
+        tile_cards = 0
+        for circuit in circuits:
+            rneg = [r.resistance for r in circuit.resistors if "_rneg" in r.name]
+            mneg = [(m.width, m.length) for m in circuit.transistors if "_mneg" in m.name]
+            assert len(rneg) == len(mneg)
+            assert set(rneg) <= {neg_q[0]} and set(mneg) <= {(neg_q[1], neg_q[2])}
+            tile_cards += len(rneg) if circuit is not flat else 0
+        assert tile_cards and any("_rneg" in r.name for r in flat.resistors)
+
+
 # ----------------------------------------------------------------------
 class TestCompileCLI:
     @pytest.fixture(scope="class")

@@ -140,7 +140,7 @@ class TestEndpoints:
         assert body["b"]["summary"]["run_id"] == "c-train"
         assert any("dataset" in line for line in body["config_diff"])
         status, body = _get(server, "/api/compare?a=a-train-old")
-        assert status == 404 and "needs both" in body["error"]
+        assert status == 400 and "needs both" in body["error"]
 
     def test_pareto(self, server):
         status, body = _get(server, "/api/pareto")

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from repro.circuits import PrintedNeuralNetwork, PNCConfig, export_network, verify_against_model
-from repro.circuits.netlist_export import _instantiate_activation
 from repro.datasets import load_dataset
 from repro.pdk.params import ActivationKind, ALL_ACTIVATIONS, design_space
-from repro.pdk.circuits import simulate_activation
+from repro.pdk.circuits import add_activation, simulate_activation
 from repro.spice import Circuit, solve_dc
 
 
@@ -65,7 +64,7 @@ class TestActivationInstantiation:
         c.add_vsource("vdd", "vdd", "0", 1.0)
         c.add_vsource("vss", "vss", "0", -1.0)
         c.add_vsource("vin", "in", "0", v_in)
-        _instantiate_activation(c, kind, q, "afX", "in", "out", "vdd", "vss")
+        add_activation(c, kind, q, "in", "out", prefix="afX_")
         assert solve_dc(c).voltage("out") == pytest.approx(reference_out, abs=1e-6)
 
     def test_unique_prefixes_coexist(self):
@@ -73,8 +72,8 @@ class TestActivationInstantiation:
         c = Circuit()
         c.add_vsource("vdd", "vdd", "0", 1.0)
         c.add_vsource("vin", "in", "0", 0.5)
-        _instantiate_activation(c, ActivationKind.RELU, q, "a0", "in", "o0", "vdd", "vss")
-        _instantiate_activation(c, ActivationKind.RELU, q, "a1", "in", "o1", "vdd", "vss")
+        add_activation(c, ActivationKind.RELU, q, "in", "o0", prefix="a0_")
+        add_activation(c, ActivationKind.RELU, q, "in", "o1", prefix="a1_")
         op = solve_dc(c)
         assert op.voltage("o0") == pytest.approx(op.voltage("o1"), abs=1e-12)
 
@@ -143,6 +142,26 @@ class TestVerification:
         report = verify_against_model(net, data.features, n_samples=6)
         assert report.decision_agreement >= 0.5
         assert np.isfinite(report.spice_outputs).all()
+
+    def test_builds_the_flat_circuit_once(self, af_surrogates, neg_surrogate, monkeypatch):
+        """One build per call; each row re-drives its input sources and
+        solves exactly as a fresh build at that row would."""
+        import repro.circuits.netlist_export as netlist_export
+
+        net = _make_net(ActivationKind.SIGMOID, af_surrogates, neg_surrogate, seed=6)
+        x = load_dataset("iris").features[:4]
+        builds = []
+        build = netlist_export.export_network
+        monkeypatch.setattr(
+            netlist_export, "export_network",
+            lambda *args, **kwargs: builds.append(args) or build(*args, **kwargs),
+        )
+        report = verify_against_model(net, x, n_samples=4, negation="circuit")
+        assert len(builds) == 1
+        for row, sample in enumerate(x):
+            outputs, power = build(net, sample, negation="circuit").solve()
+            assert report.spice_outputs[row].tobytes() == outputs.tobytes()
+            assert report.spice_powers[row] == power
 
     def test_report_summary_renders(self, af_surrogates, neg_surrogate):
         net = _make_net(ActivationKind.RELU, af_surrogates, neg_surrogate)

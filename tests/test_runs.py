@@ -648,6 +648,13 @@ class TestManifestIndex:
         assert [e["val_accuracy"] for e in complete if e["type"] == "epoch"] == [0.4, 0.5]
         assert out.endswith(render_report(complete, source=str(events_path)) + "\n")
 
+    def test_report_of_in_flight_run_drops_the_mid_write_line(self, recorded, capsys):
+        events_path = recorded / "e-inflight" / "events.jsonl"
+        code, out, errors = _cli(["report", str(events_path)], capsys)
+        assert (code, errors) == (0, [])
+        complete = read_events(events_path, strict=False, tolerate_truncated_tail=True)
+        assert out == render_report(complete, source=str(events_path)) + "\n"
+
     def test_registry_exercises_both_sources(self, recorded, monkeypatch):
         # Only the corrupt, pre-summary and in-flight runs are read from events.
         seen = spy_event_reads(monkeypatch)

@@ -161,3 +161,24 @@ class TestEnergyPerDecision:
             report.settling_time_s * report.static_power_w
         )
         assert "per decision" in report.summary()
+
+    def test_network_report_builds_the_flat_circuit_once(
+        self, af_surrogates, neg_surrogate, monkeypatch
+    ):
+        import repro.circuits.netlist_export as netlist_export
+
+        net = PrintedNeuralNetwork(
+            4, 2, PNCConfig(kind=ActivationKind.RELU), np.random.default_rng(8),
+            af_surrogates[ActivationKind.RELU], neg_surrogate,
+        )
+        x = np.array([0.4, 0.7, 0.1, 0.9])
+        builds = []
+        build = netlist_export.export_network
+        monkeypatch.setattr(
+            netlist_export, "export_network",
+            lambda *args, **kwargs: builds.append(args) or build(*args, **kwargs),
+        )
+        report = network_step_response(net, x, n_steps=20)
+        assert len(builds) == 1
+        # The static power is the settled circuit's, as a fresh build at x.
+        assert report.static_power_w == build(net, x).solve()[1]
