@@ -8,7 +8,8 @@ evaluation O(batch) instead of O(batch × N designs)).
 
 Power is charged through the data-driven surrogate P^AF (paper-faithful), or
 through the analytic circuit equations when ``power_mode="analytic"`` —
-the latter serves as ground truth in tests and ablations.
+the latter serves as ground truth in tests and ablations, and is read off
+the forward's own solve (:meth:`PrintedActivation.output_and_power`).
 """
 
 from __future__ import annotations
@@ -242,23 +243,34 @@ class PrintedActivation(Module):
     #: gradient without changing any reported voltage or power.
     GRADIENT_LEAK = 0.05
 
+    def output_and_power(
+        self,
+        v_in: Tensor,
+        units: list[Tensor] | None = None,
+        transfer: TransferModel | None = None,
+    ) -> tuple[Tensor, Tensor]:
+        """Activation outputs and the per-sample power (W) of the same solve.
+
+        Both have ``v_in``'s shape; the power is the analytic circuit
+        dissipation at the solved operating point.  ``units`` and
+        ``transfer`` replace the layer's own u parameters and transfer
+        model (e.g. instance stacks of both — see
+        :meth:`repro.circuits.pnc.PrintedNeuralNetwork.forward_with_power`).
+        """
+        transfer = self.transfer if transfer is None else transfer
+        v_out, power = transfer.output_and_power(v_in, self.q_from(units))
+        if self.training and self.GRADIENT_LEAK > 0.0:
+            v_out = v_out + (v_in - v_in.detach()) * self.GRADIENT_LEAK
+        return v_out, power
+
     def forward(
         self,
         v_in: Tensor,
         units: list[Tensor] | None = None,
         transfer: TransferModel | None = None,
     ) -> Tensor:
-        """Activation output voltages, same shape as ``v_in``.
-
-        ``units`` and ``transfer`` replace the layer's own u parameters and
-        transfer model (e.g. instance stacks of both — see
-        :meth:`repro.circuits.pnc.PrintedNeuralNetwork.forward_with_power`).
-        """
-        transfer = self.transfer if transfer is None else transfer
-        v_out, _ = transfer.output_and_power(v_in, self.q_from(units))
-        if self.training and self.GRADIENT_LEAK > 0.0:
-            v_out = v_out + (v_in - v_in.detach()) * self.GRADIENT_LEAK
-        return v_out
+        """Activation output voltages, same shape as ``v_in``."""
+        return self.output_and_power(v_in, units, transfer)[0]
 
     # ------------------------------------------------------------------
     def power_inputs(
@@ -280,24 +292,18 @@ class PrintedActivation(Module):
         return self.q_from(units), flat, batch, n
 
     def power_per_circuit(
-        self,
-        v_in: Tensor,
-        batch_limit: int = 256,
-        units: list[Tensor] | None = None,
-        transfer: TransferModel | None = None,
+        self, v_in: Tensor, batch_limit: int = 256, units: list[Tensor] | None = None
     ) -> Tensor:
-        """``(..., N)`` batch-averaged power of each circuit in the layer (W).
+        """``(..., N)`` batch-averaged surrogate P^AF of each circuit in the layer (W).
 
-        In surrogate mode the MLP is evaluated on at most ``batch_limit``
-        batch rows (deterministic stride subsample) — the estimate is a batch
-        mean, so subsampling changes variance, not bias, and keeps large
-        datasets (e.g. pendigits) tractable.
+        The MLP is evaluated on at most ``batch_limit`` batch rows
+        (deterministic stride subsample) — the estimate is a batch mean, so
+        subsampling changes variance, not bias, and keeps large datasets
+        (e.g. pendigits) tractable.  Analytic power comes with the outputs
+        from :meth:`output_and_power`, not from a second solve.
         """
-        if self.power_mode == "analytic":
-            transfer = self.transfer if transfer is None else transfer
-            _, power = transfer.output_and_power(v_in, self.q_from(units))
-            return power.mean(axis=-2)
-
+        if self.surrogate is None:
+            raise ValueError("power_per_circuit needs a fitted P^AF surrogate")
         q_columns, flat, batch, n = self.power_inputs(v_in, batch_limit, units)
         powers = self.surrogate.predict_tensor(q_columns, flat)
         return powers.reshape(*flat.shape[:-2], batch, n).mean(axis=-2)

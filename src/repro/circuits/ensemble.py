@@ -11,10 +11,10 @@ stacked leaves:
 - every crossbar's effective θ becomes an ``(instances, M+2, N)`` stack,
 - every activation's unconstrained design parameters ``u_i`` become
   ``(instances, 1, 1)`` stacks,
-- the perturbed EGT model card becomes an ``(instances, 1, 1)`` V_th/K pair
-  shared between a numpy card (read by the Newton closures at call time)
-  and a :class:`Tensor` card (recorded into the graph expressions), carried
-  by one transfer model per layer.
+- the perturbed EGT model card becomes one card per layer whose V_th/K are
+  ``(instances, 1, 1)`` :class:`Tensor` leaves: the graph expressions record
+  them and the Newton closures read their live buffers at call time.  Each
+  layer's transfer model carries its card.
 
 The program is one forward-only :class:`repro.autograd.graph.Program`
 (kernel label ``mc.forward``), recorded when the ensemble is built and
@@ -152,11 +152,10 @@ class EnsembleProgram:
             for base in self._base_thetas
         ]
 
-        # Activation leaves: u stacks plus the dual-view model card.  The
-        # numpy card's arrays are the *same buffers* the Tensor card wraps
-        # (Tensor construction does not copy float64 arrays), so one
-        # in-place update refreshes both the Newton closures and the
-        # recorded graph expressions.
+        # Activation leaves: u stacks plus one model card per layer whose
+        # V_th/K are Tensor leaves.  The graph records the leaves, and the
+        # Newton closures read the same buffers, so one in-place update in
+        # :meth:`load` refreshes both.
         self._base_units: list[np.ndarray] = []
         self._unit_leaves: list[list[Tensor]] = []
         self._card_arrays: list[tuple[np.ndarray, np.ndarray]] = []
@@ -172,20 +171,19 @@ class EnsembleProgram:
                 [Tensor(np.full((count, 1, 1), u0[i])) for i in range(dim)]
             )
             nominal = activation.transfer.model
-            vth_arr = np.full((count, 1, 1), nominal.vth)
-            k_arr = np.full((count, 1, 1), nominal.k)
-            np_card = EGTModel(vth=vth_arr, k=k_arr, n=nominal.n, phi=nominal.phi)
-            tensor_card = EGTModel(
-                vth=Tensor(vth_arr), k=Tensor(k_arr), n=nominal.n, phi=nominal.phi
+            card = EGTModel(
+                vth=Tensor(np.full((count, 1, 1), nominal.vth)),
+                k=Tensor(np.full((count, 1, 1), nominal.k)),
+                n=nominal.n,
+                phi=nominal.phi,
             )
-            self._card_arrays.append((vth_arr, k_arr))
+            self._card_arrays.append((card.vth.data, card.k.data))
             self._base_cards.append(nominal)
             self._transfers.append(
                 TransferModel(
                     activation.kind,
                     pdk=activation.transfer.pdk,
-                    model=np_card,
-                    tensor_card=tensor_card,
+                    model=card,
                     newton_iterations=activation.transfer.newton_iterations,
                 )
             )

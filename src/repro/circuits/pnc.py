@@ -315,14 +315,20 @@ class PrintedNeuralNetwork(Module):
         # Instance shape of a stacked forward; () for 2-D θ.
         lead = layers[0][2].shape[:-2]
 
-        # Pass 1 — signal path.
+        # Pass 1 — signal path.  Each activation solve also yields its
+        # circuit's analytic power, which the analytic mode charges below
+        # (surrogate mode drops it here, with the graph behind it).
+        analytic = self.config.power_mode == "analytic"
         per_layer: list[tuple[Tensor, Tensor, _Leaves]] = []
+        af_powers: list[Tensor] = []
         signal = x
         for leaves in layers:
             crossbar, activation, theta, unit, transfer = leaves
             v_z = crossbar.forward(signal, theta=theta)
             per_layer.append((signal, v_z, leaves))
-            signal = activation(v_z, units=unit, transfer=transfer)
+            signal, af_power = activation.output_and_power(v_z, units=unit, transfer=transfer)
+            if analytic:
+                af_powers.append(af_power)
             health_penalty = health_penalty + self._health_term(signal)
 
         # Pass 2 — power assembly.  Crossbar power and activity coefficients
@@ -344,23 +350,20 @@ class PrintedNeuralNetwork(Module):
                 row_activities.append(soft_row_negativity(theta, threshold=threshold))
                 col_activities.append(soft_column_activity(theta, threshold=threshold))
 
-        if self.config.power_mode == "surrogate":
+        if not analytic:
             activation_power, negation_power = self._surrogate_powers(
                 per_layer, row_activities, col_activities, lead
             )
         else:
             activation_power = Tensor(0.0)
             negation_power = Tensor(0.0)
-            for (layer_in, v_z, leaves), row_activity, col_activity in zip(
-                per_layer, row_activities, col_activities
+            for (layer_in, _v_z, leaves), af_power, row_activity, col_activity in zip(
+                per_layer, af_powers, row_activities, col_activities
             ):
-                crossbar, activation, _theta, unit, transfer = leaves
                 negation_power = negation_power + self._negation_power(
-                    layer_in, crossbar, row_activity
+                    layer_in, leaves[0], row_activity
                 )
-                per_circuit = activation.power_per_circuit(
-                    v_z, batch_limit=self.config.power_batch_limit, units=unit, transfer=transfer
-                )
+                per_circuit = af_power.mean(axis=-2)
                 activation_power = activation_power + (col_activity * per_circuit).sum(axis=-1)
 
         self.signal_health = health_penalty

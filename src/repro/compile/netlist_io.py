@@ -110,23 +110,14 @@ def merge_circuits(circuits: list[Circuit], name: str = "merged") -> Circuit:
     """
     merged = Circuit(name=name)
     seen: dict[str, object] = {}
-
-    def add(elements, target: list) -> None:
-        for element in elements:
-            existing = seen.get(element.name)
-            if existing is not None:
-                if existing != element:
+    for group in ("resistors", "sources", "transistors", "vcvs", "capacitors"):
+        for circuit in circuits:
+            for element in getattr(circuit, group):
+                existing = seen.get(element.name)
+                if existing is None:
+                    seen[element.name] = merged.add(element)
+                elif existing != element:
                     raise CompileError(
                         f"conflicting definitions for element {element.name!r} while merging"
                     )
-                continue
-            seen[element.name] = element
-            target.append(element)
-
-    for circuit in circuits:
-        add(circuit.resistors, merged.resistors)
-        add(circuit.sources, merged.sources)
-        add(circuit.transistors, merged.transistors)
-        add(circuit.vcvs, merged.vcvs)
-        add(circuit.capacitors, merged.capacitors)
     return merged

@@ -99,16 +99,13 @@ def profile_network(net: PrintedNeuralNetwork, x: np.ndarray) -> list[LayerProfi
                 theta_t = crossbar.effective_theta()
                 v_ext_t = crossbar.extend_inputs(signal)
                 v_z_t = crossbar.forward(signal, theta=theta_t)
-                a_t = activation(v_z_t)
+                a_t, af_power_t = activation.output_and_power(v_z_t)
 
                 theta = theta_t.data.copy()
                 printed = np.abs(theta) > threshold
                 r_power = crossbar_power_matrix_signed(
                     theta_t, v_ext_t, -v_ext_t, v_z_t
                 ).data.copy()
-                _, af_power_t = activation.transfer.output_and_power(
-                    v_z_t, activation.q_tensors
-                )
                 _, neg_power_t = neg_model.output_and_power(v_ext_t, neg_q)
 
                 profiles.append(

@@ -4,7 +4,10 @@ Every tile ships a JSON vector file: for each stimulus vector the voltages
 to drive on the tile's input sources, and — on the group's owner tile — the
 layered model's expected summing-node and activation-output voltages for
 the group's columns.  Final-layer owner tiles additionally carry the
-model's argmax decision, the hard sign-off criterion.
+model's argmax decision, the hard sign-off criterion.  Every number is
+stored at the precision the tile netlists print theirs
+(:func:`repro.spice.export.at_netlist_precision`), so a bundle's checksums
+do not depend on the host CPU's SIMD math.
 
 Verification is **layer-local**: each layer's tiles are driven by the
 *model's* inputs to that layer (not the previous group's SPICE outputs), so
@@ -20,6 +23,7 @@ import numpy as np
 from repro.circuits.netlist_export import output_node, summing_node
 from repro.compile.netlists import input_node, tile_signal_rows
 from repro.compile.placement import LayerProfile, TilePlan
+from repro.spice.export import at_netlist_precision as fixed
 
 
 def layer_decisions(profiles: list[LayerProfile]) -> np.ndarray:
@@ -49,7 +53,7 @@ def tile_vectors(
         entry: dict = {
             "index": index,
             "inputs": {
-                node: float(profile.inputs[index, row])
+                node: fixed(profile.inputs[index, row])
                 for node, row in zip(input_nodes, signal_rows)
             },
         }
@@ -60,10 +64,10 @@ def tile_vectors(
                 if profile.active_cols[j]
             ]
             entry["expected_z"] = {
-                summing_node(tile.layer, j): float(profile.z[index, j]) for j in active
+                summing_node(tile.layer, j): fixed(profile.z[index, j]) for j in active
             }
             entry["expected_a"] = {
-                output_node(tile.layer, j): float(profile.a[index, j]) for j in active
+                output_node(tile.layer, j): fixed(profile.a[index, j]) for j in active
             }
         if decisions is not None:
             entry["decision"] = int(decisions[index])
@@ -84,6 +88,6 @@ def tile_vectors(
         # a(z) must track the transfer at the *realized* summing voltage.
         payload["activation"] = {
             "kind": profile.kind.value,
-            "q": [float(v) for v in np.asarray(profile.q).ravel()],
+            "q": [fixed(v) for v in np.asarray(profile.q).ravel()],
         }
     return payload

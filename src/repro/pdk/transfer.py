@@ -16,7 +16,8 @@ implicit function theorem:
    exactly ``∂V/∂p = -(∂g/∂p)/g'`` — the implicit derivative.
 
 Because these equations are *the same EKV equations* the SPICE substrate
-stamps, the transfer model agrees with full circuit simulation to solver
+stamps (one numpy EKV, :func:`repro.spice.egt.ekv`, serves both; the Tensor
+form is :func:`ids_t`), the transfer model agrees with full circuit simulation to solver
 tolerance (asserted by tests), while remaining end-to-end differentiable for
 the augmented-Lagrangian training loop.
 
@@ -27,7 +28,7 @@ across the layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,28 +36,11 @@ import numpy as np
 from repro.autograd.tensor import Tensor, constant_of
 from repro.observability.metrics import get_registry
 from repro.pdk.params import PDK, DEFAULT_PDK, ActivationKind
-from repro.spice.egt import EGTModel, DEFAULT_NEGT
+from repro.spice.egt import DEFAULT_NEGT, EGTModel, ekv
 
 # ----------------------------------------------------------------------
-# EKV primitives, numpy and Tensor flavours
+# EKV, Tensor flavour (the numpy one is repro.spice.egt.ekv)
 # ----------------------------------------------------------------------
-
-def _ekv_np(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """EKV interpolation ``f(x) = softplus(x/2)²`` and ``f'(x) = softplus(x/2)·σ(x/2)``.
-
-    One softplus serves both.  ``max(h, 0) + log1p(exp(-|h|))`` is the
-    overflow-safe softplus in one branch-free expression: it gives the bits
-    of the two-branch ``np.where`` form while evaluating each ufunc once.
-    """
-    h = x / 2.0
-    s = np.maximum(h, 0.0) + np.log1p(np.exp(-np.abs(h)))
-    return s**2, s * (1.0 / (1.0 + np.exp(-np.clip(h, -500, 500))))
-
-
-def _specific_current_np(width: np.ndarray, length: np.ndarray, model: EGTModel) -> np.ndarray:
-    """EKV specific current ``I_s`` (numpy; broadcasts over geometry and card)."""
-    return 2.0 * model.n * model.k * (width / length) * model.phi**2
-
 
 def _softplus_t(x: Tensor) -> Tensor:
     positive = x.relu()
@@ -222,39 +206,30 @@ class TransferModel:
     ``q`` is passed as a list of scalar :class:`Tensor` (one per design-space
     parameter, ordered as in :func:`repro.pdk.params.design_space`), so that
     gradients flow into the learnable physical parameters.
+
+    ``model`` is the one EGT card both halves of a solve read: the numpy
+    Newton closures take its values through :func:`repro.spice.egt.ekv`,
+    and the :func:`ids_t` expressions record it.  Its ``vth``/``k`` may be
+    ``(instances, 1, 1)`` :class:`Tensor` leaves (the Monte-Carlo engine,
+    :mod:`repro.circuits.ensemble`): the graph then recomputes from their
+    fresh values on every replay, and the closures read the same live
+    buffers.
     """
 
     kind: ActivationKind
     pdk: PDK = DEFAULT_PDK
     model: EGTModel = DEFAULT_NEGT
     newton_iterations: int = 60
-    #: Optional Tensor-valued twin of ``model`` for the graph-side EKV
-    #: expressions.  The instance-stacked Monte-Carlo engine
-    #: (:mod:`repro.circuits.ensemble`) perturbs V_th and K per printed
-    #: instance and updates them in place between captured-graph replays;
-    #: array-valued card fields entering ``ids_t`` as plain constants would
-    #: bake the capture-time values into derived buffers, so the stacked
-    #: card wraps the same arrays in :class:`Tensor` leaves (recorded ops
-    #: recompute from the fresh values on every replay).  ``None`` — the
-    #: default, and the whole training path — uses ``model`` for both the
-    #: numpy Newton closures and the tensor expressions, unchanged.
-    tensor_card: EGTModel | None = None
-
-    def _graph_model(self) -> EGTModel:
-        """The model card used in autograd (``ids_t``) expressions."""
-        return self.model if self.tensor_card is None else self.tensor_card
 
     def _solve_inputs(self, *tensors: Tensor) -> tuple[Tensor, ...]:
-        """A solve's recorded inputs: ``tensors`` plus the tensor card's leaves.
+        """A solve's recorded inputs: ``tensors`` plus the card's Tensor leaves.
 
-        The Newton closures read the numpy card, whose arrays a tensor card
-        wraps and the Monte-Carlo engine rewrites in place between replays.
+        The Newton closures read the live buffers of a card's Tensor
+        ``vth``/``k`` leaves, which the Monte-Carlo engine rewrites in place
+        between replays.
         """
-        card = self.tensor_card
-        if card is None:
-            return tensors
-        values = [getattr(card, f.name) for f in fields(card)]
-        return tensors + tuple(v for v in values if isinstance(v, Tensor))
+        card = (self.model.vth, self.model.k)
+        return tensors + tuple(v for v in card if isinstance(v, Tensor))
 
     # ------------------------------------------------------------------
     def output(self, v_in: Tensor, q: list[Tensor]) -> Tensor:
@@ -277,20 +252,19 @@ class TransferModel:
         if clamp:
             return self._clipped_follower(v_in, q)
         vdd, model = self.pdk.vdd, self.model
-        model_t = self._graph_model()
         r_s, w_1, l_1 = q
         vin_np = v_in.data
         rs_np, w1_np, l1_np = r_s.data, w_1.data, l_1.data
 
         def residual() -> Residual:
             # Drain at VDD, gate at v_in: only the source side moves with V.
-            i_s = _specific_current_np(w1_np, l1_np, model)
-            vp = (vin_np - model.vth) / model.n
-            f_drain, _ = _ekv_np((vp - vdd) / model.phi)
+            i_s = model.specific_current(w1_np, l1_np)
+            vp = model.pinch_off(vin_np)
+            f_drain, _ = ekv((vp - vdd) / model.phi)
             neg_i_s, inv_rs = -i_s, 1.0 / rs_np
 
             def g_np(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                f_src, fp_src = _ekv_np((vp - v) / model.phi)
+                f_src, fp_src = ekv((vp - v) / model.phi)
                 return i_s * (f_src - f_drain) - v / rs_np, neg_i_s * fp_src / model.phi - inv_rs
 
             return g_np
@@ -299,11 +273,11 @@ class TransferModel:
         v_star_t, inv_gp = _implicit_solve(
             residual, v0, self.newton_iterations, self._solve_inputs(v_in, r_s, w_1, l_1)
         )
-        g_t = ids_t(v_in, _const(vdd), v_star_t, w_1, l_1, model_t) - v_star_t / r_s
+        g_t = ids_t(v_in, _const(vdd), v_star_t, w_1, l_1, model) - v_star_t / r_s
         v_out = _implicit_attach(v_star_t, g_t, inv_gp)
 
         # Analytic power with gradients: M1 drop + load.
-        i1_out = ids_t(v_in, _const(vdd), v_out, w_1, l_1, model_t)
+        i1_out = ids_t(v_in, _const(vdd), v_out, w_1, l_1, model)
         power = i1_out * (vdd - v_out) + v_out * v_out / r_s
         return v_out, power
 
@@ -317,7 +291,6 @@ class TransferModel:
         .. math:: g(V) = I_{M1}(v_{in}, V_{drain}(V), V) - I(V) = 0.
         """
         vdd, model = self.pdk.vdd, self.model
-        model_t = self._graph_model()
         r_d, r_s, w_1, l_1, w_c, l_c = q
         vin_np = v_in.data
         rd_np, rs_np = r_d.data, r_s.data
@@ -326,25 +299,25 @@ class TransferModel:
         def residual() -> Residual:
             # Both transistors move with V; only the partials g and g' use
             # are computed (clamp: dI/dVg + dI/dVd; M1: dI/dVd and dI/dVs).
-            i_s_c = _specific_current_np(wc_np, lc_np, model)
-            i_s_1 = _specific_current_np(w1_np, l1_np, model)
-            vp_1 = (vin_np - model.vth) / model.n
+            i_s_c = model.specific_current(wc_np, lc_np)
+            i_s_1 = model.specific_current(w1_np, l1_np)
+            vp_1 = model.pinch_off(vin_np)
             neg_i_s_1, neg_rd = -i_s_1, -rd_np
             inv_rs, n_phi = 1.0 / rs_np, model.n * model.phi
 
             def g_np(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 # Clamp: gate and drain at V, source at ground.
-                vp_c = (v - model.vth) / model.n
-                f_src, fp_src = _ekv_np(vp_c / model.phi)
-                f_drn, fp_drn = _ekv_np((vp_c - v) / model.phi)
+                vp_c = model.pinch_off(v)
+                f_src, fp_src = ekv(vp_c / model.phi)
+                f_drn, fp_drn = ekv((vp_c - v) / model.phi)
                 ic = i_s_c * (f_src - f_drn)
                 ic_prime = i_s_c * (fp_src - fp_drn) / n_phi + i_s_c * fp_drn / model.phi
                 i_total = v / rs_np + ic
                 i_total_prime = inv_rs + ic_prime
                 v_drain = vdd - rd_np * i_total
                 # M1: gate at v_in, source at V, drain at V_drain(V).
-                f_src, fp_src = _ekv_np((vp_1 - v) / model.phi)
-                f_drn, fp_drn = _ekv_np((vp_1 - v_drain) / model.phi)
+                f_src, fp_src = ekv((vp_1 - v) / model.phi)
+                f_drn, fp_drn = ekv((vp_1 - v_drain) / model.phi)
                 g = i_s_1 * (f_src - f_drn) - i_total
                 gp = (
                     i_s_1 * fp_drn / model.phi * (neg_rd * i_total_prime)
@@ -362,17 +335,17 @@ class TransferModel:
             residual, v0, self.newton_iterations,
             self._solve_inputs(v_in, r_d, r_s, w_1, l_1, w_c, l_c),
         )
-        ic_t = ids_t(v_star_t, v_star_t, _const(0.0), w_c, l_c, model_t)
+        ic_t = ids_t(v_star_t, v_star_t, _const(0.0), w_c, l_c, model)
         i_total_t = v_star_t / r_s + ic_t
         v_drain_t = _const(vdd) - r_d * i_total_t
-        g_t = ids_t(v_in, v_drain_t, v_star_t, w_1, l_1, model_t) - i_total_t
+        g_t = ids_t(v_in, v_drain_t, v_star_t, w_1, l_1, model) - i_total_t
         v_out = _implicit_attach(v_star_t, g_t, inv_gp)
 
         # Power with gradients, recomputed at the attached output.
-        ic_out = ids_t(v_out, v_out, _const(0.0), w_c, l_c, model_t)
+        ic_out = ids_t(v_out, v_out, _const(0.0), w_c, l_c, model)
         i_total_out = v_out / r_s + ic_out
         v_drain_out = _const(vdd) - r_d * i_total_out
-        i1_out = ids_t(v_in, v_drain_out, v_out, w_1, l_1, model_t)
+        i1_out = ids_t(v_in, v_drain_out, v_out, w_1, l_1, model)
         power = (
             i_total_out * i_total_out * r_d  # R_d drop (I²R with I = total)
             + i1_out * (v_drain_out - v_out)  # M1 channel
@@ -398,21 +371,20 @@ class TransferModel:
         accounted for by the caller, not here.
         """
         vdd, model = self.pdk.vdd, self.model
-        model_t = self._graph_model()
         vg_np = v_gate.data
         r_np, w_np, l_np = r_load.data, width.data, length.data
         rsh_np = None if r_shunt is None else r_shunt.data
 
         def residual() -> Residual:
             # Gate and source are fixed: only the drain side moves with V.
-            i_s = _specific_current_np(w_np, l_np, model)
-            vp = (vg_np - model.vth) / model.n
-            f_src, _ = _ekv_np((vp - vss) / model.phi)
+            i_s = model.specific_current(w_np, l_np)
+            vp = model.pinch_off(vg_np)
+            f_src, _ = ekv((vp - vss) / model.phi)
             neg_inv_r = -1.0 / r_np
             inv_rsh = None if rsh_np is None else 1.0 / rsh_np
 
             def g_np(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                f_drn, fp_drn = _ekv_np((vp - v) / model.phi)
+                f_drn, fp_drn = ekv((vp - v) / model.phi)
                 g = (vdd - v) / r_np - i_s * (f_src - f_drn)
                 gp = neg_inv_r - i_s * fp_drn / model.phi
                 if inv_rsh is not None:
@@ -427,13 +399,13 @@ class TransferModel:
         v_star_t, inv_gp = _implicit_solve(
             residual, v0, self.newton_iterations, self._solve_inputs(*tensors)
         )
-        i_t = ids_t(v_gate, v_star_t, _const(vss), width, length, model_t)
+        i_t = ids_t(v_gate, v_star_t, _const(vss), width, length, model)
         g_t = (_const(vdd) - v_star_t) / r_load - i_t
         if r_shunt is not None:
             g_t = g_t - (v_star_t - vss) / r_shunt
         v_out = _implicit_attach(v_star_t, g_t, inv_gp)
 
-        i_out = ids_t(v_gate, v_out, _const(vss), width, length, model_t)
+        i_out = ids_t(v_gate, v_out, _const(vss), width, length, model)
         drop = _const(vdd) - v_out
         power = drop * drop / r_load + i_out * (v_out - vss)
         return v_out, power

@@ -25,6 +25,12 @@ specific current :math:`I_s = 2 n K (W/L) \\phi^2`, slope factor ``n``,
 thermal-like voltage ``phi`` and transconductance parameter ``K``
 (:math:`\\mu C`).  ``F`` interpolates between exponential sub-threshold
 behaviour and the quadratic strong-inversion law.
+
+This module holds the package's one numpy EKV, :func:`ekv` (with
+:func:`drain_current` over whole transistor arrays), and its one specific
+current, :meth:`EGTModel.specific_current`: the MNA solver, the power
+accounting and the differentiable transfer models all evaluate these.  The
+autograd form is :func:`repro.pdk.transfer.ids_t`.
 """
 
 from __future__ import annotations
@@ -34,21 +40,40 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _log1pexp(x: np.ndarray | float) -> np.ndarray | float:
-    """Numerically stable ``log(1 + exp(x))``."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0))))
+def ekv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """EKV interpolation ``F(x) = softplus(x/2)²`` and ``F'(x) = softplus(x/2)·σ(x/2)``.
+
+    The one numpy EKV of the package: the MNA stamps, the transfer-model
+    residuals and :class:`EGTModel` all evaluate it.  One softplus serves
+    both.  ``max(h, 0) + log1p(exp(-|h|))`` is the overflow-safe softplus in
+    one branch-free expression: it gives the bits of the two-branch
+    ``np.where`` form while evaluating each ufunc once.
+    """
+    h = x / 2.0
+    s = np.maximum(h, 0.0) + np.log1p(np.exp(-np.abs(h)))
+    return s**2, s * (1.0 / (1.0 + np.exp(-np.clip(h, -500, 500))))
 
 
-def _ekv_f(x: np.ndarray | float) -> np.ndarray | float:
-    """EKV interpolation function ``F(x) = ln^2(1 + e^{x/2})``."""
-    return _log1pexp(np.asarray(x) / 2.0) ** 2
+def _numpy(value):
+    """The numpy value of a card field (a Tensor leaf's live buffer)."""
+    return value if isinstance(value, (float, int, np.ndarray, np.generic)) else value.data
 
 
-def _ekv_f_prime(x: np.ndarray | float) -> np.ndarray | float:
-    """Derivative ``F'(x) = ln(1 + e^{x/2}) * sigmoid(x/2)``."""
-    x = np.asarray(x, dtype=np.float64)
-    return _log1pexp(x / 2.0) * (1.0 / (1.0 + np.exp(-np.clip(x / 2.0, -500, 500))))
+def drain_current(vg, vd, vs, i_s, vth, n, phi) -> tuple:
+    """``(I_ds, ∂I/∂V_g, ∂I/∂V_d, ∂I/∂V_s)``; every argument broadcasts.
+
+    Both channel ends go through one :func:`ekv` call, so a whole circuit's
+    transistors (as arrays of terminal voltages and card values) cost one
+    EKV evaluation.
+    """
+    vp = (vg - vth) / n
+    f, fp = ekv(np.stack(np.broadcast_arrays((vp - vs) / phi, (vp - vd) / phi)))
+    return (
+        i_s * (f[0] - f[1]),
+        i_s * (fp[0] - fp[1]) / (n * phi),
+        i_s * fp[1] / phi,
+        -i_s * fp[0] / phi,
+    )
 
 
 @dataclass(frozen=True)
@@ -68,6 +93,10 @@ class EGTModel:
     phi:
         Effective thermal voltage in volts; EGTs show steep ~100 mV/decade
         sub-threshold slopes, so ``phi`` ~ 0.04 V.
+
+    ``vth`` and ``k`` may also be instance-stacked arrays, or autograd
+    Tensor leaves over such arrays: the numpy methods read a leaf's live
+    buffer, and :func:`repro.pdk.transfer.ids_t` records the leaf.
     """
 
     vth: float = 0.2
@@ -76,52 +105,42 @@ class EGTModel:
     phi: float = 0.04
 
     def __post_init__(self):
-        # vth/k may be instance-stacked arrays (or autograd tensors wrapping
-        # them) when the card models a whole Monte-Carlo ensemble at once —
-        # see repro.circuits.ensemble; validate elementwise in that case.
-        k = np.asarray(getattr(self.k, "data", self.k))
-        if np.any(k <= 0) or self.phi <= 0 or self.n < 1.0:
+        # vth/k may be instance-stacked arrays, or Tensor leaves over them:
+        # the Monte-Carlo ensemble (repro.circuits.ensemble) gives each
+        # layer one such card, which the graph expressions record and whose
+        # live buffers the numpy solves read.  Validate elementwise.
+        if np.any(_numpy(self.k) <= 0) or self.phi <= 0 or self.n < 1.0:
             raise ValueError("EGT model card out of physical range")
 
-    def specific_current(self, width: float, length: float) -> float:
-        """Specific (normalization) current ``I_s`` for a given geometry."""
-        if width <= 0 or length <= 0:
+    def specific_current(self, width, length):
+        """Specific (normalization) current ``I_s = 2 n K (W/L) φ²``.
+
+        Numpy; broadcasts over geometry arrays and an instance-stacked card.
+        """
+        if np.any(np.less_equal(width, 0)) or np.any(np.less_equal(length, 0)):
             raise ValueError("transistor geometry must be positive")
-        return 2.0 * self.n * self.k * (width / length) * self.phi**2
+        return 2.0 * self.n * _numpy(self.k) * (width / length) * self.phi**2
+
+    def pinch_off(self, vg):
+        """Pinch-off voltage ``v_p = (V_g − V_th)/n`` (numpy; broadcasts)."""
+        return (vg - _numpy(self.vth)) / self.n
 
     def ids(self, vg: float, vd: float, vs: float, width: float, length: float) -> float:
         """Drain current (A) for terminal voltages referenced to ground."""
-        i_s = self.specific_current(width, length)
-        vp = (vg - self.vth) / self.n
-        xf = (vp - vs) / self.phi
-        xr = (vp - vd) / self.phi
-        return float(i_s * (_ekv_f(xf) - _ekv_f(xr)))
+        return self.ids_and_derivatives(vg, vd, vs, width, length)[0]
 
     def ids_and_derivatives(
         self, vg: float, vd: float, vs: float, width: float, length: float
     ) -> tuple[float, float, float, float]:
         """Return ``(ids, dI/dVg, dI/dVd, dI/dVs)`` for Newton linearization."""
         i_s = self.specific_current(width, length)
-        vp = (vg - self.vth) / self.n
-        xf = (vp - vs) / self.phi
-        xr = (vp - vd) / self.phi
-        ff, fr = _ekv_f(xf), _ekv_f(xr)
-        fpf, fpr = _ekv_f_prime(xf), _ekv_f_prime(xr)
-        ids = i_s * (ff - fr)
-        d_vg = i_s * (fpf - fpr) / (self.n * self.phi)
-        d_vd = i_s * fpr / self.phi
-        d_vs = -i_s * fpf / self.phi
-        return float(ids), float(d_vg), float(d_vd), float(d_vs)
-
-    def gm(self, vg: float, vd: float, vs: float, width: float, length: float) -> float:
-        """Gate transconductance at the given bias point (A/V)."""
-        return self.ids_and_derivatives(vg, vd, vs, width, length)[1]
+        values = drain_current(vg, vd, vs, i_s, _numpy(self.vth), self.n, self.phi)
+        return tuple(float(v) for v in values)
 
     def saturation_current(self, vgs: float, width: float, length: float) -> float:
         """Drain current deep in saturation (``vds`` large)."""
-        i_s = self.specific_current(width, length)
-        vp = (vgs - self.vth) / self.n
-        return float(i_s * _ekv_f(vp / self.phi))
+        f, _ = ekv(self.pinch_off(vgs) / self.phi)
+        return float(self.specific_current(width, length) * f)
 
 
 #: Default model card used by the printed PDK (nominal corner).

@@ -34,6 +34,16 @@ def _format(value: float) -> str:
     return f"{value:.6g}"
 
 
+def at_netlist_precision(value: float) -> float:
+    """``value`` rounded to the precision a netlist prints it at.
+
+    Numbers stored beside a netlist (a bundle's stimulus and expected
+    voltages) round the same way, so their bytes do not follow the last bits
+    of the host's SIMD math.
+    """
+    return float(_format(value))
+
+
 def to_spice_text(circuit: Circuit, title: str | None = None) -> str:
     """Render the circuit as a SPICE netlist string."""
     lines = [f"* {title or circuit.name}"]

@@ -97,6 +97,15 @@ class Transistor:
             raise ValueError(f"transistor {self.name}: geometry must be positive")
 
 
+_GROUPS = {
+    Resistor: "resistors",
+    VoltageSource: "sources",
+    Transistor: "transistors",
+    VCVS: "vcvs",
+    Capacitor: "capacitors",
+}
+
+
 @dataclass
 class Circuit:
     """A DC circuit under construction.
@@ -107,6 +116,10 @@ class Circuit:
     >>> c.add_vsource("vdd", "vdd", "0", 1.0)
     >>> c.add_resistor("r1", "vdd", "out", 10e3)
     >>> c.add_resistor("r2", "out", "0", 10e3)
+
+    Element names are unique across all kinds.  Add elements through the
+    ``add_*`` builders or :meth:`add`, which keep the circuit's name set;
+    appending to the lists directly bypasses the check.
     """
 
     name: str = "circuit"
@@ -116,31 +129,36 @@ class Circuit:
     vcvs: list[VCVS] = field(default_factory=list)
     capacitors: list[Capacitor] = field(default_factory=list)
 
-    def _check_unique(self, name: str) -> None:
-        if name in self.element_names():
+    #: Every element name, across kinds: kept as elements are added, so
+    #: the uniqueness check costs O(1) and building a netlist stays linear.
+    _names: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for group in (self.resistors, self.sources, self.transistors, self.vcvs, self.capacitors):
+            for element in group:
+                self._claim(element.name)
+
+    def _claim(self, name: str) -> None:
+        if name in self._names:
             raise ValueError(f"duplicate element name: {name}")
+        self._names.add(name)
 
     def element_names(self) -> set[str]:
-        names = {r.name for r in self.resistors}
-        names |= {s.name for s in self.sources}
-        names |= {t.name for t in self.transistors}
-        names |= {e.name for e in self.vcvs}
-        names |= {c.name for c in self.capacitors}
-        return names
+        return set(self._names)
+
+    def add(self, element):
+        """Append a built element to its kind's list; returns it."""
+        self._claim(element.name)
+        getattr(self, _GROUPS[type(element)]).append(element)
+        return element
 
     def add_resistor(self, name: str, node_a: str, node_b: str, resistance: float) -> Resistor:
         """Add a resistor; returns the created element."""
-        self._check_unique(name)
-        element = Resistor(name, node_a, node_b, float(resistance))
-        self.resistors.append(element)
-        return element
+        return self.add(Resistor(name, node_a, node_b, float(resistance)))
 
     def add_vsource(self, name: str, node_pos: str, node_neg: str, voltage: float) -> VoltageSource:
         """Add an ideal voltage source; returns the created element."""
-        self._check_unique(name)
-        element = VoltageSource(name, node_pos, node_neg, float(voltage))
-        self.sources.append(element)
-        return element
+        return self.add(VoltageSource(name, node_pos, node_neg, float(voltage)))
 
     def add_egt(
         self,
@@ -153,17 +171,11 @@ class Circuit:
         model: EGTModel = DEFAULT_NEGT,
     ) -> Transistor:
         """Add a printed nEGT; returns the created element."""
-        self._check_unique(name)
-        element = Transistor(name, drain, gate, source, float(width), float(length), model)
-        self.transistors.append(element)
-        return element
+        return self.add(Transistor(name, drain, gate, source, float(width), float(length), model))
 
     def add_capacitor(self, name: str, node_a: str, node_b: str, capacitance: float) -> Capacitor:
         """Add a capacitor; returns the created element."""
-        self._check_unique(name)
-        element = Capacitor(name, node_a, node_b, float(capacitance))
-        self.capacitors.append(element)
-        return element
+        return self.add(Capacitor(name, node_a, node_b, float(capacitance)))
 
     def add_vcvs(
         self,
@@ -175,18 +187,15 @@ class Circuit:
         gain: float,
     ) -> VCVS:
         """Add an ideal voltage-controlled voltage source."""
-        self._check_unique(name)
-        element = VCVS(name, node_pos, node_neg, ctrl_pos, ctrl_neg, float(gain))
-        self.vcvs.append(element)
-        return element
+        return self.add(VCVS(name, node_pos, node_neg, ctrl_pos, ctrl_neg, float(gain)))
 
     def nodes(self) -> list[str]:
         """All non-ground node names, in first-appearance order."""
-        seen: list[str] = []
+        seen: dict[str, None] = {}
 
         def visit(node: str) -> None:
-            if node not in GROUND_NAMES and node not in seen:
-                seen.append(node)
+            if node not in GROUND_NAMES:
+                seen.setdefault(node)
 
         for r in self.resistors:
             visit(r.node_a)
@@ -206,7 +215,7 @@ class Circuit:
         for cap in self.capacitors:
             visit(cap.node_a)
             visit(cap.node_b)
-        return seen
+        return list(seen)
 
     def is_empty(self) -> bool:
         return not (self.resistors or self.sources or self.transistors or self.vcvs)
@@ -223,11 +232,13 @@ def rebuild_with_sources(circuit: Circuit, overrides: dict[str, float]) -> Circu
     missing = set(overrides) - {s.name for s in circuit.sources}
     if missing:
         raise ValueError(f"unknown stimulus sources: {sorted(missing)}")
-    rebuilt = Circuit(name=circuit.name)
-    rebuilt.resistors = list(circuit.resistors)
-    rebuilt.transistors = list(circuit.transistors)
-    rebuilt.vcvs = list(circuit.vcvs)
-    rebuilt.capacitors = list(circuit.capacitors)
+    rebuilt = Circuit(
+        name=circuit.name,
+        resistors=list(circuit.resistors),
+        transistors=list(circuit.transistors),
+        vcvs=list(circuit.vcvs),
+        capacitors=list(circuit.capacitors),
+    )
     for s in circuit.sources:
         rebuilt.add_vsource(s.name, s.node_pos, s.node_neg, overrides.get(s.name, s.voltage))
     return rebuilt

@@ -3,12 +3,15 @@
 Solves for the DC operating point of a :class:`~repro.spice.netlist.Circuit`
 containing resistors, ideal voltage sources, and nEGTs.  The unknown vector
 stacks the non-ground node voltages and the branch currents of voltage
-sources.  Each Newton iteration stamps
+sources.  The linear elements are stamped once per solve into ``G·x = b``:
 
-- resistors into the conductance block (linear, constant),
-- voltage sources into the border blocks (linear, constant),
-- transistors as their linearized companion model: the residual gets the
-  actual drain current; the Jacobian gets ``dI/dVg``, ``dI/dVd``, ``dI/dVs``.
+- resistors into the conductance block,
+- voltage sources and VCVS into the border blocks, source voltages into ``b``.
+
+Each Newton iteration then evaluates every transistor in one vectorized EKV
+call (:func:`repro.spice.egt.drain_current`) and scatters its linearized
+companion model: the residual ``G·x − b`` gets the drain currents, the
+Jacobian ``G`` gets ``dI/dVg``, ``dI/dVd``, ``dI/dVs``.
 
 Robustness: damped Newton with step limiting, and automatic *gmin stepping*
 (a shunt conductance from every node to ground, relaxed geometrically) when
@@ -24,6 +27,7 @@ import numpy as np
 
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import trace_span
+from repro.spice.egt import drain_current
 from repro.spice.netlist import Circuit, GROUND_NAMES
 
 logger = logging.getLogger(__name__)
@@ -66,147 +70,121 @@ class OperatingPoint:
         return self.node_voltages[node]
 
 
+def _two_terminal(matrix: np.ndarray, a: np.ndarray, b: np.ndarray, g: np.ndarray) -> None:
+    """Stamp conductances ``g`` between the slot arrays ``a`` and ``b``.
+
+    Element by element, in order: ``(a, a)`` and ``(b, b)`` gain ``g``,
+    ``(a, b)`` and ``(b, a)`` lose it.  Resistors and the transient
+    integrator's capacitor companions share this stamp.
+    """
+    rows = np.stack([a, b, a, b], axis=-1).ravel()
+    cols = np.stack([a, b, b, a], axis=-1).ravel()
+    np.add.at(matrix, (rows, cols), np.stack([g, g, -g, -g], axis=-1).ravel())
+
+
+class _MNA:
+    """One circuit's MNA system: the linear part stamped once, the EGTs as arrays.
+
+    The unknowns stack the node voltages, then the branch currents of the
+    voltage sources, then those of the VCVS (``dim`` in all).  The linear
+    elements make ``G·x = b``: resistors fill the conductance block, each
+    source or VCVS borders its branch row, and ``b`` holds the source
+    voltages.  Matrices and vectors carry one more slot, index ``dim``,
+    that stands for ground: stamps write to it without a ground test, the
+    solve never reads it, and ``x[dim]`` stays 0 V.
+    """
+
+    def __init__(self, circuit: Circuit, node_index: dict[str, int]):
+        n_nodes, n_src = len(node_index), len(circuit.sources)
+        self.n_nodes = n_nodes
+        self.dim = dim = n_nodes + n_src + len(circuit.vcvs)
+        self._node_index = node_index
+
+        matrix = np.zeros((dim + 1, dim + 1))
+        rs = circuit.resistors
+        _two_terminal(
+            matrix,
+            self.slots(r.node_a for r in rs),
+            self.slots(r.node_b for r in rs),
+            np.array([r.conductance for r in rs]),
+        )
+        branches = circuit.sources + circuit.vcvs
+        rows = np.arange(n_nodes, dim)
+        pos = self.slots(e.node_pos for e in branches)
+        neg = self.slots(e.node_neg for e in branches)
+        for i, j, sign in ((pos, rows, 1.0), (rows, pos, 1.0), (neg, rows, -1.0), (rows, neg, -1.0)):
+            np.add.at(matrix, (i, j), sign)
+        gain = np.array([e.gain for e in circuit.vcvs])
+        np.add.at(matrix, (rows[n_src:], self.slots(e.ctrl_pos for e in circuit.vcvs)), -gain)
+        np.add.at(matrix, (rows[n_src:], self.slots(e.ctrl_neg for e in circuit.vcvs)), gain)
+        self.matrix = matrix
+        self.rhs = np.zeros(dim + 1)
+        self.rhs[n_nodes : n_nodes + n_src] = [s.voltage for s in circuit.sources]
+
+        ts = circuit.transistors
+        self.drain = self.slots(t.drain for t in ts)
+        self.gate = self.slots(t.gate for t in ts)
+        self.source = self.slots(t.source for t in ts)
+        self.i_s = np.array([t.model.specific_current(t.width, t.length) for t in ts])
+        self.vth = np.array([t.model.vth for t in ts])
+        self.n = np.array([t.model.n for t in ts])
+        self.phi = np.array([t.model.phi for t in ts])
+        # Each EGT's drain row gains I and (∂I/∂Vg, ∂I/∂Vd, ∂I/∂Vs) in the
+        # gate/drain/source columns; its source row loses them.
+        d, g, s = self.drain, self.gate, self.source
+        self.kcl_rows = np.concatenate([d, s])
+        self.jac_rows = np.concatenate([d, d, d, s, s, s])
+        self.jac_cols = np.concatenate([g, d, s, g, d, s])
+
+    def slots(self, nodes) -> np.ndarray:
+        """Unknown indices of ``nodes``; ground maps to the ground slot."""
+        return np.array(
+            [self.dim if node in GROUND_NAMES else self._node_index[node] for node in nodes],
+            dtype=np.intp,
+        )
+
+
 def _newton(
-    circuit: Circuit,
-    node_index: dict[str, int],
+    mna: _MNA,
     x0: np.ndarray,
     gmin: float,
     max_iter: int,
     tol: float,
     v_limit: float,
-    extra_conductance: np.ndarray | None = None,
-    extra_current: np.ndarray | None = None,
+    matrix: np.ndarray | None = None,
+    rhs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int] | None:
     """Run damped Newton from ``x0``; returns (solution, iters) or None.
 
-    ``extra_conductance`` (n_nodes × n_nodes) and ``extra_current``
-    (n_nodes) stamp additional linear conductances / current injections —
-    the hooks the backward-Euler transient integrator uses to add capacitor
-    companion models without the DC solver knowing about time.
+    The residual is ``G·x − b`` of the stamped linear part (plus a ``gmin``
+    shunt from every node to ground) with every EGT's drain current
+    scattered onto its drain and source rows; the Jacobian is ``G`` with the
+    EGTs' partials scattered the same way.  ``matrix`` and ``rhs`` replace
+    ``mna.matrix`` and ``mna.rhs`` — the backward-Euler integrator passes
+    its capacitor companions there.
     """
-    n_nodes = len(node_index)
-    n_src = len(circuit.sources)
-    n_vcvs = len(circuit.vcvs)
-    dim = n_nodes + n_src + n_vcvs
+    dim, n_nodes = mna.dim, mna.n_nodes
+    linear = (mna.matrix if matrix is None else matrix).copy()
+    nodes = np.arange(n_nodes)
+    linear[nodes, nodes] += gmin
+    b = mna.rhs if rhs is None else rhs
 
-    def idx(node: str) -> int | None:
-        if node in GROUND_NAMES:
-            return None
-        return node_index[node]
-
-    # Pre-stamp the constant (linear) part of the Jacobian.
-    j_lin = np.zeros((dim, dim))
-    for i in range(n_nodes):
-        j_lin[i, i] += gmin
-    if extra_conductance is not None:
-        j_lin[:n_nodes, :n_nodes] += extra_conductance
-    for r in circuit.resistors:
-        g = r.conductance
-        ia, ib = idx(r.node_a), idx(r.node_b)
-        if ia is not None:
-            j_lin[ia, ia] += g
-        if ib is not None:
-            j_lin[ib, ib] += g
-        if ia is not None and ib is not None:
-            j_lin[ia, ib] -= g
-            j_lin[ib, ia] -= g
-    for k, s in enumerate(circuit.sources):
-        row = n_nodes + k
-        ip, im = idx(s.node_pos), idx(s.node_neg)
-        if ip is not None:
-            j_lin[ip, row] += 1.0
-            j_lin[row, ip] += 1.0
-        if im is not None:
-            j_lin[im, row] -= 1.0
-            j_lin[row, im] -= 1.0
-    for k, e in enumerate(circuit.vcvs):
-        row = n_nodes + n_src + k
-        ip, im = idx(e.node_pos), idx(e.node_neg)
-        icp, icm = idx(e.ctrl_pos), idx(e.ctrl_neg)
-        if ip is not None:
-            j_lin[ip, row] += 1.0
-            j_lin[row, ip] += 1.0
-        if im is not None:
-            j_lin[im, row] -= 1.0
-            j_lin[row, im] -= 1.0
-        if icp is not None:
-            j_lin[row, icp] -= e.gain
-        if icm is not None:
-            j_lin[row, icm] += e.gain
-
-    x = x0.copy()
+    x = np.append(x0, 0.0)
     for iteration in range(1, max_iter + 1):
-        residual = np.zeros(dim)
-        jacobian = j_lin.copy()
+        ids, d_vg, d_vd, d_vs = drain_current(
+            x[mna.gate], x[mna.drain], x[mna.source], mna.i_s, mna.vth, mna.n, mna.phi
+        )
+        residual = linear @ x - b
+        np.add.at(residual, mna.kcl_rows, np.concatenate([ids, -ids]))
+        residual = residual[:dim]
+        if np.abs(residual).max() < tol:
+            return x[:dim], iteration
 
-        def volt(node: str) -> float:
-            i = idx(node)
-            return 0.0 if i is None else x[i]
-
-        # KCL residuals from linear elements.
-        for i in range(n_nodes):
-            residual[i] += gmin * x[i]
-        if extra_conductance is not None:
-            residual[:n_nodes] += extra_conductance @ x[:n_nodes]
-        if extra_current is not None:
-            residual[:n_nodes] += extra_current
-        for r in circuit.resistors:
-            g = r.conductance
-            current = g * (volt(r.node_a) - volt(r.node_b))
-            ia, ib = idx(r.node_a), idx(r.node_b)
-            if ia is not None:
-                residual[ia] += current
-            if ib is not None:
-                residual[ib] -= current
-        for k, s in enumerate(circuit.sources):
-            row = n_nodes + k
-            i_src = x[row]
-            ip, im = idx(s.node_pos), idx(s.node_neg)
-            if ip is not None:
-                residual[ip] += i_src
-            if im is not None:
-                residual[im] -= i_src
-            residual[row] += volt(s.node_pos) - volt(s.node_neg) - s.voltage
-        for k, e in enumerate(circuit.vcvs):
-            row = n_nodes + n_src + k
-            i_branch = x[row]
-            ip, im = idx(e.node_pos), idx(e.node_neg)
-            if ip is not None:
-                residual[ip] += i_branch
-            if im is not None:
-                residual[im] -= i_branch
-            residual[row] += (
-                volt(e.node_pos)
-                - volt(e.node_neg)
-                - e.gain * (volt(e.ctrl_pos) - volt(e.ctrl_neg))
-            )
-
-        # Nonlinear transistor stamps.
-        for t in circuit.transistors:
-            vg, vd, vs = volt(t.gate), volt(t.drain), volt(t.source)
-            ids, d_vg, d_vd, d_vs = t.model.ids_and_derivatives(vg, vd, vs, t.width, t.length)
-            i_d, i_g, i_s = idx(t.drain), idx(t.gate), idx(t.source)
-            if i_d is not None:
-                residual[i_d] += ids
-                if i_g is not None:
-                    jacobian[i_d, i_g] += d_vg
-                jacobian[i_d, i_d] += d_vd
-                if i_s is not None:
-                    jacobian[i_d, i_s] += d_vs
-            if i_s is not None:
-                residual[i_s] -= ids
-                if i_g is not None:
-                    jacobian[i_s, i_g] -= d_vg
-                if i_d is not None:
-                    jacobian[i_s, i_d] -= d_vd
-                jacobian[i_s, i_s] -= d_vs
-
-        residual_norm = np.abs(residual).max()
-        if residual_norm < tol:
-            return x, iteration
-
+        jacobian = linear.copy()
+        partials = np.concatenate([d_vg, d_vd, d_vs, -d_vg, -d_vd, -d_vs])
+        np.add.at(jacobian, (mna.jac_rows, mna.jac_cols), partials)
         try:
-            step = np.linalg.solve(jacobian, -residual)
+            step = np.linalg.solve(jacobian[:dim, :dim], -residual)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(step)):
@@ -215,7 +193,7 @@ def _newton(
         # Voltage step limiting keeps the exponential model in range.
         max_step = np.abs(step[:n_nodes]).max() if n_nodes else 0.0
         damping = 1.0 if max_step <= v_limit else v_limit / max_step
-        x = x + damping * step
+        x[:dim] += damping * step
 
     return None
 
@@ -255,15 +233,16 @@ def _solve_dc(
         v_init = float(np.mean([s.voltage for s in circuit.sources])) / 2.0
     x0 = np.concatenate([np.full(n_nodes, v_init), np.zeros(n_src + len(circuit.vcvs))])
 
+    mna = _MNA(circuit, node_index)
     total_iters = 0
-    result = _newton(circuit, node_index, x0, gmin=1e-12, max_iter=max_iter, tol=tol, v_limit=v_limit)
+    result = _newton(mna, x0, gmin=1e-12, max_iter=max_iter, tol=tol, v_limit=v_limit)
     if result is None:
         # gmin stepping: start with a heavy shunt, relax geometrically,
         # warm-starting each stage from the previous solution.
         logger.debug("plain Newton failed on circuit %r; engaging gmin stepping", circuit.name)
         x = x0
         for gmin in (1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12):
-            result = _newton(circuit, node_index, x, gmin=gmin, max_iter=max_iter, tol=tol, v_limit=v_limit)
+            result = _newton(mna, x, gmin=gmin, max_iter=max_iter, tol=tol, v_limit=v_limit)
             if result is None:
                 raise SolverError(
                     f"gmin stepping diverged at gmin={gmin:g} for circuit '{circuit.name}'"
@@ -278,7 +257,7 @@ def _solve_dc(
     # no fictitious gmin currents (they would break Tellegen's theorem at
     # the 1e-12 W level).  Falls back to the shunted solution for circuits
     # whose Jacobian is singular without gmin (truly floating nodes).
-    polished = _newton(circuit, node_index, x, gmin=0.0, max_iter=20, tol=tol, v_limit=v_limit)
+    polished = _newton(mna, x, gmin=0.0, max_iter=20, tol=tol, v_limit=v_limit)
     if polished is not None:
         x, iters = polished
         total_iters += iters

@@ -10,8 +10,9 @@ This module integrates a :class:`~repro.spice.netlist.Circuit` containing
 capacitors through time with backward Euler (A-stable — safe for the stiff
 RC ratios printed circuits produce):
 
-- each capacitor stamps its companion model ``G = C/Δt`` plus a history
-  current ``I_hist = −(C/Δt)·v_prev`` into the Newton solve at every step,
+- each capacitor stamps its companion model ``G = C/Δt`` (the resistor's
+  two-terminal stamp) plus a history current ``I_hist = −(C/Δt)·v_prev``
+  into the Newton solve at every step,
 - every step therefore reuses the same robust nonlinear DC machinery
   (EGTs linearized per iteration, VCVS, sources).
 
@@ -22,12 +23,12 @@ consistent state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.spice.netlist import Circuit, GROUND_NAMES
-from repro.spice.solver import SolverError, _newton, solve_dc
+from repro.spice.netlist import Circuit, GROUND_NAMES, rebuild_with_sources
+from repro.spice.solver import _MNA, SolverError, _newton, _two_terminal, solve_dc
 
 
 @dataclass
@@ -60,23 +61,6 @@ class TransientResult:
         return float(self.times[last_outside + 1])
 
 
-def _capacitor_conductance(circuit: Circuit, node_index: dict[str, int], dt: float) -> np.ndarray:
-    n = len(node_index)
-    g = np.zeros((n, n))
-    for cap in circuit.capacitors:
-        geq = cap.capacitance / dt
-        ia = node_index.get(cap.node_a) if cap.node_a not in GROUND_NAMES else None
-        ib = node_index.get(cap.node_b) if cap.node_b not in GROUND_NAMES else None
-        if ia is not None:
-            g[ia, ia] += geq
-        if ib is not None:
-            g[ib, ib] += geq
-        if ia is not None and ib is not None:
-            g[ia, ib] -= geq
-            g[ib, ia] -= geq
-    return g
-
-
 def solve_transient(
     circuit: Circuit,
     t_stop: float,
@@ -101,58 +85,48 @@ def solve_transient(
     """
     if t_stop <= 0 or dt <= 0 or dt > t_stop:
         raise ValueError("need 0 < dt <= t_stop")
-    source_steps = source_steps or {}
-    known = {s.name for s in circuit.sources}
-    unknown = set(source_steps) - known
-    if unknown:
-        raise ValueError(f"unknown sources in source_steps: {sorted(unknown)}")
+    # Post-step circuit: the stepped sources at their new values.
+    stepped = rebuild_with_sources(circuit, source_steps or {})
 
     # Initial condition: DC with original sources.
     initial_op = solve_dc(circuit)
 
-    # Post-step circuit: replace stepped source values.
-    stepped = Circuit(
-        name=circuit.name,
-        resistors=list(circuit.resistors),
-        sources=[
-            replace(s, voltage=source_steps.get(s.name, s.voltage)) for s in circuit.sources
-        ],
-        transistors=list(circuit.transistors),
-        vcvs=list(circuit.vcvs),
-        capacitors=list(circuit.capacitors),
-    )
-
     nodes = stepped.nodes()
     node_index = {node: i for i, node in enumerate(nodes)}
     n_nodes = len(nodes)
-    n_branches = len(stepped.sources) + len(stepped.vcvs)
-
-    g_cap = _capacitor_conductance(stepped, node_index, dt)
+    mna = _MNA(stepped, node_index)
+    # Backward Euler: each capacitor is a conductance C/Δt, stamped like a
+    # resistor, whose history term (C/Δt)·v_prev joins the right-hand side.
+    caps = stepped.capacitors
+    g_cap = np.zeros_like(mna.matrix)
+    _two_terminal(
+        g_cap,
+        mna.slots(cap.node_a for cap in caps),
+        mna.slots(cap.node_b for cap in caps),
+        np.array([cap.capacitance / dt for cap in caps]),
+    )
+    matrix = mna.matrix + g_cap
 
     times = np.arange(0.0, t_stop + 0.5 * dt, dt)
     waveforms = np.zeros((len(times), n_nodes))
-    v_prev = np.array([initial_op.voltage(node) for node in nodes])
-    waveforms[0] = v_prev
+    waveforms[0] = [initial_op.voltage(node) for node in nodes]
 
-    x = np.concatenate([v_prev, np.zeros(n_branches)])
+    x = np.concatenate([waveforms[0], np.zeros(mna.dim - n_nodes)])
     for step in range(1, len(times)):
-        history_current = -(g_cap @ v_prev)
         result = _newton(
-            stepped,
-            node_index,
+            mna,
             x,
             gmin=1e-12,
             max_iter=max_iter,
             tol=tol,
             v_limit=0.5,
-            extra_conductance=g_cap,
-            extra_current=history_current,
+            matrix=matrix,
+            rhs=mna.rhs + g_cap @ np.append(x, 0.0),
         )
         if result is None:
             raise SolverError(f"transient step {step} failed to converge")
         x, _ = result
-        v_prev = x[:n_nodes].copy()
-        waveforms[step] = v_prev
+        waveforms[step] = x[:n_nodes]
 
     node_voltages = {node: waveforms[:, i].copy() for node, i in node_index.items()}
     return TransientResult(times=times, node_voltages=node_voltages)

@@ -8,6 +8,7 @@ import pytest
 from repro.autograd.tensor import Tensor, no_grad
 from repro.circuits import PrintedNeuralNetwork, PNCConfig, PrintedActivation
 from repro.pdk.params import ActivationKind, ALL_ACTIVATIONS
+from repro.pdk.transfer import TransferModel
 
 
 class TestPrintedActivation:
@@ -56,9 +57,10 @@ class TestPrintedActivation:
     def test_analytic_power_mode(self, rng):
         act = PrintedActivation(ActivationKind.RELU, rng=rng, power_mode="analytic")
         v = Tensor(rng.uniform(-0.5, 0.8, size=(6, 2)))
-        act(v)
-        per_circuit = act.power_per_circuit(v)
-        assert (per_circuit.data >= 0).all()
+        v_out, power = act.output_and_power(v)
+        assert power.shape == v.shape
+        assert (power.data >= 0).all()
+        assert np.array_equal(v_out.data, act(v).data)
 
     def test_requires_surrogate_in_surrogate_mode(self, rng):
         with pytest.raises(ValueError):
@@ -257,3 +259,82 @@ class TestStackedForward:
         leaves = _stacked_leaves([net])
         with pytest.raises(ValueError, match="units"):
             net.forward_with_power(Tensor(rng.random((5, 4))), units=leaves["units"][:1])
+
+
+#: Newton solves per activation circuit: the follower cells solve one node,
+#: the inverter cascades one per stage.
+STAGES = {
+    ActivationKind.RELU: 1,
+    ActivationKind.CLIPPED_RELU: 1,
+    ActivationKind.SIGMOID: 2,
+    ActivationKind.TANH: 2,
+}
+
+
+def _analytic_net(kind, seed=5):
+    return PrintedNeuralNetwork(
+        4, 3, PNCConfig(kind=kind, power_mode="analytic"), np.random.default_rng(seed)
+    )
+
+
+class TestOneSolvePerActivation:
+    """The analytic power is the forward's own solve, not a second one."""
+
+    @pytest.fixture
+    def activation_solves(self, monkeypatch):
+        """Count the Newton solves made inside an activation's transfer."""
+        from repro.pdk import transfer as transfer_mod
+
+        depth, counts = [0], {"activation": 0, "other": 0}
+        solve, output_and_power = transfer_mod._implicit_solve, TransferModel.output_and_power
+
+        def counting_solve(*args):
+            counts["activation" if depth[0] else "other"] += 1
+            return solve(*args)
+
+        def nested(self, *args):
+            depth[0] += 1
+            try:
+                return output_and_power(self, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(transfer_mod, "_implicit_solve", counting_solve)
+        monkeypatch.setattr(TransferModel, "output_and_power", nested)
+        return counts
+
+    @pytest.mark.parametrize("kind", ALL_ACTIVATIONS, ids=lambda k: k.value)
+    def test_forward_with_power(self, kind, activation_solves, rng):
+        net = _analytic_net(kind)
+        activation_solves.update(activation=0, other=0)
+        _, breakdown = net.forward_with_power(Tensor(rng.random((9, 4))))
+        assert activation_solves["activation"] == STAGES[kind] * net.n_layers
+        assert float(breakdown.activation.data) > 0.0
+
+    @pytest.mark.parametrize("kind", ALL_ACTIVATIONS, ids=lambda k: k.value)
+    def test_profile_network(self, kind, activation_solves, rng):
+        from repro.compile import profile_network
+
+        net = _analytic_net(kind)
+        activation_solves.update(activation=0, other=0)
+        profiles = profile_network(net, rng.random((9, 4)))
+        assert activation_solves["activation"] == STAGES[kind] * net.n_layers
+        assert all((p.activation_power > 0.0).all() for p in profiles)
+
+    def test_ensemble_schedule(self):
+        """The captured Monte-Carlo forward holds one solve per stage per layer.
+
+        Every layer of the 4→3→3 net has three activation circuits, so the
+        activation solves are the ``(instances, batch, 3)`` ones; the
+        negation solves see the crossbars' extended inputs (6 or 5 rows).
+        """
+        from repro.circuits.ensemble import EnsembleProgram
+
+        net = _analytic_net(ActivationKind.TANH)
+        program = EnsembleProgram(net, np.random.default_rng(0).random((6, 4)), 3)
+        assert program.captured
+        activation_solves = [
+            out for _mode, fwd, _srcs, out in program._program.graph._schedule
+            if getattr(fwd, "__name__", "") == "solve" and out.shape == (3, 6, 3)
+        ]
+        assert len(activation_solves) == STAGES[ActivationKind.TANH] * net.n_layers

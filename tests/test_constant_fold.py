@@ -295,7 +295,7 @@ class TestMonteCarloCard:
         program = EnsembleProgram(net, np.random.default_rng(0).random((6, 4)), 2)
         cards = {
             id(leaf) for transfer in program._transfers
-            for leaf in (transfer.tensor_card.vth, transfer.tensor_card.k)
+            for leaf in (transfer.model.vth, transfer.model.k)
         }
         solves = [
             srcs for _mode, fwd, srcs, _out in program._program.graph._schedule

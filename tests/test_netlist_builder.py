@@ -6,10 +6,12 @@ topology through one crossbar-block builder.  Two contracts hold it:
 
 - **Pinned bytes.** The SHA-256 digests below were recorded from the
   builders as they stood before the flat exporter and the tile compiler
-  shared one block builder: the ``to_spice_text`` of the flat export, the
-  bytes of every ``.cir`` file of a compiled bundle, and its vector files
-  (floats rounded, see :func:`_rounded`).  The ``.cir`` bytes hold under
-  baseline SIMD too.  A topology change must re-record them on purpose.
+  shared one block builder: the ``to_spice_text`` of the flat export, and
+  the bytes of every ``.cir`` and vector file of a compiled bundle.  The
+  vector digests were recorded from the same builders with every float
+  rounded to the netlist's printed precision, as bundles now store them.
+  Every digest holds under baseline SIMD too.  A topology change must
+  re-record them on purpose.
 - **Tile == flat.** Under constraints large enough for one tile per layer,
   each tile holds the flat export's elements of that layer, in the same
   order, once its ``l{L}_x{i}`` inputs are renamed to the flat driver nodes.
@@ -61,34 +63,18 @@ def flat_digest(kind: ActivationKind, negation: str) -> str:
     return hashlib.sha256(to_spice_text(exported.circuit).encode()).hexdigest()
 
 
-def _rounded(value):
-    """Floats at 9 significant digits: vector payloads hold model-side
-    voltages whose last bits follow the platform's SIMD math, not the
-    netlist builder."""
-    if isinstance(value, float):
-        return float(f"{value:.9g}")
-    if isinstance(value, dict):
-        return {key: _rounded(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_rounded(item) for item in value]
-    return value
-
-
 def bundle_digests(kind: ActivationKind, negation: str, constraints, out) -> tuple[str, str]:
-    """(digest of every ``.cir`` file's bytes, digest of every vector file)."""
+    """(digest of every ``.cir`` file's bytes, digest of every vector file's bytes)."""
     compile_model(
         _net(kind), constraints, STIMULUS, out, n_vectors=4, negation=negation, verify=False
     )
     checksums = load_manifest(out)["checksums"]
-    netlists = {path: digest for path, digest in checksums.items() if path.endswith(".cir")}
-    vectors = {
-        path: _rounded(json.loads((out / path).read_text()))
-        for path in checksums
-        if not path.endswith(".cir")
-    }
-    return (
-        hashlib.sha256(json.dumps(netlists, sort_keys=True).encode()).hexdigest(),
-        hashlib.sha256(json.dumps(vectors, sort_keys=True).encode()).hexdigest(),
+    return tuple(
+        hashlib.sha256(json.dumps(files, sort_keys=True).encode()).hexdigest()
+        for files in (
+            {path: digest for path, digest in checksums.items() if path.endswith(".cir")},
+            {path: digest for path, digest in checksums.items() if not path.endswith(".cir")},
+        )
     )
 
 
@@ -97,48 +83,48 @@ PINNED = {
     (ActivationKind.RELU, "ideal"): (
         "d95ca832894dab89593a930b22b4ac6e4052b87846c599e5dd0ca63a0e6e1b3f",
         "dc75620a62d31ae5d6254f5c5150e3122faf49ccf0eae79bf16a56b4bece1524",
-        "09c4459d5b1e320aa8070b25e05b347e3f5628b64a04f3ab25f42cf22595d35c",
+        "961d312938f4fdd357ca614f554790981055cd8ed70e0832d1c9d4b78ae5fd22",
     ),
     (ActivationKind.RELU, "circuit"): (
         "6fde49fa398fe28e92975e7ca4d8ec1755bb6d9cd2e6695b73057a63778edef2",
         "581c48b985ac7b07e09028204c5e661160bb0c5a25fc9a072cc360ff5a0f5e4d",
-        "09c4459d5b1e320aa8070b25e05b347e3f5628b64a04f3ab25f42cf22595d35c",
+        "961d312938f4fdd357ca614f554790981055cd8ed70e0832d1c9d4b78ae5fd22",
     ),
     (ActivationKind.CLIPPED_RELU, "ideal"): (
         "6c0364722422489217864a33dfcb5217b89d3bc3ec3a0f4cb705c8ff5200602d",
         "538951997ffc1458ae48f9ae0fe1efa1a145745998fa862daa13c59d594f7219",
-        "0e69a90cdf331c490e14e5fc39da71599d2948996bdc26b8b245092ce4277c5d",
+        "be87a71c707d777218b81f4f90406c9bb9875b19cbd2fa9a50eb1e6a99a5aacf",
     ),
     (ActivationKind.CLIPPED_RELU, "circuit"): (
         "e4ce7a01373c90f3d72ada4db166b7442ee45088771d62d0ad16cd3081ec9f05",
         "6100bc2faa7dacac0800240a1546aafbd4f99070b268f7ec7e4e2064b25489b5",
-        "0e69a90cdf331c490e14e5fc39da71599d2948996bdc26b8b245092ce4277c5d",
+        "be87a71c707d777218b81f4f90406c9bb9875b19cbd2fa9a50eb1e6a99a5aacf",
     ),
     (ActivationKind.SIGMOID, "ideal"): (
         "ffa7acdc44bdaf523a2e5b0afa3582486c0f0fbfc925b70547c63ff77fe8cd7b",
         "52c4ba8b7bc10004a2c31f872e5957a89ab76fd6d2528eaa5d8cc08e8387288c",
-        "cfbfd09247bf0234accbf62feb12ae1472869f524049552881e3aa92f8d52e12",
+        "a9bbdfc3f721f94746ec8b320cb45bf547c61309b05644d3542c5c7340d14c2b",
     ),
     (ActivationKind.SIGMOID, "circuit"): (
         "286515908940aec0be972ce55ce87b805f57040f12ab774aa5f9da56fb78453c",
         "bea4d3475360b0d9a0852c84e935bc463657021ca6411f695ca8058d0db93f46",
-        "cfbfd09247bf0234accbf62feb12ae1472869f524049552881e3aa92f8d52e12",
+        "a9bbdfc3f721f94746ec8b320cb45bf547c61309b05644d3542c5c7340d14c2b",
     ),
     (ActivationKind.TANH, "ideal"): (
         "a0023da51a5dd8efc3296591dc5f9880914816507c9cc5ff7d1933c5cceb951c",
         "323c7e28db1b2cdc4d16e893e03e5d4339f68ec5cbac626077e23825fac93c9b",
-        "f84750b15b01adf2fb4612b1625a078e4844666831d37c637395bd65e819d254",
+        "9a1d1520def415b8a321a8aa72d59c5271b2d9a547e48fce34d6b8e8231fe9d3",
     ),
     (ActivationKind.TANH, "circuit"): (
         "f9727d920d93377b2bddf49b87643e20c8409733c879e51a229f0be96d211cbb",
         "ff0ed3664559471cccdac76b0e3c9867c1f209b095796eec5c4a4624fb602da2",
-        "f84750b15b01adf2fb4612b1625a078e4844666831d37c637395bd65e819d254",
+        "9a1d1520def415b8a321a8aa72d59c5271b2d9a547e48fce34d6b8e8231fe9d3",
     ),
 }
 #: p-ReLU with circuit negation on ``MULTI_TILE``: (``.cir`` files, vectors).
 PINNED_MULTI_TILE = (
     "ce8b03d1b68630c00ed6bdc391eada890852a2dd99494e158bff2010bc5b939f",
-    "4515e94a16514a80f807c30e1793671a4b69378d66bd41119d17a8211f39745f",
+    "832f81c922a4295f888568fc9986b894cbeca0bf887ab62f3b1f9b99681d8652",
 )
 
 

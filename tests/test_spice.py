@@ -8,13 +8,16 @@ import pytest
 from repro.spice import (
     Circuit,
     EGTModel,
+    Resistor,
     SolverError,
+    VoltageSource,
     element_powers,
+    rebuild_with_sources,
     solve_dc,
     source_power,
     total_power,
 )
-from repro.spice.egt import DEFAULT_NEGT, _ekv_f, _ekv_f_prime
+from repro.spice.egt import DEFAULT_NEGT, ekv
 
 
 class TestEGTModel:
@@ -67,12 +70,12 @@ class TestEGTModel:
 
     def test_ekv_f_asymptotics(self):
         # weak inversion: F(x) ~ e^x; strong inversion: F(x) ~ (x/2)^2
-        assert _ekv_f(-30.0) == pytest.approx(np.exp(-30.0), rel=1e-3)
-        assert _ekv_f(40.0) == pytest.approx(400.0, rel=1e-2)
+        assert ekv(-30.0)[0] == pytest.approx(np.exp(-30.0), rel=1e-3)
+        assert ekv(40.0)[0] == pytest.approx(400.0, rel=1e-2)
 
     def test_ekv_f_prime_positive(self):
         xs = np.linspace(-20, 20, 41)
-        assert (np.asarray(_ekv_f_prime(xs)) > 0).all()
+        assert (ekv(xs)[1] > 0).all()
 
 
 class TestNetlist:
@@ -81,6 +84,44 @@ class TestNetlist:
         c.add_resistor("r1", "a", "0", 1e3)
         with pytest.raises(ValueError):
             c.add_vsource("r1", "a", "0", 1.0)
+
+    def test_duplicate_names_rejected_across_every_kind(self):
+        c = Circuit()
+        c.add_vsource("vdd", "vdd", "0", 1.0)
+        c.add_resistor("r1", "vdd", "a", 1e3)
+        c.add_egt("m1", "a", "vdd", "0", 100e-6, 50e-6)
+        c.add_vcvs("e1", "b", "0", "a", "0", -1.0)
+        c.add_capacitor("c1", "a", "0", 1e-9)
+        adders = (
+            lambda name: c.add_resistor(name, "a", "0", 1e3),
+            lambda name: c.add_vsource(name, "a", "0", 1.0),
+            lambda name: c.add_egt(name, "a", "a", "0", 100e-6, 50e-6),
+            lambda name: c.add_vcvs(name, "b", "0", "a", "0", 1.0),
+            lambda name: c.add_capacitor(name, "a", "0", 1e-9),
+        )
+        for add in adders:
+            for name in ("vdd", "r1", "m1", "e1", "c1"):
+                with pytest.raises(ValueError, match=f"duplicate element name: {name}"):
+                    add(name)
+        assert c.element_names() == {"vdd", "r1", "m1", "e1", "c1"}
+
+    def test_duplicate_names_rejected_on_a_redriven_circuit(self):
+        c = Circuit()
+        c.add_vsource("vin", "in", "0", 0.1)
+        c.add_resistor("r1", "in", "0", 1e3)
+        rebuilt = rebuild_with_sources(c, {"vin": 0.2})
+        assert rebuilt.element_names() == {"vin", "r1"}
+        with pytest.raises(ValueError, match="duplicate element name: r1"):
+            rebuilt.add_vsource("r1", "in", "0", 1.0)
+        with pytest.raises(ValueError, match="duplicate element name: vin"):
+            rebuilt.add_resistor("vin", "in", "0", 1e3)
+        rebuilt.add_resistor("r2", "in", "0", 1e3)
+        assert "r2" not in c.element_names()  # the copy keeps its own name set
+
+    def test_duplicate_names_rejected_in_constructor_lists(self):
+        r = Resistor("x", "a", "0", 1e3)
+        with pytest.raises(ValueError, match="duplicate element name: x"):
+            Circuit(resistors=[r], sources=[VoltageSource("x", "a", "0", 1.0)])
 
     def test_nonpositive_resistance_rejected(self):
         c = Circuit()
